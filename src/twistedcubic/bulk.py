@@ -8,6 +8,8 @@ field's dense arithmetic tables.  Requires q <= gfq.DENSE_TABLE_LIMIT.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import pg3, twisted
@@ -25,6 +27,31 @@ def isin_sorted(values, table):
     pos = np.searchsorted(table, values)
     pos[pos == len(table)] = 0
     return table[pos] == values
+
+
+def sorted_unique(values):
+    """Ascending distinct values: sort, then mask adjacent duplicates
+    (an order of magnitude faster than np.unique on large int64 arrays)."""
+    out = np.sort(values)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
+class OrbitPartition(NamedTuple):
+    """Orbits of an action-closed sorted key array.
+
+    records: (size, stabilizer_order, representative_key) per orbit, sorted
+    by (size, representative); labels: int16 index into records per key;
+    fixers: per record, the number of group elements mapping the
+    representative to itself, counted exhaustively in its orbit sweep.
+    """
+    records: list[tuple[int, int, int]]
+    labels: np.ndarray
+    fixers: list[int]
 
 
 class Engine:
@@ -75,6 +102,15 @@ class Engine:
         for c in tup:
             out = out * self.q + int(c)
         return out
+
+    def unpack(self, keys):
+        """(n, 6) int16 Pluecker rows of packed line keys."""
+        cols = []
+        rem = keys.copy()
+        for _ in range(6):
+            cols.append((rem % self.q).astype(np.int16))
+            rem = rem // self.q
+        return np.stack(cols[::-1], axis=1)
 
     # -- elementwise geometry -------------------------------------------------
 
@@ -241,7 +277,7 @@ class Engine:
             V[:, avoid] = pg2
             U = np.tile(np.asarray(pt, np.int16), (len(pg2), 1))
             parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
-        self.meets_cubic_keys = np.unique(np.concatenate(parts))
+        self.meets_cubic_keys = sorted_unique(np.concatenate(parts))
 
         # lines inside some osculating plane
         r0, r1 = self._pg2_line_pairs()
@@ -251,10 +287,12 @@ class Engine:
             U = self._combine(r0, basis)
             V = self._combine(r1, basis)
             parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
-        self.gamma_line_keys = np.unique(np.concatenate(parts))
+        self.gamma_line_keys = sorted_unique(np.concatenate(parts))
 
-        self.gamma_plane_keys = np.unique(np.array(
+        self.gamma_plane_keys = sorted_unique(np.array(
             [self.pack_tuple(pl) for pl in model.gamma_plane_set], dtype=np.int64))
+        self.cubic_point_keys = sorted_unique(np.array(
+            [self.pack_tuple(pt) for pt in model.cubic_point_set], dtype=np.int64))
 
         if field.xi == 0:
             self.axis_plucker = model.axis.plucker
@@ -331,18 +369,44 @@ class Engine:
     def class_counts(self) -> dict[str, int]:
         return {name: len(keys) for name, keys in self.class_keys().items()}
 
-    def polar_keys(self, keys) -> np.ndarray:
-        """Sorted keys of the polar images of the given lines (xi != 0)."""
+    def _polar_images(self, keys) -> np.ndarray:
+        """Keys of the polar images of the given lines, in input order."""
         if self.field.xi == 0:
             raise ValueError("the null polarity degenerates when q = 0 mod 3")
-        q = self.q
-        cols = []
-        rem = keys.copy()
-        for _ in range(6):
-            cols.append((rem % q).astype(np.int16))
-            rem = rem // q
-        P = np.stack(list(reversed(cols)), axis=1)
-        return np.sort(self.pack(list(self._normalize_rows(self._polar(P)).T)))
+        P = self._polar(self.unpack(keys))
+        return self.pack(list(self._normalize_rows(P).T))
+
+    def polar_keys(self, keys) -> np.ndarray:
+        """Sorted keys of the polar images of the given lines (xi != 0)."""
+        return np.sort(self._polar_images(keys))
+
+    def polar_label_pairs(self, keys, labels, dst_keys, dst_labels):
+        """Send a sorted key set through the null polarity, chunk by chunk.
+
+        Each chunk's images are sorted and located in the sorted dst_keys.
+        Returns (onto, pairs): onto is True iff the images are exactly
+        dst_keys, each hit once; pairs is the ascending (k, 2) array of the
+        distinct (label, image label) pairs.
+        """
+        n = len(dst_keys)
+        if len(keys) != n:
+            return False, np.empty((0, 2), np.int64)
+        hit = np.zeros(n, dtype=bool)
+        onto = True
+        codes = [np.empty(0, np.int64)]
+        for start in range(0, n, self.chunk):
+            img = self._polar_images(keys[start:start + self.chunk])
+            order = np.argsort(img)
+            img = img[order]
+            pos = np.minimum(np.searchsorted(dst_keys, img), n - 1)
+            found = dst_keys[pos] == img
+            onto &= bool(found.all())
+            pos = pos[found]
+            hit[pos] = True
+            src = labels[start:start + self.chunk][order][found]
+            codes.append(sorted_unique((src.astype(np.int64) << 16) | dst_labels[pos]))
+        codes = sorted_unique(np.concatenate(codes))
+        return onto and bool(hit.all()), np.stack([codes >> 16, codes & 0xFFFF], axis=1)
 
     # -- group sweeps ------------------------------------------------------------
 
@@ -405,44 +469,54 @@ class Engine:
             cols.append(acc)
         return np.stack(cols, axis=1)
 
-    def orbit_sweep(self, line) -> np.ndarray:
-        """Sorted unique keys of the full-group orbit of the line."""
+    def _image_keys(self, line) -> np.ndarray:
+        """Key of the line's image under every group element, in group order."""
         u, v = line.pair
         P = self._normalize_rows(self._plucker(self._act_all(u), self._act_all(v)))
-        return np.unique(self.pack(list(P.T)))
+        return self.pack(list(P.T))
+
+    def orbit_sweep(self, line) -> np.ndarray:
+        """Sorted unique keys of the full-group orbit of the line."""
+        return sorted_unique(self._image_keys(line))
 
     def line_from_key(self, key) -> pg3.ProjLine:
         return pg3.line_from_plucker(self.field, self.unpack6(int(key)))
 
-    def orbit_partition_keys(self, keys_sorted) -> list[tuple[int, int, int]]:
+    def orbit_partition_keys(self, keys_sorted) -> OrbitPartition:
         """Partition an action-closed sorted key array into orbits.
 
-        Returns (size, stabilizer_order, representative_key) sorted by
+        Records are (size, stabilizer_order, representative_key) sorted by
         (size, representative); representative is the orbit's minimal key.
         """
         n = len(keys_sorted)
-        visited = np.zeros(n, dtype=bool)
+        labels = np.full(n, -1, dtype=np.int16)
         records = []
+        fixers = []
         pos = 0
         while pos < n:
-            off = int(np.argmax(~visited[pos:]))
-            if visited[pos + off]:
+            off = int(np.argmax(labels[pos:] < 0))
+            if labels[pos + off] >= 0:
                 break
             pos += off
-            seed = self.line_from_key(keys_sorted[pos])
-            orbit = self.orbit_sweep(seed)
+            seed_key = keys_sorted[pos]
+            images = self._image_keys(self.line_from_key(seed_key))
+            orbit = sorted_unique(images)
             where = np.searchsorted(keys_sorted, orbit)
             if (where >= n).any() or (keys_sorted[where] != orbit).any():
                 raise ValueError("key set is not closed under the group action")
-            visited[where] = True
+            labels[where] = len(records)
             size = len(orbit)
             if self.group_order % size:
                 raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
             records.append((size, self.group_order // size, int(orbit[0])))
-        if not visited.all():
+            fixers.append(int(np.count_nonzero(images == seed_key)))
+        if (labels < 0).any():
             raise RuntimeError("orbit partition missed input lines")
-        records.sort(key=lambda r: (r[0], r[2]))
-        return records
+        order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
+        relabel = np.empty(len(records), dtype=np.int16)
+        relabel[order] = np.arange(len(records))
+        return OrbitPartition([records[i] for i in order], relabel[labels],
+                              [fixers[i] for i in order])
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
         """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples."""
@@ -463,6 +537,55 @@ class Engine:
         e2 = ADD[SUB[MUL[x0, l23], MUL[x2, l03]], MUL[x3, l02]]
         e3 = ADD[SUB[MUL[x1, l23], MUL[x2, l13]], MUL[x3, l12]]
         return (e0 == 0) & (e1 == 0) & (e2 == 0) & (e3 == 0)
+
+    # -- structural checks ---------------------------------------------------------
+
+    def _pencil_keys(self, P):
+        """Packed normalized points u + t*v (t in GF(q)) and v of every line
+        in the Pluecker rows P.  u and v are the columns i and j of the
+        line's skew Pluecker matrix, where l_ij is its first nonzero
+        coordinate; they span the line because that l_ij is nonzero."""
+        n = len(P)
+        L = np.zeros((n, 4, 4), dtype=np.int16)
+        for col, (i, j) in enumerate(PAIR_IDX):
+            L[:, i, j] = P[:, col]
+            L[:, j, i] = self.NEG[P[:, col]]
+        rows = np.arange(n)
+        first = (P != 0).argmax(axis=1)
+        pivot = np.array(PAIR_IDX, dtype=np.intp)[first]
+        U = L[rows, :, pivot[:, 0]]
+        V = L[rows, :, pivot[:, 1]]
+        pts = [V] + [self.ADD[U, self.MUL[t, V]] for t in range(self.q)]
+        return self.pack(list(self._normalize_rows(np.concatenate(pts)).T))
+
+    def covers_once(self, keys, excluded, dual=False) -> bool:
+        """Whether the points of the given lines, or with dual=True the planes
+        through them, cover every point (plane) of PG(3,q) outside the
+        sorted key array `excluded` exactly once."""
+        P = self.unpack(keys)
+        if dual:
+            # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)
+            NEG = self.NEG
+            P = np.stack([P[:, 5], NEG[P[:, 4]], P[:, 3],
+                          P[:, 2], NEG[P[:, 1]], P[:, 0]], axis=1)
+        got = self._pencil_keys(P)
+        got = np.sort(got[~isin_sorted(got, excluded)])
+        every = self.pack(list(self._pg3_points().T))  # ascending
+        return np.array_equal(got, every[~isin_sorted(every, excluded)])
+
+    def triple_images(self, triple) -> int:
+        """Number of distinct ordered triples of cubic points among the
+        images of the given triple of points under every group element."""
+        cubic = self.cubic_point_keys
+        m = len(cubic)
+        code = np.zeros(self.group_order, dtype=np.int64)
+        on_cubic = np.ones(self.group_order, dtype=bool)
+        for pt in triple:
+            k = self.pack(list(self._normalize_rows(self._act_all(pt)).T))
+            pos = np.minimum(np.searchsorted(cubic, k), m - 1)
+            on_cubic &= cubic[pos] == k
+            code = code * m + pos
+        return len(sorted_unique(code[on_cubic]))
 
     # -- plane census ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import action, gfq, pg3, twisted
-from .bulk import Engine, isin_sorted
+from .bulk import Engine, OrbitPartition
 
 SCHEMA_VERSION = 1
 
@@ -135,7 +135,8 @@ class CensusRun:
         self.field = gfq.make_field(q, modulus)
         self.model = twisted.build_cubic(self.field)
         self.engine = Engine(self.field, self.model)
-        self._orbits: dict[str, list[tuple[int, int, int]]] = {}
+        self._partitions: dict[str, OrbitPartition] = {}
+        self._polarity: tuple[bool, bool] | None = None
 
     def class_counts(self) -> dict[str, int]:
         return self.engine.class_counts()
@@ -144,14 +145,45 @@ class CensusRun:
         return self.engine.plane_class_counts()
 
     def orbit_records(self, cls: str) -> list[tuple[int, int, int]]:
-        if cls not in self._orbits:
-            self._orbits[cls] = self.engine.orbit_partition_keys(
+        if cls not in self._partitions:
+            self._partitions[cls] = self.engine.orbit_partition_keys(
                 self.engine.class_keys()[cls])
-        return self._orbits[cls]
+        return self._partitions[cls].records
+
+    def partition(self, cls: str) -> OrbitPartition:
+        self.orbit_records(cls)
+        return self._partitions[cls]
 
     def all_orbit_records(self) -> dict[str, list[tuple[int, int, int]]]:
         return {cls: self.orbit_records(cls)
                 for cls in twisted.valid_line_classes(self.field)}
+
+    def polarity_images(self) -> tuple[bool, bool]:
+        """(class exchange, orbit image) verdicts of one chunked pass of every
+        class through the null polarity (xi != 0).
+
+        Class exchange: the polar images of each class are exactly its
+        POLAR_CLASS partner.  Orbit image: each orbit's labels count its
+        size, and there is one (orbit, image orbit) pair per orbit with equal
+        sizes, so (the map being a bijection) every orbit is mapped onto an
+        orbit.
+        """
+        if self._polarity is None:
+            keys = self.engine.class_keys()
+            exchange = orbit_image = True
+            for src, dst in POLAR_CLASS.items():
+                a, b = self.partition(src), self.partition(dst)
+                sizes = [size for size, _stab, _rep in a.records]
+                onto, pairs = self.engine.polar_label_pairs(
+                    keys[src], a.labels, keys[dst], b.labels)
+                exchange &= onto
+                orbit_image &= (
+                    onto
+                    and np.array_equal(np.bincount(a.labels, minlength=len(sizes)), sizes)
+                    and len(pairs) == len(sizes)
+                    and all(sizes[i] == b.records[j][0] for i, j in pairs))
+            self._polarity = (exchange, orbit_image)
+        return self._polarity
 
 
 # -- individual checks ---------------------------------------------------------
@@ -196,25 +228,11 @@ def check_polarity_commutation(run, samples=200, seed=0):
 
 
 def check_polarity_class_exchange(run):
-    eng = run.engine
-    keys = eng.class_keys()
-    ok = all(
-        np.array_equal(eng.polar_keys(keys[src]), keys[dst])
-        for src, dst in POLAR_CLASS.items())
-    return _check("polarity_class_exchange", True, ok)
+    return _check("polarity_class_exchange", True, run.polarity_images()[0])
 
 
 def check_polarity_orbit_images(run):
-    eng = run.engine
-    ok = True
-    for cls in twisted.valid_line_classes(run.field):
-        for _size, _stab, rep in run.orbit_records(cls):
-            orbit = eng.orbit_sweep(eng.line_from_key(rep))
-            image = np.sort(eng.polar_keys(orbit))
-            image_orbit = eng.orbit_sweep(eng.line_from_key(image[0]))
-            if not np.array_equal(image, image_orbit):
-                ok = False
-    return _check("polarity_orbit_image", True, ok)
+    return _check("polarity_orbit_image", True, run.polarity_images()[1])
 
 
 def check_polarity_stabilizer_equality(run):
@@ -230,15 +248,12 @@ def check_polarity_stabilizer_equality(run):
 
 
 def check_stabilizers_brute(run):
-    """Exhaustive stabilizer of every orbit representative vs the
-    orbit-stabilizer prediction."""
-    eng = run.engine
-    ok = True
-    for cls, records in run.all_orbit_records().items():
-        for size, stab, rep in records:
-            got = len(eng.stabilizer_abcd(eng.line_from_key(rep)))
-            if got != stab:
-                ok = False
+    """Exhaustive stabilizer order of every orbit representative (counted in
+    its orbit sweep) vs the orbit-stabilizer prediction."""
+    ok = all(
+        fixed == stab
+        for part in map(run.partition, twisted.valid_line_classes(run.field))
+        for (_size, stab, _rep), fixed in zip(part.records, part.fixers))
     return _check("stabilizer_orders_brute", True, ok)
 
 
@@ -260,42 +275,27 @@ def check_families(run):
     ]
 
 
+def _class_union(run, classes):
+    keys = run.engine.class_keys()
+    return np.concatenate([keys[cls] for cls in classes])
+
+
 def check_chord_uniqueness(run):
     """Every point off the cubic lies on exactly one chord (real, tangent or
     imaginary); exhaustive."""
-    f = run.field
-    model = run.model
     eng = run.engine
-    chords = list(model.real_chord_set) + list(model.tangent_set)
-    chords += [eng.line_from_key(k) for k in eng.class_keys()[twisted.IC]]
-    counts: dict[tuple, int] = {}
-    for ln in chords:
-        for pt in pg3.line_points(f, ln):
-            counts[pt] = counts.get(pt, 0) + 1
-    ok = all(
-        counts.get(pt, 0) == 1
-        for pt in pg3.all_points(f) if pt not in model.cubic_point_set)
-    return _check("chord_uniqueness", True, ok)
+    chords = _class_union(run, (twisted.RC, twisted.T, twisted.IC))
+    return _check("chord_uniqueness", True,
+                  eng.covers_once(chords, eng.cubic_point_keys))
 
 
 def check_axis_uniqueness(run):
     """Every plane off the osculating family carries exactly one axis
     (real, imaginary, or tangent); exhaustive."""
-    f = run.field
     eng = run.engine
-    keys = eng.class_keys()
-    axis_keys = np.sort(np.concatenate(
-        [keys[twisted.RA], keys[twisted.IA], keys[twisted.T]]))
-    ok = True
-    for plane in pg3.all_planes(f):
-        if plane in run.model.gamma_plane_set:
-            continue
-        in_plane = np.array(
-            [eng.pack_tuple(ln.plucker) for ln in pg3.lines_in_plane(f, plane)],
-            dtype=np.int64)
-        if int(isin_sorted(in_plane, axis_keys).sum()) != 1:
-            ok = False
-    return _check("axis_uniqueness", True, ok)
+    axes = _class_union(run, (twisted.RA, twisted.IA, twisted.T))
+    return _check("axis_uniqueness", True,
+                  eng.covers_once(axes, eng.gamma_plane_keys, dual=True))
 
 
 def check_axis_pencil(run):
@@ -307,25 +307,13 @@ def check_axis_pencil(run):
 
 
 def check_triple_transitivity(run):
-    """Every ordered triple of distinct cubic points is reachable from a
-    fixed base triple under the generators."""
+    """Every ordered triple of distinct cubic points is the image of a fixed
+    base triple under some group element."""
     f = run.field
     base = (twisted.cubic_point(f, 0), twisted.cubic_point(f, 1),
             twisted.cubic_point(f, twisted.INF))
-    gens = action.generators(f)
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for tri in frontier:
-            for g in gens:
-                img = tuple(action.act_point(f, g, p) for p in tri)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
     want = (f.q + 1) * f.q * (f.q - 1)
-    return _check("triple_transitivity", want, len(seen))
+    return _check("triple_transitivity", want, run.engine.triple_images(base))
 
 
 # -- report assembly -----------------------------------------------------------
@@ -456,25 +444,20 @@ def verify(q: int, modulus=None, samples: int = 200, seed: int = 0,
         "total_orbit_count", expected_total_orbit_count(q, f.xi),
         sum(len(r) for r in records.values()), basis=_spectrum_basis(q)))
 
-    if q <= 13:
-        checks.append(check_stabilizers_brute(run))
+    checks.append(check_stabilizers_brute(run))
     checks.extend(check_families(run))
 
     if f.xi != 0:
         checks.append(check_polarity_commutation(run, samples=samples, seed=seed))
         checks.append(check_polarity_class_exchange(run))
         checks.append(check_polarity_stabilizer_equality(run))
-        if q <= 8:
-            checks.append(check_polarity_orbit_images(run))
-        if q <= 9:
-            checks.append(check_axis_uniqueness(run))
+        checks.append(check_polarity_orbit_images(run))
+        checks.append(check_axis_uniqueness(run))
     else:
         checks.append(check_axis_pencil(run))
 
-    if q <= 9:
-        checks.append(check_chord_uniqueness(run))
-    if q in (5, 7, 8):
-        checks.append(check_triple_transitivity(run))
+    checks.append(check_chord_uniqueness(run))
+    checks.append(check_triple_transitivity(run))
 
     runtime = round(time.monotonic() - started, 3) if timing else None
     report = {

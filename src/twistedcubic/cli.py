@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Verbs: classify, orbits, stabilizer, verify, census.  Exit codes: 0 all
-checks pass, 1 check failure, 2 usage error / unsupported q.  Reports are
-deterministic for a fixed (q, modulus); pass --timing to include wall-clock
-runtime in the meta block (off by default so default output is byte-stable).
+checks pass, 1 check failure, 2 usage error / unsupported q / unwritable
+--out.  Reports are deterministic for a fixed (q, modulus); pass --timing to
+include wall-clock runtime in the meta block (off by default so default
+output is byte-stable).  --out is written atomically: a temporary file in the
+target directory, then a rename over the target.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import secrets
 import sys
 
 from . import census, pg3, twisted
@@ -29,6 +33,13 @@ def _parse_line(text):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("a line needs 6 comma-separated coordinates")
     return tuple(int(c) for c in parts)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full check suite; exit 1 on any failure")
     common(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock runtime in the report meta")
 
     p = sub.add_parser("census", help="full report (classes, orbits, checks)")
     common(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true")
     return ap
@@ -87,11 +98,24 @@ def _gate_long_run(args):
     return True
 
 
+def _write_atomic(path, text):
+    path = os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(doc_json, doc_csv, args):
     text = doc_csv if args.format == "csv" else doc_json
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -177,7 +201,7 @@ def _verify_report(args, print_checks):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verb in ("orbits", "verify", "census", "stabilizer") and not _gate_long_run(args):
+    if not _gate_long_run(args):
         return USAGE_EXIT
     try:
         if args.verb == "classify":
@@ -192,6 +216,9 @@ def main(argv=None) -> int:
             return _verify_report(args, print_checks=False)
     except (census.UnsupportedQ, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_EXIT
     raise AssertionError("unreachable")
 

@@ -1,0 +1,85 @@
+"""Scalar reference versions of the structural census checks.
+
+These are the point-by-point loops over `pg3` and `action` that the
+vectorized `Engine` checks replaced.  They are slow (seconds at q = 8), so
+they only serve as an independent oracle in the differential tests.
+"""
+
+import numpy as np
+
+from twistedcubic import action, pg3, twisted
+from twistedcubic.bulk import isin_sorted
+
+
+def chord_uniqueness(run):
+    f = run.field
+    model = run.model
+    eng = run.engine
+    chords = list(model.real_chord_set) + list(model.tangent_set)
+    chords += [eng.line_from_key(k) for k in eng.class_keys()[twisted.IC]]
+    counts = {}
+    for ln in chords:
+        for pt in pg3.line_points(f, ln):
+            counts[pt] = counts.get(pt, 0) + 1
+    return all(
+        counts.get(pt, 0) == 1
+        for pt in pg3.all_points(f) if pt not in model.cubic_point_set)
+
+
+def axis_uniqueness(run):
+    f = run.field
+    eng = run.engine
+    keys = eng.class_keys()
+    axis_keys = np.sort(np.concatenate(
+        [keys[twisted.RA], keys[twisted.IA], keys[twisted.T]]))
+    ok = True
+    for plane in pg3.all_planes(f):
+        if plane in run.model.gamma_plane_set:
+            continue
+        in_plane = np.array(
+            [eng.pack_tuple(ln.plucker) for ln in pg3.lines_in_plane(f, plane)],
+            dtype=np.int64)
+        if int(isin_sorted(in_plane, axis_keys).sum()) != 1:
+            ok = False
+    return ok
+
+
+def triple_transitivity(run):
+    """Size of the generator closure of the base triple of cubic points."""
+    f = run.field
+    base = (twisted.cubic_point(f, 0), twisted.cubic_point(f, 1),
+            twisted.cubic_point(f, twisted.INF))
+    gens = action.generators(f)
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for tri in frontier:
+            for g in gens:
+                img = tuple(action.act_point(f, g, p) for p in tri)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return len(seen)
+
+
+def stabilizers_brute(run):
+    eng = run.engine
+    return all(
+        len(eng.stabilizer_abcd(eng.line_from_key(rep))) == stab
+        for records in run.all_orbit_records().values()
+        for _size, stab, rep in records)
+
+
+def polarity_orbit_images(run):
+    eng = run.engine
+    ok = True
+    for cls in twisted.valid_line_classes(run.field):
+        for _size, _stab, rep in run.orbit_records(cls):
+            orbit = eng.orbit_sweep(eng.line_from_key(rep))
+            image = np.sort(eng.polar_keys(orbit))
+            image_orbit = eng.orbit_sweep(eng.line_from_key(image[0]))
+            if not np.array_equal(image, image_orbit):
+                ok = False
+    return ok

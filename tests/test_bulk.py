@@ -3,7 +3,7 @@ import pytest
 
 from twistedcubic import action as act
 from twistedcubic import pg3, twisted as tw
-from twistedcubic.bulk import Engine, isin_sorted
+from twistedcubic.bulk import Engine, isin_sorted, sorted_unique
 from twistedcubic.gfq import make_field
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -69,7 +69,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
         scalar = act.orbit_partition(f, lines, cls)
         bulk = eng.orbit_partition_keys(eng.class_keys()[cls])
         assert [(r.size, r.stabilizer_order, eng.pack_tuple(r.representative.plucker))
-                for r in scalar] == bulk
+                for r in scalar] == bulk.records
 
 
 def test_orbit_partition_rejects_unclosed_keys(engine):
@@ -100,6 +100,13 @@ def test_plane_counts_closed_forms(engine):
             "gamma": q + 1, "2C": q * q + q, "3C": n // 6,
             "1C": n // 2, "0C": n // 3,
         }
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 2, 1000):
+        vals = rng.integers(0, 50, n).astype(np.int64)
+        assert sorted_unique(vals).tolist() == np.unique(vals).tolist()
 
 
 def test_isin_sorted():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -171,3 +172,29 @@ def test_verify_check_composition():
     assert "axis_pencil" in names9
     assert "family:EA_23" in names9
     assert "polarity_commutation" not in names9
+
+
+# SHA-256 of report_to_json(verify(q)) with the default modulus and threads,
+# taken before the structural checks were vectorized; at these q the check
+# list did not change, so the reports must stay byte-identical
+GOLDEN_REPORT_SHA256 = {
+    5: "27144d724f2b72939ec6d86be1a0ac7e23c0fdb4e666d414a3eaffcb173a7791",
+    7: "a85d133102541a8bb1818a0b5d6cb91b6426e6a481dc10e92c583f6144977622",
+    8: "ea8b8e86defd0ac393a3be28aac1ad3b5bb21d64f1fd76793e1cb1097adc2a1b",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_REPORT_SHA256))
+def test_default_reports_match_golden_digests(monkeypatch, q):
+    monkeypatch.delenv(census.THREADS_ENV, raising=False)
+    text = census.report_to_json(census.verify(q))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[q]
+
+
+def test_structural_checks_run_at_every_q():
+    names = {c["name"] for c in census.verify(16)["checks"]}
+    assert {"stabilizer_orders_brute", "polarity_orbit_image", "axis_uniqueness",
+            "chord_uniqueness", "triple_transitivity"} <= names
+    names = {c["name"] for c in census.verify(3)["checks"]}
+    assert {"stabilizer_orders_brute", "axis_pencil", "chord_uniqueness",
+            "triple_transitivity"} <= names

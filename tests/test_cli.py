@@ -2,6 +2,13 @@ import json
 import subprocess
 import sys
 
+import hypothesis
+import hypothesis.strategies as st
+import pytest
+
+from twistedcubic import cli, pg3
+from twistedcubic.gfq import make_field
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -99,3 +106,76 @@ def test_threads_flag_recorded():
     res = run_cli("census", "--q", "5", "--threads", "4")
     assert res.returncode == 0
     assert json.loads(res.stdout)["meta"]["threads"] == 4
+
+
+def exit_code(argv):
+    """In-process exit code: main's return value or argparse's SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _not_a_positive_int(text):
+    try:
+        return int(text) < 1
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("verb", ("verify", "census"))
+@pytest.mark.parametrize("samples", ("0", "-3"))
+def test_samples_below_one_is_a_usage_error(verb, samples):
+    res = run_cli(verb, "--q", "5", f"--samples={samples}")
+    assert res.returncode == 2
+    assert "--samples" in res.stderr
+
+
+@hypothesis.given(st.one_of(st.integers(max_value=0).map(str),
+                            st.text(max_size=8).filter(_not_a_positive_int)))
+def test_malformed_samples_exit_two(samples):
+    assert exit_code(["verify", "--q", "5", f"--samples={samples}"]) == 2
+
+
+_token = st.integers(min_value=-3, max_value=12).map(str)
+
+
+@hypothesis.given(st.one_of(
+    st.lists(_token, max_size=9).filter(lambda t: len(t) != 6),       # wrong arity
+    st.lists(st.one_of(_token, st.sampled_from(["", "x", "1.5", "0x1"])),
+             min_size=6, max_size=6).filter(lambda t: not all(
+                 c.lstrip("-").isdigit() for c in t)),                 # not integers
+    st.lists(_token, min_size=6, max_size=6).filter(
+        lambda t: any(not 0 <= int(c) < 5 for c in t)),               # out of GF(5)
+    st.lists(st.integers(0, 4), min_size=6, max_size=6).filter(
+        lambda t: not any(t) or pg3.klein_value(make_field(5), t) != 0
+    ).map(lambda t: [str(c) for c in t]),                               # not a line
+))
+def test_malformed_line_exit_two(tokens):
+    assert exit_code(["stabilizer", "--q", "5", "--line=" + ",".join(tokens)]) == 2
+
+
+def test_classify_has_the_long_run_gate():
+    assert exit_code(["classify", "--q", "64"]) == 2
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path):
+    res = run_cli("classify", "--q", "5", "--out", str(tmp_path / "missing" / "r.json"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: cannot write")
+    assert "Traceback" not in res.stderr
+
+
+def test_out_is_replaced_atomically(tmp_path):
+    out = tmp_path / "counts.json"
+    out.write_text("stale")
+    assert exit_code(["classify", "--q", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lines"]["EnG"] == 480
+    assert [p.name for p in tmp_path.iterdir()] == ["counts.json"]
+
+
+def test_out_onto_a_directory_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert exit_code(["classify", "--q", "5", "--out", str(target)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

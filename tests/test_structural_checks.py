@@ -1,0 +1,117 @@
+"""Vectorized structural checks: differential against the scalar loops they
+replaced, and non-vacuity (each check fails on a corrupted input)."""
+
+import numpy as np
+import pytest
+
+import scalar_checks
+from twistedcubic import census, twisted as tw
+
+DIFF_Q = (4, 5, 7, 8)
+
+
+def _corrupt(run, cls, mode):
+    """Drop or duplicate the smallest key of one class in the run's key sets."""
+    keys = run.engine.class_keys()
+    k = keys[cls]
+    keys[cls] = k[1:] if mode == "drop" else np.sort(np.append(k, k[0]))
+    return run
+
+
+@pytest.mark.parametrize("q", DIFF_Q)
+def test_checks_match_scalar_loops(run, q):
+    r = run(q)
+    assert census.check_chord_uniqueness(r)["actual"] is scalar_checks.chord_uniqueness(r)
+    assert census.check_axis_uniqueness(r)["actual"] is scalar_checks.axis_uniqueness(r)
+    assert census.check_triple_transitivity(r)["actual"] == \
+        scalar_checks.triple_transitivity(r) == (q + 1) * q * (q - 1)
+    assert census.check_stabilizers_brute(r)["actual"] is scalar_checks.stabilizers_brute(r)
+    assert census.check_polarity_orbit_images(r)["actual"] is \
+        scalar_checks.polarity_orbit_images(r)
+    assert r.polarity_images() == (True, True)
+
+
+@pytest.mark.parametrize("q", (4, 5))
+@pytest.mark.parametrize("mode", ("drop", "dup"))
+def test_corrupted_key_sets_match_scalar_loops(q, mode):
+    chords = _corrupt(census.CensusRun(q), tw.IC, mode)
+    assert census.check_chord_uniqueness(chords)["pass"] is False
+    assert scalar_checks.chord_uniqueness(chords) is False
+    axes = _corrupt(census.CensusRun(q), tw.RA, mode)
+    assert census.check_axis_uniqueness(axes)["pass"] is False
+    # the scalar loop tests membership per plane, so it misses a duplicated
+    # axis key; the vectorized check counts every key
+    assert scalar_checks.axis_uniqueness(axes) is (mode == "dup")
+
+
+@pytest.mark.parametrize("cls", (tw.RC, tw.T, tw.IC))
+@pytest.mark.parametrize("mode", ("drop", "dup"))
+def test_chord_uniqueness_fails_on_corrupted_chords(cls, mode):
+    run = _corrupt(census.CensusRun(7), cls, mode)
+    assert not census.check_chord_uniqueness(run)["pass"]
+
+
+@pytest.mark.parametrize("cls", (tw.RA, tw.IA, tw.T))
+@pytest.mark.parametrize("mode", ("drop", "dup"))
+def test_axis_uniqueness_fails_on_corrupted_axes(cls, mode):
+    run = _corrupt(census.CensusRun(8), cls, mode)
+    assert not census.check_axis_uniqueness(run)["pass"]
+
+
+def test_triple_transitivity_fails_on_a_repeated_group_element():
+    run = census.CensusRun(7)
+    abcd, mats = run.engine._group_arrays()
+    mats = mats.copy()
+    mats[1] = mats[0]
+    run.engine._group = (abcd, mats)
+    check = census.check_triple_transitivity(run)
+    assert check["actual"] == check["expected"] - 1
+    assert not check["pass"]
+
+
+def test_stabilizer_counts_come_from_the_sweep(run):
+    r = run(5)
+    for cls in tw.valid_line_classes(r.field):
+        part = r.partition(cls)
+        for (_size, _stab, rep), fixed in zip(part.records, part.fixers):
+            assert fixed == len(r.engine.stabilizer_abcd(r.engine.line_from_key(rep)))
+
+
+def test_stabilizer_check_fails_on_a_wrong_count():
+    run = census.CensusRun(5)
+    run.partition(tw.ENG).fixers[0] += 1
+    assert not census.check_stabilizers_brute(run)["pass"]
+
+
+# not T: every tangent is self-polar, so dropping one leaves a bijection
+@pytest.mark.parametrize("cls", (tw.RA, tw.IC, tw.EG))
+def test_polarity_class_exchange_fails_on_a_dropped_key(cls):
+    run = census.CensusRun(5)
+    run.all_orbit_records()
+    part = run.partition(cls)
+    run.engine.class_keys()[cls] = run.engine.class_keys()[cls][1:]
+    run._partitions[cls] = part._replace(labels=part.labels[1:])
+    assert not census.check_polarity_class_exchange(run)["pass"]
+    assert not census.check_polarity_orbit_images(run)["pass"]
+
+
+def test_polarity_orbit_image_fails_on_a_corrupted_label():
+    run = census.CensusRun(5)
+    part = run.partition(tw.ENG)
+    assert len(part.records) > 1
+    part.labels[0] = (part.labels[0] + 1) % len(part.records)
+    assert census.check_polarity_class_exchange(run)["pass"]
+    assert not census.check_polarity_orbit_images(run)["pass"]
+
+
+def test_partition_labels_index_the_records(run):
+    r = run(7)
+    eng = r.engine
+    for cls in tw.valid_line_classes(r.field):
+        keys = eng.class_keys()[cls]
+        part = r.partition(cls)
+        assert part.labels.dtype == np.int16
+        for label, (size, _stab, rep) in enumerate(part.records):
+            members = keys[part.labels == label]
+            assert members.tolist() == eng.orbit_sweep(eng.line_from_key(rep)).tolist()
+            assert len(members) == size and members[0] == rep
