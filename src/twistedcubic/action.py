@@ -67,9 +67,13 @@ def inverse(field, g) -> GroupElement:
 
 def lift(field, g):
     """The 4x4 matrix of the element, as a tuple of row tuples."""
-    a, b, c, d = g.abcd
-    m = field.mul
-    ad = field.add
+    return lift_rows(field, *g.abcd, field.mul, field.add)
+
+
+def lift_rows(field, a, b, c, d, m, ad):
+    """The rows of the 4x4 lift of (a,b,c,d) over the injected field
+    operations m (multiply) and ad (add): scalar Field methods on elements,
+    or elementwise table lookups on arrays of elements."""
     two, three = field.of_int(2), field.of_int(3)
     a2, b2, c2, d2 = m(a, a), m(b, b), m(c, c), m(d, d)
     return (
@@ -378,38 +382,3 @@ def family_representatives(field, form) -> list[pg3.ProjLine]:
         pa = (0, 1, 0, 0)
         return [lt(pa, (1, 0, 1, 0)), lt(pa, (1, 0, rho, 0))]
     raise ValueError(f"unknown family {form!r}")
-
-
-# -- polarity compatibility checks -------------------------------------------
-
-def polarity_commutes_check(field, samples=200, seed=0) -> bool:
-    """Polar-then-act equals act-then-polar on random (point, element) pairs,
-    an orbit's polar image is again an orbit of the same size, and a line and
-    its polar have the same stabilizer."""
-    import random
-
-    if field.xi == 0:
-        raise ValueError("the null polarity degenerates when q = 0 mod 3")
-    rng = random.Random(seed)
-    elements = all_elements(field)
-    for _ in range(samples):
-        cand = (0, 0, 0, 0)
-        while not any(cand):
-            cand = tuple(rng.randrange(field.q) for _ in range(4))
-        pt = pg3.normalize(field, cand)
-        g = elements[rng.randrange(len(elements))]
-        lhs = act_plane(field, g, twisted.null_polarity_point(field, pt))
-        rhs = twisted.null_polarity_point(field, act_point(field, g, pt))
-        if lhs != rhs:
-            return False
-
-    tangent = pg3.line_through(field, (1, 0, 0, 0), (0, 1, 0, 0))
-    chord = pg3.line_through(field, (0, 0, 0, 1), (1, 0, 0, 0))
-    for ln in (tangent, chord):
-        orbit = orbit_of(field, ln)
-        image = {twisted.null_polarity_line(field, o) for o in orbit}
-        if image != orbit_of(field, next(iter(image))) or len(image) != len(orbit):
-            return False
-        if stabilizer(field, ln) != stabilizer(field, twisted.null_polarity_line(field, ln)):
-            return False
-    return True

@@ -3,7 +3,7 @@
 Every line is identified by its normalized Pluecker vector packed base-q into
 an int64 key, so whole-universe classification, orbit sweeps with the full
 group, and stabilizer filters all run as numpy table-lookup pipelines on the
-field's dense arithmetic tables.  Requires q <= gfq.DENSE_TABLE_LIMIT.
+field's dense arithmetic tables.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pg3, twisted
+from . import action, pg3, twisted
 
 PAIR_IDX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -58,8 +58,6 @@ class Engine:
     """Bulk classification and orbit machinery for one (field, cubic) pair."""
 
     def __init__(self, field, model=None, chunk=1 << 21):
-        if field.mul_table is None:
-            raise ValueError(f"bulk engine needs dense tables (q <= 64), got q={field.q}")
         self.field = field
         self.model = model if model is not None else twisted.build_cubic(field)
         self.chunk = chunk
@@ -113,6 +111,15 @@ class Engine:
         return np.stack(cols[::-1], axis=1)
 
     # -- elementwise geometry -------------------------------------------------
+
+    def _mul(self, x, y):
+        return self.MUL[x, y]
+
+    def _add(self, x, y):
+        return self.ADD[x, y]
+
+    def _sub(self, x, y):
+        return self.SUB[x, y]
 
     def _plucker(self, U, V):
         MUL, SUB = self.MUL, self.SUB
@@ -431,22 +438,7 @@ class Engine:
             if len(abcd) != self.group_order:
                 raise RuntimeError("group enumeration size mismatch")
 
-            a, b, c, d = (abcd[:, i] for i in range(4))
-            two, three = self.field.of_int(2), self.three
-            ADD = self.ADD
-
-            def m(x, y):
-                return MUL[x, y]
-
-            a2, b2, c2, d2 = m(a, a), m(b, b), m(c, c), m(d, d)
-            rows = [
-                [m(a2, a), m(a2, c), m(a, c2), m(c2, c)],
-                [m(three, m(a2, b)), ADD[m(a2, d), m(two, m(a, m(b, c)))],
-                 ADD[m(b, c2), m(two, m(a, m(c, d)))], m(three, m(c2, d))],
-                [m(three, m(a, b2)), ADD[m(b2, c), m(two, m(a, m(b, d)))],
-                 ADD[m(a, d2), m(two, m(b, m(c, d)))], m(three, m(c, d2))],
-                [m(b2, b), m(b2, d), m(b, d2), m(d2, d)],
-            ]
+            rows = action.lift_rows(self.field, *abcd.T, self._mul, self._add)
             mats = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
             self._group = (abcd, mats)
         return self._group
@@ -521,22 +513,12 @@ class Engine:
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
         """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples."""
         abcd, _ = self._group_arrays()
-        lp = line.plucker
         mask = np.ones(len(abcd), dtype=bool)
         for pt in line.pair:
-            X = self._act_all(pt)
-            mask &= self._on_line_mask(X, lp)
+            for form in pg3.incidence_forms(self._act_all(pt).T, line.plucker,
+                                            self._mul, self._sub, self._add):
+                mask &= form == 0
         return sorted(map(tuple, abcd[mask].tolist()))
-
-    def _on_line_mask(self, X, lp):
-        MUL, SUB, ADD = self.MUL, self.SUB, self.ADD
-        l01, l02, l03, l12, l13, l23 = (int(c) for c in lp)
-        x0, x1, x2, x3 = (X[:, i] for i in range(4))
-        e0 = ADD[SUB[MUL[x0, l12], MUL[x1, l02]], MUL[x2, l01]]
-        e1 = ADD[SUB[MUL[x0, l13], MUL[x1, l03]], MUL[x3, l01]]
-        e2 = ADD[SUB[MUL[x0, l23], MUL[x2, l03]], MUL[x3, l02]]
-        e3 = ADD[SUB[MUL[x1, l23], MUL[x2, l13]], MUL[x3, l12]]
-        return (e0 == 0) & (e1 == 0) & (e2 == 0) & (e3 == 0)
 
     # -- structural checks ---------------------------------------------------------
 

@@ -9,7 +9,6 @@ computed quantity against its closed form, and emits a deterministic report
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 
@@ -19,7 +18,7 @@ from . import __version__
 from . import action, gfq, pg3, twisted
 from .bulk import Engine, OrbitPartition
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
                32, 37, 41, 43, 47, 49, 53, 59, 61, 64)
@@ -30,10 +29,8 @@ SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
 CONFIRMED_SPECTRUM_Q = frozenset(
     {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 64})
 
-# orders gated behind --long-run in the CLI
-LONG_RUN_Q = frozenset({37, 49, 64})
-
-THREADS_ENV = "TWISTEDCUBIC_THREADS"
+# orders gated behind --long-run in the CLI: every supported order above 32
+LONG_RUN_Q = frozenset(q for q in SUPPORTED_Q if q > 32)
 
 
 class UnsupportedQ(ValueError):
@@ -342,7 +339,7 @@ def _class_entries(run, classes):
     return entries
 
 
-def _meta(run, threads, runtime):
+def _meta(run, runtime):
     f = run.field
     return {
         "tool": "twistedcubic",
@@ -352,16 +349,8 @@ def _meta(run, threads, runtime):
         "e": f.e,
         "xi": f.xi,
         "modulus": list(f.modulus),
-        "threads": threads,
         "runtime_seconds": runtime,
     }
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def classify_all(q: int, modulus=None) -> dict[str, int]:
@@ -385,13 +374,13 @@ def orbit_census(q: int, line_class=None, modulus=None) -> dict:
         classes = (line_class,)
     return {
         "schema_version": SCHEMA_VERSION,
-        "meta": _meta(run, default_threads(), None),
+        "meta": _meta(run, None),
         "classes": _class_entries(run, classes),
     }
 
 
 def verify(q: int, modulus=None, samples: int = 200, seed: int = 0,
-           threads: int | None = None, timing: bool = False) -> dict:
+           timing: bool = False) -> dict:
     """Full verification: class sizes, orbit spectra, stabilizers, parametric
     families, polarity compatibility, and the structural property suite."""
     started = time.monotonic()
@@ -462,8 +451,7 @@ def verify(q: int, modulus=None, samples: int = 200, seed: int = 0,
     runtime = round(time.monotonic() - started, 3) if timing else None
     report = {
         "schema_version": SCHEMA_VERSION,
-        "meta": _meta(run, threads if threads is not None else default_threads(),
-                      runtime),
+        "meta": _meta(run, runtime),
         "classes": _class_entries(run, classes),
         "planes": [
             {"class": cls, "expected": expected_planes[cls],

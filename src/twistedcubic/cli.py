@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="irreducible modulus, little-endian coefficients, e.g. 1,1,0,1")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"recorded in report meta (default ${census.THREADS_ENV} or 1); "
-                            "the engine is vectorized and output never depends on it")
         p.add_argument("--long-run", action="store_true",
                        help=f"required for the heavy orders {sorted(census.LONG_RUN_Q)}")
         if with_class:
@@ -98,7 +95,9 @@ def _gate_long_run(args):
     return True
 
 
-def _write_atomic(path, text):
+def write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory,
+    renamed over the target, so a failed write leaves no partial file."""
     path = os.path.abspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
@@ -115,14 +114,15 @@ def _write_atomic(path, text):
 def _emit(doc_json, doc_csv, args):
     text = doc_csv if args.format == "csv" else doc_json
     if args.out:
-        _write_atomic(args.out, text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
 
 def _counts_report(args):
-    line_counts = census.classify_all(args.q, args.modulus)
-    plane_counts = census.classify_planes(args.q, args.modulus)
+    run = census.CensusRun(args.q, args.modulus)
+    line_counts = run.class_counts()
+    plane_counts = run.plane_counts()
     doc = {
         "schema_version": census.SCHEMA_VERSION,
         "q": args.q,
@@ -183,8 +183,7 @@ def _stabilizer_report(args):
 
 def _verify_report(args, print_checks):
     report = census.verify(args.q, args.modulus, samples=args.samples,
-                           seed=args.seed, threads=args.threads,
-                           timing=args.timing)
+                           seed=args.seed, timing=args.timing)
     if print_checks:
         for chk in report["checks"]:
             status = "PASS" if chk["pass"] else "FAIL"

@@ -6,17 +6,13 @@ base-p integer c0 + c1*p + c2*p^2 + ...  Index 0 is the additive identity and
 index 1 the multiplicative identity.  All arithmetic goes through a Field
 instance; there is no element wrapper class.
 
-Dense q x q lookup tables (numpy) are built for q <= DENSE_TABLE_LIMIT and
-drive the vectorized engine; log/antilog tables of size q are always built.
+Dense q x q lookup tables (numpy), built from log/antilog tables of size q,
+serve both the scalar operations and the vectorized engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# dense q x q tables only up to this order; beyond it scalar ops fall back to
-# digit arithmetic (add) and log/antilog (mul)
-DENSE_TABLE_LIMIT = 64
 
 # default irreducible moduli, little-endian coefficients, monic
 # (the standard Conway polynomials for these orders)
@@ -32,17 +28,6 @@ DEFAULT_MODULI = {
     64: (1, 1, 0, 1, 1, 0, 1),
     81: (2, 0, 0, 2, 1),
 }
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -136,7 +121,7 @@ class Field:
                 modulus = DEFAULT_MODULI[q]
             else:
                 raise ValueError(f"no built-in modulus for q={q}; pass one explicitly")
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
+        modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != e + 1:
             raise ValueError(f"modulus must have degree {e}, got degree {len(modulus) - 1}")
         if modulus[-1] != 1:
@@ -158,10 +143,7 @@ class Field:
         self.generator = self._find_generator()
         self._build_log_tables()
         self._build_neg_inv()
-        if q <= DENSE_TABLE_LIMIT:
-            self._build_dense_tables()
-        else:
-            self.add_table = self.sub_table = self.mul_table = None
+        self._build_dense_tables()
         self._build_square_trace_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -264,10 +246,7 @@ class Field:
 
     def add(self, x: int, y: int) -> int:
         self._chk(x), self._chk(y)
-        if self.add_table is not None:
-            return int(self.add_table[x, y])
-        d = (self._digits[x] + self._digits[y]) % self.p
-        return int(d @ self._powers)
+        return int(self.add_table[x, y])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -277,20 +256,12 @@ class Field:
 
     def mul(self, x: int, y: int) -> int:
         self._chk(x), self._chk(y)
-        if self.mul_table is not None:
-            return int(self.mul_table[x, y])
-        if x == 0 or y == 0:
-            return 0
-        k = (self.log_table[x] + self.log_table[y]) % (self.q - 1)
-        return int(self.exp_table[k])
+        return int(self.mul_table[x, y])
 
     def inv(self, x: int) -> int:
         if self._chk(x) == 0:
             raise ZeroDivisionError("inverse of 0")
         return int(self.inv_table[x])
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
 
     def power(self, x: int, n: int) -> int:
         self._chk(x)

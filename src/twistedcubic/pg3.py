@@ -126,17 +126,20 @@ def line_points(field, line):
 
 def point_on_line(field, point, line) -> bool:
     """Incidence straight from the Pluecker vector (no point enumeration)."""
+    return not any(incidence_forms(point, line.plucker, field.mul, field.sub, field.add))
+
+
+def incidence_forms(point, plucker, m, s, a):
+    """The four linear forms in the point that all vanish iff it lies on the
+    line, yielded lazily over the injected field operations m, s, a
+    (multiply, subtract, add): scalar Field methods on one point, or
+    elementwise table lookups on the coordinate arrays of many points."""
     x0, x1, x2, x3 = point
-    l01, l02, l03, l12, l13, l23 = line.plucker
-    m = field.mul
-    s = field.sub
-    a = field.add
-    return (
-        a(s(m(x0, l12), m(x1, l02)), m(x2, l01)) == 0
-        and a(s(m(x0, l13), m(x1, l03)), m(x3, l01)) == 0
-        and a(s(m(x0, l23), m(x2, l03)), m(x3, l02)) == 0
-        and a(s(m(x1, l23), m(x2, l13)), m(x3, l12)) == 0
-    )
+    l01, l02, l03, l12, l13, l23 = plucker
+    yield a(s(m(x0, l12), m(x1, l02)), m(x2, l01))
+    yield a(s(m(x0, l13), m(x1, l03)), m(x3, l01))
+    yield a(s(m(x0, l23), m(x2, l03)), m(x3, l02))
+    yield a(s(m(x1, l23), m(x2, l13)), m(x3, l12))
 
 
 def line_in_plane(field, line, plane) -> bool:

@@ -243,13 +243,6 @@ def test_ea_reps_in_distinct_orbits(field):
     assert l3 not in act.orbit_of(f, l2)
 
 
-def test_polarity_commutes(field):
-    assert act.polarity_commutes_check(field(5), samples=200, seed=1)
-    assert act.polarity_commutes_check(field(7), samples=100, seed=2)
-    with pytest.raises(ValueError):
-        act.polarity_commutes_check(field(9))
-
-
 def test_ung_orbit_polar_image_is_eg_orbit(field):
     f = field(7)
     p0 = (0, 0, 0, 1)

@@ -4,14 +4,8 @@ import pytest
 from twistedcubic import action as act
 from twistedcubic import pg3, twisted as tw
 from twistedcubic.bulk import Engine, isin_sorted, sorted_unique
-from twistedcubic.gfq import make_field
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
-
-
-def test_engine_requires_dense_tables():
-    with pytest.raises(ValueError):
-        Engine(make_field(81))
 
 
 @pytest.mark.parametrize("q", AGREE_Q)

@@ -174,21 +174,64 @@ def test_verify_check_composition():
     assert "polarity_commutation" not in names9
 
 
-# SHA-256 of report_to_json(verify(q)) with the default modulus and threads,
-# taken before the structural checks were vectorized; at these q the check
-# list did not change, so the reports must stay byte-identical
+# SHA-256 of report_to_csv(verify(q)) with the default modulus, for every
+# supported q outside the long-run gate.  The CSV has no meta block, so
+# these digests stay fixed across schema versions.
+GOLDEN_CSV_SHA256 = {
+    2: "27c466f3ded72f949c1b5b77a285edf00849d324796da63a011258f3b316895e",
+    3: "51e2a668016be05945d9f0ea302f3ad85d7889f3f62388b734410b4dfaf3a3e1",
+    4: "f73f4c6faf36004fa96fdb78ec5fef739682c0004304343c19fd6d45e4f7a678",
+    5: "6bcc7bb422610e862a1a64aa2138c5a004f7ee0704401db34fbe0d594d2c1c6e",
+    7: "18f459c3d325a691687e7ce7c0db4a0f1776b9ce5f09408a12dfc2277ea20ebc",
+    8: "eb725f02dbbf8bf6b281b872797c5b4e655336ebb9360bf434ec0bdd6640ad62",
+    9: "1da3aeb0261d861a67c627a10ecf55f37b41ac4a26af54560aa423434f372f97",
+    11: "6e03c8861b45ea0ec48452f3aa089a2d500bafb619b364af871eaae5afc2c5fa",
+    13: "808739f5a5f58ae68d54be8e87ad4f1a7633da1ef5e9ac3ad9fecea04811c2f6",
+    16: "82c0dfd43ab56f6fa953c51f35cc51a90aa5882968ced964be4d10ca3c82606b",
+    17: "02d4613d31c1ff47bf9909f9a3eb411fc2522ccf4adc5f7c049ac5f9eece5004",
+    19: "5a98bf990d21515604cbb639e215682f708675aeef0fe9d8a2421f71daacddd9",
+    23: "b92f6a5d3083364e43caadb38391d75b74b2b8f36768998bbccc7d8c2576811f",
+    25: "08422b87710f1b629b5206b90867bec49b11d2e56ab707c0ceda8b0b15978172",
+    27: "56279437c526176b36bf94200e6cba8ec3389a2051b92cb9da023fab3d7923aa",
+    29: "5142870008914a67c4f77c66dec11622a314371e1dbe0809cb5826c037128cef",
+    31: "efb16af71ad5a62aedb2f66fb128fc694b44ed3fc30cd71d57cd17558f56f52f",
+    32: "a037ba9420368b2253e5e14a48f4b791c0a81e6de9d317a0bb166756a0c47d77",
+}
+
+# SHA-256 of report_to_json(verify(q)) with the default modulus, schema
+# version 2; each report equals its schema version 1 predecessor apart from
+# the version number and the dropped meta.threads field
 GOLDEN_REPORT_SHA256 = {
-    5: "27144d724f2b72939ec6d86be1a0ac7e23c0fdb4e666d414a3eaffcb173a7791",
-    7: "a85d133102541a8bb1818a0b5d6cb91b6426e6a481dc10e92c583f6144977622",
-    8: "ea8b8e86defd0ac393a3be28aac1ad3b5bb21d64f1fd76793e1cb1097adc2a1b",
+    2: "f4e0b5ef52404f960b001512b9080c6bc0d707e34149534cbcc56caf1278389b",
+    3: "ec5fdb1ba0be55104019ffce6aae121bc04cfbd8031cbcc16d6641c325463c79",
+    4: "933b82c1699d7e5e0ddbae83126270566fa92e5dce518b0f7aaddfea187e4f8a",
+    5: "cd7993c5790fbce8840b4524a86fae091d43fb67c67c17cf377f97c334da3231",
+    7: "d7182e4b0afda5c8c87e801896807f57f5edad82e2c2a1ebfaa1416da6c08395",
+    8: "3c74f06c30d830ba832a14db7a674df9b227ee33b7ba17f751032fc0cd1d18dc",
+    9: "de5d803979956797ea9874a99ec2b61a2d282d5a38195b659aa9669dc4cd45e6",
+    11: "9a197f443642dc5b7f8127349120af5ff364e17b9539b1a95a12ee17b930adcb",
+    13: "0776ef28b3352c5bbbc21617f78edb0df53355fcf216e611500230e01e3356c1",
+    16: "2c4edafbdff8a2d7fa04b8a64c7da67bc50941cf4e9d382d4751a25c0e2e9294",
+    17: "fcade43320099ba08e5b292eec8009f276974e03f514e2fba1a38cc6c8f99882",
+    19: "9966b30a3bb6dc58dabcc1dc879b17d7e7c4a7246d3c010774342ec3abb7e0fc",
+    23: "38e30e57bd45f0492551d79debcb27ca6349f209c55e2fda1961116e33de75cb",
+    25: "6df5344a7a220f69af6d4adb734e1ef2152a2786dec42c213b832452f3b4ed9b",
+    27: "eb843c6b795c4ee8518ef2023cc5a3e231b19cd130c94905f8336573dde55fe3",
+    29: "c12bf5ef659019f0dfd2d279843f101da48d8bf4384557ca9cd36b2e4b656463",
+    31: "7e24bf0b028b5d441e2eaaf211948cda3fb6778d2473ad54ee4de778c83a6a8b",
+    32: "55c73c440f0a6272e371126462afe5c3b9f75210939841e01143d591fef1edcf",
 }
 
 
-@pytest.mark.parametrize("q", sorted(GOLDEN_REPORT_SHA256))
-def test_default_reports_match_golden_digests(monkeypatch, q):
-    monkeypatch.delenv(census.THREADS_ENV, raising=False)
-    text = census.report_to_json(census.verify(q))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[q]
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q not in census.LONG_RUN_Q])
+def test_default_reports_match_golden_digests(q):
+    report = census.verify(q)
+    assert _sha256(census.report_to_json(report)) == GOLDEN_REPORT_SHA256[q]
+    assert _sha256(census.report_to_csv(report)) == GOLDEN_CSV_SHA256[q]
 
 
 def test_structural_checks_run_at_every_q():

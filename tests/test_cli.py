@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -10,10 +13,10 @@ from twistedcubic import cli, pg3
 from twistedcubic.gfq import make_field
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "twistedcubic", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
 
 
 def test_classify_json_stdout():
@@ -102,10 +105,25 @@ def test_unpopulated_class_exit_code():
     assert res.returncode == 2
 
 
-def test_threads_flag_recorded():
+def test_long_run_gate_covers_every_order_above_32():
+    res = run_cli("verify", "--q", "61")
+    assert res.returncode == 2
+    assert "--long-run" in res.stderr
+
+
+def test_threads_flag_is_rejected():
     res = run_cli("census", "--q", "5", "--threads", "4")
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["meta"]["threads"] == 4
+    assert res.returncode == 2
+    assert "--threads" in res.stderr
+
+
+def test_threads_env_changes_no_output_byte():
+    env = {k: v for k, v in os.environ.items() if k != "TWISTEDCUBIC_THREADS"}
+    plain = run_cli("census", "--q", "5", env=env)
+    threaded = run_cli("census", "--q", "5", env={**env, "TWISTEDCUBIC_THREADS": "9"})
+    assert plain.returncode == threaded.returncode == 0
+    assert plain.stdout == threaded.stdout
+    assert "threads" not in plain.stdout
 
 
 def exit_code(argv):
@@ -179,3 +197,25 @@ def test_out_onto_a_directory_leaves_no_temp_file(tmp_path):
     target.mkdir()
     assert exit_code(["classify", "--q", "5", "--out", str(target)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def _monic_irreducible(coeffs, p, e):
+    """Independent oracle for degree e <= 3: a monic polynomial of degree 2
+    or 3 over GF(p) is irreducible iff it has no root in GF(p)."""
+    c = [x % p for x in coeffs]
+    if len(c) != e + 1 or c[-1] != 1:
+        return False
+    return e == 1 or all(
+        sum(ci * x**i for i, ci in enumerate(c)) % p for x in range(p))
+
+
+@hypothesis.given(st.sampled_from([(2, 2, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2)]),
+                  st.lists(st.integers(min_value=-4, max_value=12), min_size=1, max_size=5))
+def test_arbitrary_modulus_exit_zero_or_two(qpe, coeffs):
+    q, p, e = qpe
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = exit_code(["classify", "--q", str(q),
+                          "--modulus=" + ",".join(map(str, coeffs))])
+    assert code == (0 if _monic_irreducible(coeffs, p, e) else 2)
+    assert "Traceback" not in err.getvalue()

@@ -33,6 +33,13 @@ def test_make_field_rejects_bad_modulus():
         make_field(128)  # no built-in modulus
 
 
+def test_modulus_coefficients_are_reduced_mod_p():
+    # every coefficient, the leading one included, is taken mod p
+    assert make_field(4, (1, 1, 3)).modulus == (1, 1, 1)
+    assert make_field(4, (3, -1, 1)).modulus == (1, 1, 1)
+    assert make_field(9, (5, 2, 4)).modulus == (2, 2, 1)
+
+
 def test_default_moduli_all_irreducible():
     for q in gfq.DEFAULT_MODULI:
         f = make_field(q)
