@@ -4,6 +4,13 @@ Every line is identified by its normalized Pluecker vector packed base-q into
 an int64 key, so whole-universe classification, orbit sweeps with the full
 group, and stabilizer filters all run as numpy table-lookup pipelines on the
 field's dense arithmetic tables.
+
+The line formulas are not written here: the Engine calls the shared forms of
+pg3 (Pluecker vector, incidence, Klein relation, its polarized form, skew
+Pluecker matrix) and twisted (chord pattern) with elementwise table lookups
+on coordinate arrays, the same functions the scalar modules call with Field
+methods.  The independent oracles stay separate: the monomial null polarity
+(`_polar`) and the root count of the chord quadratic (`_root_count`).
 """
 
 from __future__ import annotations
@@ -88,27 +95,19 @@ class Engine:
             out = out * self.q + c
         return out
 
-    def unpack6(self, key):
-        out = []
-        for _ in range(6):
-            out.append(int(key % self.q))
-            key //= self.q
-        return tuple(reversed(out))
-
     def pack_tuple(self, tup):
-        out = 0
-        for c in tup:
-            out = out * self.q + int(c)
-        return out
+        return int(self.pack(np.array([tup], np.int64).T)[0])
+
+    def _digits(self, values, k):
+        """The k base-q int16 digits of each value, least significant first,
+        yielded one at a time so a caller can store each before the next."""
+        for _ in range(k):
+            yield (values % self.q).astype(np.int16)
+            values = values // self.q
 
     def unpack(self, keys):
         """(n, 6) int16 Pluecker rows of packed line keys."""
-        cols = []
-        rem = keys.copy()
-        for _ in range(6):
-            cols.append((rem % self.q).astype(np.int16))
-            rem = rem // self.q
-        return np.stack(cols[::-1], axis=1)
+        return np.stack(list(self._digits(keys, 6))[::-1], axis=1)
 
     # -- elementwise geometry -------------------------------------------------
 
@@ -121,10 +120,21 @@ class Engine:
     def _sub(self, x, y):
         return self.SUB[x, y]
 
+    def _neg(self, x):
+        return self.NEG[x]
+
+    def _lincomb(self, scalars, cols):
+        """Sum of MUL[s, col] over the scalars s and arrays col, skipping
+        zero scalars (all zeros when every scalar is zero)."""
+        acc = None
+        for c, col in zip(scalars, cols):
+            if c:
+                term = self.MUL[int(c), col]
+                acc = term if acc is None else self.ADD[acc, term]
+        return np.zeros_like(cols[0]) if acc is None else acc
+
     def _plucker(self, U, V):
-        MUL, SUB = self.MUL, self.SUB
-        cols = [SUB[MUL[U[:, i], V[:, j]], MUL[U[:, j], V[:, i]]] for i, j in PAIR_IDX]
-        return np.stack(cols, axis=1)
+        return np.stack(pg3.plucker_forms(U.T, V.T, self._mul, self._sub), axis=1)
 
     def _normalize_rows(self, P):
         first = (P != 0).argmax(axis=1)
@@ -148,8 +158,8 @@ class Engine:
         t=infinity cubic point have the last three coordinates zero; all other
         chords match the symmetric-function pattern with nonzero l23.
         """
-        MUL, SUB, INV = self.MUL, self.SUB, self.INV
-        p0, p1, p2, p3, p4, p5 = (P[:, i] for i in range(6))
+        MUL, INV = self.MUL, self.INV
+        p0, p1, p2, p3, p4, p5 = P.T
         code = np.zeros(len(P), dtype=np.int8)
 
         thru_inf = (p3 == 0) & (p4 == 0) & (p5 == 0)
@@ -159,12 +169,10 @@ class Engine:
         s = INV[p5]
         a1 = MUL[p4, s]
         a2 = MUL[p3, s]
-        match = (
-            (p5 != 0)
-            & (MUL[a2, a2] == MUL[p0, s])
-            & (MUL[a1, a2] == MUL[p1, s])
-            & (SUB[MUL[a1, a1], a2] == MUL[p2, s])
-        )
+        pattern = twisted.chord_pattern(a1, a2, self._mul, self._sub)
+        match = p5 != 0
+        for want, got in zip(pattern, (p0, p1, p2)):
+            match &= want == MUL[got, s]
         cnt = self._root_count(a1, a2)
         code[match & (cnt == 2)] = 2
         code[match & (cnt == 1)] = 1
@@ -182,98 +190,51 @@ class Engine:
         ], axis=1)
 
     def _klein(self, P):
-        MUL, SUB = self.MUL, self.SUB
-        return self.ADD[SUB[MUL[P[:, 0], P[:, 5]], MUL[P[:, 1], P[:, 4]]],
-                        MUL[P[:, 2], P[:, 3]]]
+        return pg3.klein_form(P.T, self._mul, self._sub, self._add)
 
     def _pairing_with(self, P, r):
         """Polarized Klein form of every row against the fixed vector r."""
-        MUL, ADD, NEG = self.MUL, self.ADD, self.NEG
-        acc = MUL[int(r[5]), P[:, 0]]
-        acc = ADD[acc, NEG[MUL[int(r[4]), P[:, 1]]]]
-        acc = ADD[acc, MUL[int(r[3]), P[:, 2]]]
-        acc = ADD[acc, MUL[int(r[2]), P[:, 3]]]
-        acc = ADD[acc, NEG[MUL[int(r[1]), P[:, 4]]]]
-        acc = ADD[acc, MUL[int(r[0]), P[:, 5]]]
-        return acc
+        return pg3.pairing_form(P.T, r, self._mul, self._sub, self._add)
 
     # -- enumerations -----------------------------------------------------------
 
-    def _pg2_points(self):
+    def _proj_points(self, n):
+        """Normalized representatives of PG(n-1,q) as (m, n) int16 rows,
+        ascending like pg3._proj_reps."""
         q = self.q
-        rows = [np.array([[0, 0, 1]], dtype=np.int16)]
-        a = np.arange(q, dtype=np.int16)
-        rows.append(np.stack([np.zeros(q, np.int16), np.ones(q, np.int16), a], axis=1))
-        aa, bb = np.meshgrid(a, a, indexing="ij")
-        rows.append(np.stack([np.ones(q * q, np.int16), aa.ravel(), bb.ravel()], axis=1))
-        return np.concatenate(rows, axis=0)
+        blocks = []
+        for lead in range(n - 1, -1, -1):
+            k = n - 1 - lead
+            block = np.zeros((q**k, n), np.int16)
+            block[:, lead] = 1
+            for j, col in zip(range(n - 1, lead, -1), self._digits(np.arange(q**k), k)):
+                block[:, j] = col
+            blocks.append(block)
+        return np.concatenate(blocks)
 
-    def _pg2_line_pairs(self):
+    def _line_pair_chunks(self, ncols):
+        """Spanning row pairs of every rank-2 RREF 2 x ncols matrix, chunked."""
         q = self.q
-        a = np.arange(q, dtype=np.int16)
-        z = np.zeros(q, np.int16)
-        o = np.ones(q, np.int16)
-        aa, bb = np.meshgrid(a, a, indexing="ij")
-        n2 = q * q
-        r0 = [np.stack([np.ones(n2, np.int16), np.zeros(n2, np.int16), aa.ravel()], 1),
-              np.stack([o, a, z], 1),
-              np.array([[0, 1, 0]], np.int16)]
-        r1 = [np.stack([np.zeros(n2, np.int16), np.ones(n2, np.int16), bb.ravel()], 1),
-              np.tile(np.array([[0, 0, 1]], np.int16), (q, 1)),
-              np.array([[0, 0, 1]], np.int16)]
-        return np.concatenate(r0, 0), np.concatenate(r1, 0)
-
-    def _pg3_points(self):
-        q = self.q
-        a = np.arange(q, dtype=np.int16)
-        blocks = [np.array([[0, 0, 0, 1]], np.int16)]
-        blocks.append(np.stack([np.zeros(q, np.int16), np.zeros(q, np.int16),
-                                np.ones(q, np.int16), a], 1))
-        aa, bb = np.meshgrid(a, a, indexing="ij")
-        n2 = q * q
-        blocks.append(np.stack([np.zeros(n2, np.int16), np.ones(n2, np.int16),
-                                aa.ravel(), bb.ravel()], 1))
-        aa, bb, cc = np.meshgrid(a, a, a, indexing="ij")
-        n3 = q**3
-        blocks.append(np.stack([np.ones(n3, np.int16), aa.ravel(), bb.ravel(),
-                                cc.ravel()], 1))
-        return np.concatenate(blocks, 0)
-
-    def _combine(self, coeffs, basis):
-        """Row-wise sum of coeff[i] * basis[i] over the field, basis fixed."""
-        ADD, MUL = self.ADD, self.MUL
-        out = None
-        for i in range(coeffs.shape[1]):
-            term_cols = [MUL[coeffs[:, i], int(basis[i][j])] for j in range(4)]
-            term = np.stack(term_cols, axis=1)
-            out = term if out is None else ADD[out, term]
-        return out
-
-    def _line_pair_chunks(self):
-        """Spanning row pairs of every rank-2 RREF 2x4 matrix, chunked."""
-        q = self.q
-        for c0 in range(3):
-            for c1 in range(c0 + 1, 4):
-                slots = [(0, j) for j in range(c0 + 1, 4) if j != c1]
-                slots += [(1, j) for j in range(c1 + 1, 4)]
+        for c0 in range(ncols - 1):
+            for c1 in range(c0 + 1, ncols):
+                slots = [(0, j) for j in range(c0 + 1, ncols) if j != c1]
+                slots += [(1, j) for j in range(c1 + 1, ncols)]
                 total = q ** len(slots)
                 for start in range(0, total, self.chunk):
                     idx = np.arange(start, min(start + self.chunk, total), dtype=np.int64)
-                    U = np.zeros((len(idx), 4), np.int16)
-                    V = np.zeros((len(idx), 4), np.int16)
+                    U = np.zeros((len(idx), ncols), np.int16)
+                    V = np.zeros((len(idx), ncols), np.int16)
                     U[:, c0] = 1
                     V[:, c1] = 1
-                    rem = idx
-                    for row, j in reversed(slots):
-                        (U if row == 0 else V)[:, j] = (rem % q).astype(np.int16)
-                        rem = rem // q
+                    for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
+                        (U if row == 0 else V)[:, j] = col
                     yield U, V
 
     # -- model key sets ---------------------------------------------------------
 
     def _build_model_keys(self):
         field, model = self.field, self.model
-        pg2 = self._pg2_points()
+        pg2 = self._proj_points(3)
 
         # lines meeting the cubic: all lines through each cubic point
         parts = []
@@ -287,12 +248,12 @@ class Engine:
         self.meets_cubic_keys = sorted_unique(np.concatenate(parts))
 
         # lines inside some osculating plane
-        r0, r1 = self._pg2_line_pairs()
+        r0, r1 = (np.concatenate(rows).T for rows in zip(*self._line_pair_chunks(3)))
         parts = []
         for plane in sorted(model.gamma_plane_set):
-            basis = pg3.plane_basis(field, plane)
-            U = self._combine(r0, basis)
-            V = self._combine(r1, basis)
+            basis = list(zip(*pg3.plane_basis(field, plane)))  # its 4 columns
+            U = np.stack([self._lincomb(col, r0) for col in basis], axis=1)
+            V = np.stack([self._lincomb(col, r1) for col in basis], axis=1)
             parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
         self.gamma_line_keys = sorted_unique(np.concatenate(parts))
 
@@ -350,7 +311,7 @@ class Engine:
             buckets = {cls: [] for cls in twisted.valid_line_classes(self.field)}
             klein_bad = 0
             total = 0
-            for U, V in self._line_pair_chunks():
+            for U, V in self._line_pair_chunks(4):
                 keys, cls, bad = self._classify_chunk(U, V)
                 klein_bad += bad
                 total += len(keys)
@@ -361,11 +322,13 @@ class Engine:
             expect = pg3.line_count(self.q)
             if total != expect:
                 raise RuntimeError(f"enumerated {total} lines, expected {expect}")
-            self._class_keys = {
-                name: (np.sort(np.concatenate(parts)) if parts
-                       else np.empty(0, np.int64))
-                for name, parts in buckets.items()
-            }
+            self._class_keys = {}
+            for name, parts in buckets.items():
+                # sorted in place: a sorted copy of the 16.5 M EnG keys at
+                # q = 64 would add 132 MB to the peak
+                keys = np.concatenate(parts) if parts else np.empty(0, np.int64)
+                keys.sort()
+                self._class_keys[name] = keys
             self._klein_violations = klein_bad
         return self._class_keys
 
@@ -449,17 +412,7 @@ class Engine:
     def _act_all(self, pt):
         """Image of one point under every group element, as an (N,4) array."""
         _, mats = self._group_arrays()
-        ADD, MUL = self.ADD, self.MUL
-        cols = []
-        for j in range(4):
-            acc = None
-            for i in range(4):
-                if pt[i] == 0:
-                    continue
-                term = MUL[int(pt[i]), mats[:, i, j]]
-                acc = term if acc is None else ADD[acc, term]
-            cols.append(acc)
-        return np.stack(cols, axis=1)
+        return np.stack([self._lincomb(pt, mats[:, :, j].T) for j in range(4)], axis=1)
 
     def _image_keys(self, line) -> np.ndarray:
         """Key of the line's image under every group element, in group order."""
@@ -472,7 +425,8 @@ class Engine:
         return sorted_unique(self._image_keys(line))
 
     def line_from_key(self, key) -> pg3.ProjLine:
-        return pg3.line_from_plucker(self.field, self.unpack6(int(key)))
+        row = self.unpack(np.array([key], np.int64))[0]
+        return pg3.line_from_plucker(self.field, tuple(row.tolist()))
 
     def orbit_partition_keys(self, keys_sorted) -> OrbitPartition:
         """Partition an action-closed sorted key array into orbits.
@@ -524,19 +478,19 @@ class Engine:
 
     def _pencil_keys(self, P):
         """Packed normalized points u + t*v (t in GF(q)) and v of every line
-        in the Pluecker rows P.  u and v are the columns i and j of the
-        line's skew Pluecker matrix, where l_ij is its first nonzero
-        coordinate; they span the line because that l_ij is nonzero."""
+        in the Pluecker rows P.  u and v are the rows i and j of the line's
+        skew Pluecker matrix, where l_ij is its first nonzero coordinate;
+        they span the line because that l_ij is nonzero."""
         n = len(P)
-        L = np.zeros((n, 4, 4), dtype=np.int16)
-        for col, (i, j) in enumerate(PAIR_IDX):
-            L[:, i, j] = P[:, col]
-            L[:, j, i] = self.NEG[P[:, col]]
+        L = np.empty((n, 4, 4), dtype=np.int16)
+        for i, row in enumerate(pg3.skew_rows(P.T, self._neg)):
+            for j, entry in enumerate(row):
+                L[:, i, j] = entry
         rows = np.arange(n)
         first = (P != 0).argmax(axis=1)
         pivot = np.array(PAIR_IDX, dtype=np.intp)[first]
-        U = L[rows, :, pivot[:, 0]]
-        V = L[rows, :, pivot[:, 1]]
+        U = L[rows, pivot[:, 0]]
+        V = L[rows, pivot[:, 1]]
         pts = [V] + [self.ADD[U, self.MUL[t, V]] for t in range(self.q)]
         return self.pack(list(self._normalize_rows(np.concatenate(pts)).T))
 
@@ -552,7 +506,7 @@ class Engine:
                           P[:, 2], NEG[P[:, 1]], P[:, 0]], axis=1)
         got = self._pencil_keys(P)
         got = np.sort(got[~isin_sorted(got, excluded)])
-        every = self.pack(list(self._pg3_points().T))  # ascending
+        every = self.pack(list(self._proj_points(4).T))  # ascending
         return np.array_equal(got, every[~isin_sorted(every, excluded)])
 
     def triple_images(self, triple) -> int:
@@ -573,17 +527,10 @@ class Engine:
 
     def plane_class_counts(self) -> dict[str, int]:
         """Counts of osculating / d-point plane types over all planes."""
-        planes = self._pg3_points()
-        ADD, MUL = self.ADD, self.MUL
+        planes = self._proj_points(4)
         m = np.zeros(len(planes), dtype=np.int16)
         for pt in sorted(self.model.cubic_point_set):
-            acc = None
-            for i in range(4):
-                if pt[i] == 0:
-                    continue
-                term = MUL[int(pt[i]), planes[:, i]]
-                acc = term if acc is None else ADD[acc, term]
-            m += (acc == 0)
+            m += self._lincomb(pt, planes.T) == 0
         if int(m.max()) > 3:
             raise RuntimeError("a plane contains four cubic points")
         keys = self.pack([planes[:, 0], planes[:, 1], planes[:, 2], planes[:, 3]])

@@ -73,18 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit line as 6 Pluecker coordinate encodings l01,l02,l03,l12,l13,l23")
     p.add_argument("--elements", action="store_true", help="also list the (a,b,c,d) elements")
 
-    p = sub.add_parser("verify", help="full check suite; exit 1 on any failure")
-    common(p)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock runtime in the report meta")
-
-    p = sub.add_parser("census", help="full report (classes, orbits, checks)")
-    common(p)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true")
+    for verb, text in (("verify", "full check suite; exit 1 on any failure"),
+                       ("census", "full report (classes, orbits, checks)")):
+        p = sub.add_parser(verb, help=text)
+        common(p)
+        p.add_argument("--samples", type=_positive_int, default=200,
+                       help="random (point, group element) pairs for the "
+                            "polarity_commutation check")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the polarity_commutation samples")
+        p.add_argument("--timing", action="store_true",
+                       help="include wall-clock runtime in the report meta")
     return ap
 
 

@@ -6,6 +6,11 @@ c0*x0 + c1*x1 + c2*x2 + c3*x3 = 0.  A line is canonically represented by its
 normalized Pluecker 6-vector (l01,l02,l03,l12,l13,l23), l_ij = u_i*v_j - u_j*v_i
 for any two spanning points, together with the two lexicographically smallest
 points on it.
+
+The line formulas (Pluecker vector, incidence forms, Klein relation, its
+polarized form, skew Pluecker matrix) are each written once over injected
+field operations: the scalar functions here pass Field methods on one
+element, bulk.Engine passes elementwise table lookups on coordinate arrays.
 """
 
 from __future__ import annotations
@@ -88,16 +93,18 @@ class ProjLine:
         return f"ProjLine{self.plucker}"
 
 
-def _plucker_of(field, u, v):
-    m = field.mul
-    s = field.sub
+def plucker_forms(u, v, m, s):
+    """The Pluecker vector (l01,l02,l03,l12,l13,l23) of the points u, v over
+    the injected field operations m, s (multiply, subtract)."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
     return (
-        s(m(u[0], v[1]), m(u[1], v[0])),
-        s(m(u[0], v[2]), m(u[2], v[0])),
-        s(m(u[0], v[3]), m(u[3], v[0])),
-        s(m(u[1], v[2]), m(u[2], v[1])),
-        s(m(u[1], v[3]), m(u[3], v[1])),
-        s(m(u[2], v[3]), m(u[3], v[2])),
+        s(m(u0, v1), m(u1, v0)),
+        s(m(u0, v2), m(u2, v0)),
+        s(m(u0, v3), m(u3, v0)),
+        s(m(u1, v2), m(u2, v1)),
+        s(m(u1, v3), m(u3, v1)),
+        s(m(u2, v3), m(u3, v2)),
     )
 
 
@@ -113,7 +120,7 @@ def line_through(field, p, q) -> ProjLine:
     """The canonical line through two distinct points; symmetric in arguments."""
     u = normalize(field, p)
     v = normalize(field, q)
-    raw = _plucker_of(field, u, v)
+    raw = plucker_forms(u, v, field.mul, field.sub)
     if not any(raw):
         raise ValueError(f"line_through requires distinct points, got {p} and {q}")
     pts = sorted(_span_points(field, u, v))
@@ -148,39 +155,49 @@ def line_in_plane(field, line, plane) -> bool:
 
 
 def klein_value(field, plucker):
-    """The quadratic Pluecker relation l01*l23 - l02*l13 + l03*l12."""
-    l01, l02, l03, l12, l13, l23 = plucker
-    m = field.mul
-    return field.add(field.sub(m(l01, l23), m(l02, l13)), m(l03, l12))
+    """The Klein relation of a 6-vector; zero iff it is a line's vector."""
+    return klein_form(plucker, field.mul, field.sub, field.add)
+
+
+def klein_form(p, m, s, a):
+    """The quadratic Pluecker relation l01*l23 - l02*l13 + l03*l12 over the
+    injected field operations m, s, a (multiply, subtract, add)."""
+    l01, l02, l03, l12, l13, l23 = p
+    return a(s(m(l01, l23), m(l02, l13)), m(l03, l12))
 
 
 def lines_meet(field, la, lb) -> bool:
     """Two lines meet iff the polarized Klein form of their vectors vanishes."""
-    p = la.plucker
-    r = lb.plucker
-    m = field.mul
-    acc = 0
-    for x, y, sign in (
-        (p[0], r[5], 1), (p[1], r[4], -1), (p[2], r[3], 1),
-        (p[3], r[2], 1), (p[4], r[1], -1), (p[5], r[0], 1),
-    ):
-        t = m(x, y)
-        acc = field.add(acc, t if sign > 0 else field.neg(t))
-    return acc == 0
+    return pairing_form(la.plucker, lb.plucker, field.mul, field.sub, field.add) == 0
+
+
+def pairing_form(p, r, m, s, a):
+    """The polarized Klein form p01*r23 - p02*r13 + p03*r12 + p12*r03
+    - p13*r02 + p23*r01 over the injected field operations m, s, a."""
+    acc = s(m(p[0], r[5]), m(p[1], r[4]))
+    acc = a(acc, m(p[2], r[3]))
+    acc = a(acc, m(p[3], r[2]))
+    acc = s(acc, m(p[4], r[1]))
+    return a(acc, m(p[5], r[0]))
+
+
+def skew_rows(p, neg):
+    """Rows of the skew Pluecker matrix (entry ij is l_ij, entry ji is -l_ij)
+    over the injected negation; the nonzero rows are points of the line, and
+    rows i and j span it when l_ij is nonzero."""
+    l01, l02, l03, l12, l13, l23 = p
+    return (
+        (0, l01, l02, l03),
+        (neg(l01), 0, l12, l13),
+        (neg(l02), neg(l12), 0, l23),
+        (neg(l03), neg(l13), neg(l23), 0),
+    )
 
 
 def line_from_plucker(field, plucker) -> ProjLine:
     """Rebuild the canonical line from a (valid) Pluecker vector."""
     p = normalize(field, plucker)
-    l01, l02, l03, l12, l13, l23 = p
-    n = field.neg
-    mat = (
-        (0, l01, l02, l03),
-        (n(l01), 0, l12, l13),
-        (n(l02), n(l12), 0, l23),
-        (n(l03), n(l13), n(l23), 0),
-    )
-    rows = [normalize(field, r) for r in mat if any(r)]
+    rows = [normalize(field, r) for r in skew_rows(p, field.neg) if any(r)]
     u = rows[0]
     v = next((r for r in rows[1:] if r != u), None)
     if v is None:

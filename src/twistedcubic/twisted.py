@@ -94,14 +94,20 @@ def osculating_plane(field, t):
     ))
 
 
+def chord_pattern(a1, a2, m, s):
+    """(l01, l02, l03) / l23 of the chord whose two finite cubic parameters
+    have sum a1 and product a2, over the injected field operations m, s
+    (multiply, subtract); then l12 / l23 = a2 and l13 / l23 = a1."""
+    return m(a2, a2), m(a1, a2), s(m(a1, a1), a2)
+
+
 def chord_vector(field, a1, a2) -> pg3.ProjLine:
     """The chord whose two cubic parameters have sum a1 and product a2.
 
     Its type follows the root count of x^2 - a1*x + a2: two roots give a real
     chord, one a tangent, none an imaginary chord.
     """
-    m = field.mul
-    raw = (m(a2, a2), m(a1, a2), field.sub(m(a1, a1), a2), a2, a1, 1)
+    raw = chord_pattern(a1, a2, field.mul, field.sub) + (a2, a1, 1)
     return pg3.line_from_plucker(field, raw)
 
 
@@ -115,11 +121,7 @@ def chord_params(field, line):
     m = field.mul
     a1 = m(p[4], s)
     a2 = m(p[3], s)
-    if (
-        m(p[0], s) == m(a2, a2)
-        and m(p[1], s) == m(a1, a2)
-        and m(p[2], s) == field.sub(m(a1, a1), a2)
-    ):
+    if chord_pattern(a1, a2, m, field.sub) == (m(p[0], s), m(p[1], s), m(p[2], s)):
         return a1, a2
     return None
 

@@ -1,8 +1,17 @@
+import os
+import pathlib
+
 import hypothesis
 import pytest
 
+import twistedcubic
 from twistedcubic import census, gfq, twisted
 from twistedcubic.bulk import Engine
+
+# the CLI and suite-script subprocesses import the package from where the
+# tests found it, which pytest puts on sys.path but not on PYTHONPATH
+_SRC = str(pathlib.Path(twistedcubic.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("suite")

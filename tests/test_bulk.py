@@ -122,3 +122,32 @@ def test_tiny_chunks_split_enumeration_consistently(field, model, engine):
     assert eng.class_counts() == engine(5).class_counts()
     for cls, keys in eng.class_keys().items():
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
+
+
+@pytest.mark.parametrize("q", (3, 4, 5))
+def test_array_forms_match_scalar_forms(field, engine, q):
+    """The shared line formulas give the same values on coordinate arrays
+    (table lookups) as on single elements (Field methods), for every line."""
+    f = field(q)
+    eng = engine(q)
+    lines = pg3.all_lines(f)
+    P = np.array([ln.plucker for ln in lines], np.int16)
+    U = np.array([ln.pair[0] for ln in lines], np.int16)
+    V = np.array([ln.pair[1] for ln in lines], np.int16)
+    assert eng._normalize_rows(eng._plucker(U, V)).tolist() == P.tolist()
+
+    # the Klein form vanishes on lines; random 6-vectors make it non-trivial
+    rng = np.random.default_rng(q)
+    R = np.concatenate([P, rng.integers(0, q, (200, 6)).astype(np.int16)])
+    assert eng._klein(R).tolist() == [pg3.klein_value(f, tuple(r)) for r in R.tolist()]
+    assert eng._klein(P).tolist() == [0] * len(P)
+
+    for r in (lines[0], lines[len(lines) // 2], lines[-1]):
+        got = (eng._pairing_with(P, r.plucker) == 0).tolist()
+        assert got == [pg3.lines_meet(f, ln, r) for ln in lines]
+        assert 0 < sum(got) < len(lines)
+
+    pencils = eng._pencil_keys(P).reshape(q + 1, len(lines)).T
+    for ln, keys in zip(lines, pencils):
+        want = [eng.pack_tuple(pt) for pt in pg3.line_points(f, ln)]
+        assert sorted(keys.tolist()) == want

@@ -115,3 +115,10 @@ def test_partition_labels_index_the_records(run):
             members = keys[part.labels == label]
             assert members.tolist() == eng.orbit_sweep(eng.line_from_key(rep)).tolist()
             assert len(members) == size and members[0] == rep
+
+
+def test_axis_pencil_fails_off_the_axis():
+    run = census.CensusRun(9)
+    assert census.check_axis_pencil(run)["pass"]
+    run.model.axis = run.model.tangent_of[0]
+    assert not census.check_axis_pencil(run)["pass"]

@@ -1,18 +1,12 @@
-import os
 import pathlib
 import subprocess
 import sys
-
-import twistedcubic
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_census_suite.py"
 
 
 def run_suite(*args):
-    src = str(pathlib.Path(twistedcubic.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
 
 
 def test_out_dir_under_a_regular_file_exits_two(tmp_path):
