@@ -2,15 +2,21 @@
 
 Every line is identified by its normalized Pluecker vector packed base-q into
 an int64 key, so whole-universe classification, orbit sweeps with the full
-group, and stabilizer filters all run as numpy table-lookup pipelines on the
-field's dense arithmetic tables.
+group, and stabilizer filters all run as numpy pipelines over int16
+coordinate arrays.
+
+All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
+`_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
+flattened q x q table, or on one table row when an operand is a scalar.  In
+characteristic 2 the canonical encoding makes addition XOR, so `_add` and
+`_sub` are `np.bitwise_xor` and `_neg` is the identity.
 
 The line formulas are not written here: the Engine calls the shared forms of
 pg3 (Pluecker vector, incidence, Klein relation, its polarized form, skew
-Pluecker matrix) and twisted (chord pattern) with elementwise table lookups
-on coordinate arrays, the same functions the scalar modules call with Field
-methods.  The independent oracles stay separate: the monomial null polarity
-(`_polar`) and the root count of the chord quadratic (`_root_count`).
+Pluecker matrix) and twisted (chord pattern) with these ops on coordinate
+arrays, the same functions the scalar modules call with Field methods.  The
+independent oracles stay separate: the monomial null polarity (`_polar`) and
+the root count of the chord quadratic (`_root_count`).
 """
 
 from __future__ import annotations
@@ -25,6 +31,46 @@ PAIR_IDX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 CLASS_ORDER = twisted.LINE_CLASSES
 CODE = {cls: i for i, cls in enumerate(CLASS_ORDER)}
+
+
+def _table_op(table):
+    """Elementwise table[x, y] for arrays or scalars x, y, as 1-D takes.
+
+    Two arrays index the flattened table with x*q + y, computed in the
+    operands' int16 (at most q*q - 1 = 4095 for q <= 64); a scalar operand
+    selects a row or a column of q entries instead.  `take` widens its whole
+    index to intp, so callers pass one coordinate column at a time.
+    """
+    q = len(table)
+    flat = table.ravel()
+
+    def op(x, y):
+        if not isinstance(x, np.ndarray):
+            return table[x].take(y)
+        if not isinstance(y, np.ndarray):
+            return table[:, y].take(x)
+        return flat.take(x * q + y)
+    return op
+
+
+def _identity(x):
+    return x
+
+
+def field_ops(field):
+    """The elementwise (mul, add, sub, neg) of the field on int16 arrays."""
+    mul = _table_op(field.mul_table)
+    if field.p == 2:
+        # the canonical encoding of GF(2^e) makes addition XOR
+        return mul, np.bitwise_xor, np.bitwise_xor, _identity
+    return (mul, _table_op(field.add_table), _table_op(field.sub_table),
+            field.neg_table.take)
+
+
+def _columns(cols):
+    """The (n, k) array with the given length-n columns, stored column by
+    column: the field ops then read and write contiguous coordinates."""
+    return np.stack(cols).T
 
 
 def isin_sorted(values, table):
@@ -46,6 +92,19 @@ def sorted_unique(values):
         np.not_equal(out[1:], out[:-1], out=keep[1:])
         out = out[keep]
     return out
+
+
+def _first_negative(labels, pos, window):
+    """Index of the first negative label at or after pos, or len(labels),
+    scanned in windows so that no mask spans the whole remainder."""
+    n = len(labels)
+    while pos < n:
+        free = labels[pos:pos + window] < 0
+        off = int(free.argmax())
+        if free[off]:
+            return pos + off
+        pos += len(free)
+    return n
 
 
 class OrbitPartition(NamedTuple):
@@ -70,11 +129,8 @@ class Engine:
         self.chunk = chunk
         q = field.q
         self.q = q
-        self.ADD = field.add_table
-        self.SUB = field.sub_table
-        self.MUL = field.mul_table
-        self.NEG = field.neg_table
         self.INV = field.inv_table
+        self._mul, self._add, self._sub, self._neg = field_ops(field)
         self.SQ = field.square_mask
         self.TR = field.trace_table
         self.three = field.of_int(3)
@@ -107,48 +163,42 @@ class Engine:
 
     def unpack(self, keys):
         """(n, 6) int16 Pluecker rows of packed line keys."""
-        return np.stack(list(self._digits(keys, 6))[::-1], axis=1)
+        return _columns(list(self._digits(keys, 6))[::-1])
 
     # -- elementwise geometry -------------------------------------------------
 
-    def _mul(self, x, y):
-        return self.MUL[x, y]
-
-    def _add(self, x, y):
-        return self.ADD[x, y]
-
-    def _sub(self, x, y):
-        return self.SUB[x, y]
-
-    def _neg(self, x):
-        return self.NEG[x]
-
     def _lincomb(self, scalars, cols):
-        """Sum of MUL[s, col] over the scalars s and arrays col, skipping
-        zero scalars (all zeros when every scalar is zero)."""
+        """Sum of s * col over the scalars s and arrays col, skipping zero
+        scalars (all zeros when every scalar is zero)."""
         acc = None
         for c, col in zip(scalars, cols):
             if c:
-                term = self.MUL[int(c), col]
-                acc = term if acc is None else self.ADD[acc, term]
+                term = self._mul(int(c), col)
+                acc = term if acc is None else self._add(acc, term)
         return np.zeros_like(cols[0]) if acc is None else acc
 
     def _plucker(self, U, V):
-        return np.stack(pg3.plucker_forms(U.T, V.T, self._mul, self._sub), axis=1)
+        return _columns(pg3.plucker_forms(U.T, V.T, self._mul, self._sub))
 
     def _normalize_rows(self, P):
-        first = (P != 0).argmax(axis=1)
-        piv = P[np.arange(len(P)), first]
-        return self.MUL[self.INV[piv][:, None], P]
+        # the first nonzero entry of each row, found column by column
+        piv = P[:, -1].copy()
+        for j in range(P.shape[1] - 2, -1, -1):
+            np.copyto(piv, P[:, j], where=P[:, j] != 0)
+        inv = self.INV.take(piv)
+        out = np.empty_like(P)
+        for j in range(P.shape[1]):
+            out[:, j] = self._mul(inv, P[:, j])
+        return out
 
     def _root_count(self, a1, a2):
         """Number of roots of x^2 - a1*x + a2 (valid elementwise)."""
-        MUL, SUB, INV = self.MUL, self.SUB, self.INV
+        m = self._mul
         if self.field.p == 2:
-            ia = INV[a1]
-            c = MUL[a2, MUL[ia, ia]]
+            ia = self.INV[a1]
+            c = m(a2, m(ia, ia))
             return np.where(a1 == 0, 1, np.where(self.TR[c] == 0, 2, 0))
-        d = SUB[MUL[a1, a1], MUL[self.four, a2]]
+        d = self._sub(m(a1, a1), m(self.four, a2))
         return np.where(d == 0, 1, np.where(self.SQ[d], 2, 0))
 
     def _chord_code(self, P):
@@ -158,21 +208,21 @@ class Engine:
         t=infinity cubic point have the last three coordinates zero; all other
         chords match the symmetric-function pattern with nonzero l23.
         """
-        MUL, INV = self.MUL, self.INV
+        m = self._mul
         p0, p1, p2, p3, p4, p5 = P.T
         code = np.zeros(len(P), dtype=np.int8)
 
         thru_inf = (p3 == 0) & (p4 == 0) & (p5 == 0)
         code[thru_inf & (p1 == 0) & (p2 == 0)] = 1
-        code[thru_inf & (p2 != 0) & (MUL[p0, p2] == MUL[p1, p1])] = 2
+        code[thru_inf & (p2 != 0) & (m(p0, p2) == m(p1, p1))] = 2
 
-        s = INV[p5]
-        a1 = MUL[p4, s]
-        a2 = MUL[p3, s]
-        pattern = twisted.chord_pattern(a1, a2, self._mul, self._sub)
+        s = self.INV[p5]
+        a1 = m(p4, s)
+        a2 = m(p3, s)
+        pattern = twisted.chord_pattern(a1, a2, m, self._sub)
         match = p5 != 0
         for want, got in zip(pattern, (p0, p1, p2)):
-            match &= want == MUL[got, s]
+            match &= want == m(got, s)
         cnt = self._root_count(a1, a2)
         code[match & (cnt == 2)] = 2
         code[match & (cnt == 1)] = 1
@@ -182,12 +232,12 @@ class Engine:
     def _polar(self, P):
         # image of the null polarity on Pluecker vectors: a fixed monomial map
         # (checked against the two-plane definition in the test suite)
-        MUL = self.MUL
+        m = self._mul
         t, n = self.three, self.nine
-        return np.stack([
-            MUL[t, P[:, 0]], MUL[t, P[:, 1]], MUL[n, P[:, 3]],
-            P[:, 2], MUL[t, P[:, 4]], MUL[t, P[:, 5]],
-        ], axis=1)
+        return _columns([
+            m(t, P[:, 0]), m(t, P[:, 1]), m(n, P[:, 3]),
+            P[:, 2], m(t, P[:, 4]), m(t, P[:, 5]),
+        ])
 
     def _klein(self, P):
         return pg3.klein_form(P.T, self._mul, self._sub, self._add)
@@ -222,8 +272,8 @@ class Engine:
                 total = q ** len(slots)
                 for start in range(0, total, self.chunk):
                     idx = np.arange(start, min(start + self.chunk, total), dtype=np.int64)
-                    U = np.zeros((len(idx), ncols), np.int16)
-                    V = np.zeros((len(idx), ncols), np.int16)
+                    U = np.zeros((len(idx), ncols), np.int16, order="F")
+                    V = np.zeros((len(idx), ncols), np.int16, order="F")
                     U[:, c0] = 1
                     V[:, c1] = 1
                     for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
@@ -252,8 +302,8 @@ class Engine:
         parts = []
         for plane in sorted(model.gamma_plane_set):
             basis = list(zip(*pg3.plane_basis(field, plane)))  # its 4 columns
-            U = np.stack([self._lincomb(col, r0) for col in basis], axis=1)
-            V = np.stack([self._lincomb(col, r1) for col in basis], axis=1)
+            U = _columns([self._lincomb(col, r0) for col in basis])
+            V = _columns([self._lincomb(col, r1) for col in basis])
             parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
         self.gamma_line_keys = sorted_unique(np.concatenate(parts))
 
@@ -383,7 +433,6 @@ class Engine:
     def _group_arrays(self):
         if self._group is None:
             q = self.q
-            MUL, SUB = self.MUL, self.SUB
             cs, ds = np.meshgrid(np.arange(q, dtype=np.int16),
                                  np.arange(q, dtype=np.int16), indexing="ij")
             c0 = cs.ravel()
@@ -394,7 +443,7 @@ class Engine:
             b1, c1, d1 = [x.ravel() for x in np.meshgrid(
                 np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
                 np.arange(q, dtype=np.int16), indexing="ij")]
-            keep1 = SUB[d1, MUL[b1, c1]] != 0
+            keep1 = self._sub(d1, self._mul(b1, c1)) != 0
             blk1 = np.stack([np.ones(keep1.sum(), np.int16), b1[keep1],
                              c1[keep1], d1[keep1]], 1)
             abcd = np.concatenate([blk0, blk1], 0)
@@ -402,7 +451,8 @@ class Engine:
                 raise RuntimeError("group enumeration size mismatch")
 
             rows = action.lift_rows(self.field, *abcd.T, self._mul, self._add)
-            mats = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+            # (N, 4, 4) lifts, stored so that each entry's N values are contiguous
+            mats = np.stack([np.stack(r) for r in rows]).transpose(2, 0, 1)
             self._group = (abcd, mats)
         return self._group
 
@@ -412,7 +462,7 @@ class Engine:
     def _act_all(self, pt):
         """Image of one point under every group element, as an (N,4) array."""
         _, mats = self._group_arrays()
-        return np.stack([self._lincomb(pt, mats[:, :, j].T) for j in range(4)], axis=1)
+        return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
 
     def _image_keys(self, line) -> np.ndarray:
         """Key of the line's image under every group element, in group order."""
@@ -440,10 +490,6 @@ class Engine:
         fixers = []
         pos = 0
         while pos < n:
-            off = int(np.argmax(labels[pos:] < 0))
-            if labels[pos + off] >= 0:
-                break
-            pos += off
             seed_key = keys_sorted[pos]
             images = self._image_keys(self.line_from_key(seed_key))
             orbit = sorted_unique(images)
@@ -456,6 +502,7 @@ class Engine:
                 raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
             records.append((size, self.group_order // size, int(orbit[0])))
             fixers.append(int(np.count_nonzero(images == seed_key)))
+            pos = _first_negative(labels, pos, self.chunk)
         if (labels < 0).any():
             raise RuntimeError("orbit partition missed input lines")
         order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
@@ -491,7 +538,7 @@ class Engine:
         pivot = np.array(PAIR_IDX, dtype=np.intp)[first]
         U = L[rows, pivot[:, 0]]
         V = L[rows, pivot[:, 1]]
-        pts = [V] + [self.ADD[U, self.MUL[t, V]] for t in range(self.q)]
+        pts = [V] + [self._add(U, self._mul(t, V)) for t in range(self.q)]
         return self.pack(list(self._normalize_rows(np.concatenate(pts)).T))
 
     def covers_once(self, keys, excluded, dual=False) -> bool:
@@ -501,9 +548,9 @@ class Engine:
         P = self.unpack(keys)
         if dual:
             # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)
-            NEG = self.NEG
-            P = np.stack([P[:, 5], NEG[P[:, 4]], P[:, 3],
-                          P[:, 2], NEG[P[:, 1]], P[:, 0]], axis=1)
+            neg = self._neg
+            P = _columns([P[:, 5], neg(P[:, 4]), P[:, 3],
+                          P[:, 2], neg(P[:, 1]), P[:, 0]])
         got = self._pencil_keys(P)
         got = np.sort(got[~isin_sorted(got, excluded)])
         every = self.pack(list(self._proj_points(4).T))  # ascending

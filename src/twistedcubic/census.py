@@ -176,11 +176,21 @@ class CensusRun:
                 exchange &= onto
                 orbit_image &= (
                     onto
-                    and np.array_equal(np.bincount(a.labels, minlength=len(sizes)), sizes)
+                    and np.array_equal(_label_counts(a.labels, len(sizes),
+                                                     self.engine.chunk), sizes)
                     and len(pairs) == len(sizes)
                     and all(sizes[i] == b.records[j][0] for i, j in pairs))
             self._polarity = (exchange, orbit_image)
         return self._polarity
+
+
+def _label_counts(labels, m, chunk):
+    """Number of each label in 0..m-1, one chunk at a time: a single
+    bincount would widen every int16 label to intp at once."""
+    counts = np.zeros(m, np.int64)
+    for start in range(0, len(labels), chunk):
+        counts += np.bincount(labels[start:start + chunk], minlength=m)
+    return counts
 
 
 # -- individual checks ---------------------------------------------------------

@@ -7,6 +7,7 @@ behind the TWISTEDCUBIC_LONG_RUN=1 environment variable, mirroring the CLI's
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
 import os
 import time
 
@@ -150,6 +151,19 @@ def test_criterion_6_external_census_medium():
     print("PASS criterion-6b EnG spectra exact within 600s for q in", SPECTRUM_SLOW_Q)
 
 
+# SHA-256 of (report_to_json, report_to_csv) of verify(q) with the default
+# modulus, schema version 2: the long-run counterpart of the golden digests
+# in test_census.py
+LONG_RUN_SHA256 = {
+    37: ("54d7fd6ff7b2d02a8358bcf8094f5896ef0782082d79c012386521131b770fb2",
+         "4653608bb72fee102b05f5a1d8b5ce4a5b0a16cba5042afa8512d56f99de5b32"),
+    49: ("8856cfc9faa3b469c9d12ca24fdf05c56211c6f5d00fece8ef4d77d0011359b2",
+         "cd999bed97e036f5fb5e27b812d86000580151ae7f8d2b072431d4e19924ae02"),
+    64: ("c793d3c17ea2a400b49e6c14a77f4097c6176273f70adad4c81e85debdf724fb",
+         "82399a1304bf884270f81c43165066c3b32c204c22f326a8fdffaf66420d6c92"),
+}
+
+
 @pytest.mark.skipif(not LONG_RUN, reason="set TWISTEDCUBIC_LONG_RUN=1 to run q=37,49,64")
 def test_criterion_6_external_census_long_run():
     started = time.monotonic()
@@ -160,6 +174,9 @@ def test_criterion_6_external_census_long_run():
     for q in (37, 49, 64):
         report = census.verify(q)
         assert report["pass"], [c["name"] for c in report["checks"] if not c["pass"]]
+        json_sha, csv_sha = LONG_RUN_SHA256[q]
+        assert hashlib.sha256(census.report_to_json(report).encode()).hexdigest() == json_sha
+        assert hashlib.sha256(census.report_to_csv(report).encode()).hexdigest() == csv_sha
     print(f"PASS criterion-6c long-run census q=37,64 in {combined:.0f}s; "
           "verify(37/49/64) all green")
 

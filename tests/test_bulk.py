@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from twistedcubic import action as act
-from twistedcubic import pg3, twisted as tw
-from twistedcubic.bulk import Engine, isin_sorted, sorted_unique
+from twistedcubic import census, pg3, twisted as tw
+from twistedcubic.bulk import Engine, field_ops, isin_sorted, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -151,3 +153,57 @@ def test_array_forms_match_scalar_forms(field, engine, q):
     for ln, keys in zip(lines, pencils):
         want = [eng.pack_tuple(pt) for pt in pg3.line_points(f, ln)]
         assert sorted(keys.tolist()) == want
+
+
+@pytest.mark.parametrize("q", census.SUPPORTED_Q)
+def test_field_ops_match_field_tables(field, q):
+    """The Engine's elementwise ops (XOR in characteristic 2, flat-table
+    takes otherwise) equal the Field's dense tables on the whole q x q grid,
+    with two array operands and with a scalar on either side."""
+    f = field(q)
+    mul, add, sub, neg = field_ops(f)
+    elems = np.arange(q, dtype=np.int16)
+    x, y = np.repeat(elems, q), np.tile(elems, q)
+    for op, table in ((mul, f.mul_table), (add, f.add_table), (sub, f.sub_table)):
+        got = op(x, y)
+        assert got.dtype == np.int16
+        assert got.tolist() == table.ravel().tolist()
+        for c in range(q):
+            assert op(c, elems).tolist() == table[c].tolist()
+            assert op(elems, c).tolist() == table[:, c].tolist()
+    assert neg(elems).tolist() == f.neg_table.tolist()
+
+
+@pytest.mark.parametrize("q", (49, 64))
+def test_normalize_rows_matches_scalar_normalize(field, engine, q):
+    f = field(q)
+    eng = engine(q)
+    rng = np.random.default_rng(q)
+    P = rng.integers(0, q, (500, 6)).astype(np.int16)
+    P[::7, :3] = 0  # rows whose pivot is further right
+    P[P.sum(axis=1) == 0, 5] = 1
+    want = [pg3.normalize(f, tuple(r)) for r in P.tolist()]
+    for rows in (P, np.asfortranarray(P)):
+        assert [tuple(r) for r in eng._normalize_rows(rows).tolist()] == want
+
+
+@pytest.mark.parametrize("q", (49, 64))
+def test_orbit_sweeps_at_large_q(field, model, engine, q):
+    """Orbit size times stabilizer order is the group order, the pair is one
+    the closed forms allow for the line's class, and the orbit contains the
+    line, for a tangent and three seeded random lines."""
+    f, m, eng = field(q), model(q), engine(q)
+    allowed = census.expected_orbit_pattern(f)
+    rng = random.Random(q)
+    lines = [m.tangent_of[tw.INF]]
+    while len(lines) < 4:
+        u, v = ([rng.randrange(q) for _ in range(4)] for _ in range(2))
+        if any(pg3.plucker_forms(u, v, f.mul, f.sub)):
+            lines.append(pg3.line_through(f, u, v))
+    for line in lines:
+        cls = tw.classify_line(line, m)
+        orbit = eng.orbit_sweep(line)
+        stab = len(eng.stabilizer_abcd(line))
+        assert len(orbit) * stab == q**3 - q, (q, cls)
+        assert (len(orbit), stab) in allowed[cls], (q, cls)
+        assert eng.pack_tuple(line.plucker) in orbit.tolist(), (q, cls)
