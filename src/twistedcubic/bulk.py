@@ -1,9 +1,11 @@
-"""Vectorized line engine over packed integer keys.
+"""Vectorized line engine over rank-indexed lines.
 
-Every line is identified by its normalized Pluecker vector packed base-q into
-an int64 key, so whole-universe classification, orbit sweeps with the full
-group, and stabilizer filters all run as numpy pipelines over int16
-coordinate arrays.
+A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
+(`_line_pair_chunks(4)`), read off its normalized Pluecker vector by `_rank`;
+a point's or plane's rank is its index in `_proj_points(4)`.  Whole-universe
+state (class codes, orbit labels) is one entry per rank, so locating a line
+is an index, not a search.  Packed base-q int64 keys of Pluecker vectors
+remain only as the orbit representatives of the report.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -21,6 +23,7 @@ the root count of the chord quadratic (`_root_count`).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +76,6 @@ def _columns(cols):
     return np.stack(cols).T
 
 
-def isin_sorted(values, table):
-    """Membership of values in an ascending int64 array."""
-    if len(table) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.searchsorted(table, values)
-    pos[pos == len(table)] = 0
-    return table[pos] == values
-
-
 def sorted_unique(values):
     """Ascending distinct values: sort, then mask adjacent duplicates
     (an order of magnitude faster than np.unique on large int64 arrays)."""
@@ -94,36 +88,42 @@ def sorted_unique(values):
     return out
 
 
-def _first_negative(labels, pos, window):
-    """Index of the first negative label at or after pos, or len(labels),
-    scanned in windows so that no mask spans the whole remainder."""
-    n = len(labels)
-    while pos < n:
-        free = labels[pos:pos + window] < 0
-        off = int(free.argmax())
-        if free[off]:
-            return pos + off
-        pos += len(free)
-    return n
+@cache
+def _pair_blocks(ncols, q):
+    """(c0, c1, slots, offset, size) per pivot pattern c0 < c1 of the rank-2
+    RREF 2 x ncols matrices, in enumeration order; slots are the free
+    (row, column) entries, most significant digit first."""
+    blocks = []
+    offset = 0
+    for c0 in range(ncols - 1):
+        for c1 in range(c0 + 1, ncols):
+            slots = tuple([(0, j) for j in range(c0 + 1, ncols) if j != c1]
+                          + [(1, j) for j in range(c1 + 1, ncols)])
+            blocks.append((c0, c1, slots, offset, q ** len(slots)))
+            offset += q ** len(slots)
+    return tuple(blocks)  # cached: shared by every caller
+
+
+# bits of the per-rank model flags built by Engine._model_flags
+MEETS, GAMMA, AXIS = 1, 2, 4
+
+# window of the scan for the next unlabelled line of a class
+SCAN = 1 << 16
 
 
 class OrbitPartition(NamedTuple):
-    """Orbits of an action-closed sorted key array.
-
-    records: (size, stabilizer_order, representative_key) per orbit, sorted
-    by (size, representative); labels: int16 index into records per key;
-    fixers: per record, the number of group elements mapping the
-    representative to itself, counted exhaustively in its orbit sweep.
-    """
+    """Orbits of one line class: (size, stabilizer_order, representative_key)
+    records sorted by (size, representative), and per record the number of
+    group elements fixing the seed line of its sweep, counted in the sweep."""
     records: list[tuple[int, int, int]]
-    labels: np.ndarray
     fixers: list[int]
 
 
 class Engine:
-    """Bulk classification and orbit machinery for one (field, cubic) pair."""
+    """Bulk classification and orbit machinery for one (field, cubic) pair.
+    Arrays with one entry per line are built on first use, never for queries."""
 
-    def __init__(self, field, model=None, chunk=1 << 21):
+    def __init__(self, field, model=None, chunk=1 << 20):
         self.field = field
         self.model = model if model is not None else twisted.build_cubic(field)
         self.chunk = chunk
@@ -138,21 +138,25 @@ class Engine:
         self.four = field.of_int(4)
         self.group_order = q**3 - q
 
-        self._build_model_keys()
-        self._class_keys = None
-        self._klein_violations = None
+        self.cubic_point_ranks, self.gamma_plane_ranks = (
+            self._point_rank(np.array(sorted(pts), np.int16))
+            for pts in (self.model.cubic_point_set, self.model.gamma_plane_set))
+        self.axis_plucker = self.model.axis.plucker if field.xi == 0 else None
+        self._codes = self._counts = self._klein_violations = None
+        self.orbit_labels = None  # per rank: index into its class's records
         self._group = None
 
-    # -- packing -------------------------------------------------------------
+    # -- packing and ranks ---------------------------------------------------
 
-    def pack(self, cols):
-        out = cols[0].astype(np.int64)
-        for c in cols[1:]:
-            out = out * self.q + c
+    def pack(self, P):
+        """Packed base-q int64 keys of the rows of P."""
+        out = P[:, 0].astype(np.int64)
+        for j in range(1, P.shape[1]):
+            out = out * self.q + P[:, j]
         return out
 
     def pack_tuple(self, tup):
-        return int(self.pack(np.array([tup], np.int64).T)[0])
+        return int(self.pack(np.array([tup], np.int64))[0])
 
     def _digits(self, values, k):
         """The k base-q int16 digits of each value, least significant first,
@@ -164,6 +168,56 @@ class Engine:
     def unpack(self, keys):
         """(n, 6) int16 Pluecker rows of packed line keys."""
         return _columns(list(self._digits(keys, 6))[::-1])
+
+    def _rank(self, P):
+        """Index of each normalized Pluecker row in the _line_pair_chunks(4)
+        enumeration: the offset of its pivot pattern (c0, c1), the position
+        of its first nonzero coordinate, plus its free RREF entries read base
+        q.  Those are l_{j c1} (c0 < j < c1) and -l_{c1 j} (j > c1) in row 0,
+        and l_{c0 j} (j > c1) in row 1.  Every row is first ranked as if its
+        pivot were (0, 1), as all but about 1/q of them are, then the rest."""
+        out = np.empty(len(P), np.int64)
+        rows, sub = slice(None), P
+        for c0, c1, slots, offset, _size in _pair_blocks(4, self.q):
+            if not len(sub):
+                break
+            rank = np.zeros(len(sub), np.int64)
+            for row, j in slots:
+                entry = sub[:, PAIR_IDX.index((c0, j) if row else tuple(sorted((j, c1))))]
+                rank *= self.q
+                rank += self._neg(entry) if row == 0 and j > c1 else entry
+            out[rows] = rank + offset
+            later = np.flatnonzero(sub[:, PAIR_IDX.index((c0, c1))] == 0)
+            rows, sub = later if sub is P else rows[later], sub[later]
+        return out
+
+    def _pairs_of(self, ranks):
+        """The RREF row pairs (U, V) of the lines with the given ranks."""
+        U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
+        for c0, c1, slots, offset, size in _pair_blocks(4, self.q):
+            sel = (ranks >= offset) & (ranks < offset + size)
+            if sel.any():
+                U[sel], V[sel] = self._pair_rows(4, c0, c1, slots, ranks[sel] - offset)
+        return U, V
+
+    def _unrank(self, ranks):
+        """(n, 6) int16 normalized Pluecker rows of the lines with the given
+        ranks; the inverse of _rank."""
+        return self._plucker(*self._pairs_of(ranks))
+
+    def line_from_rank(self, rank) -> pg3.ProjLine:
+        U, V = self._pairs_of(np.array([rank], np.int64))
+        return pg3.line_through(self.field, tuple(U[0].tolist()), tuple(V[0].tolist()))
+
+    def _point_rank(self, X):
+        """Index of each normalized row of X in _proj_points(X.shape[1]): a row
+        with k coordinates after its leading 1 packs to q^k plus its digits,
+        and its block starts at 1 + q + ... + q^(k-1)."""
+        n = X.shape[1]
+        qk = self.q ** np.arange(n, dtype=np.int64)
+        start = (qk - 1) // (self.q - 1)
+        k = n - 1 - (X != 0).argmax(axis=1)
+        return self.pack(X) - qk[k] + start[k]
 
     # -- elementwise geometry -------------------------------------------------
 
@@ -232,6 +286,8 @@ class Engine:
     def _polar(self, P):
         # image of the null polarity on Pluecker vectors: a fixed monomial map
         # (checked against the two-plane definition in the test suite)
+        if self.field.xi == 0:
+            raise ValueError("the null polarity degenerates when q = 0 mod 3")
         m = self._mul
         t, n = self.three, self.nine
         return _columns([
@@ -251,90 +307,79 @@ class Engine:
     def _proj_points(self, n):
         """Normalized representatives of PG(n-1,q) as (m, n) int16 rows,
         ascending like pg3._proj_reps."""
-        q = self.q
         blocks = []
-        for lead in range(n - 1, -1, -1):
-            k = n - 1 - lead
-            block = np.zeros((q**k, n), np.int16)
-            block[:, lead] = 1
-            for j, col in zip(range(n - 1, lead, -1), self._digits(np.arange(q**k), k)):
-                block[:, j] = col
-            blocks.append(block)
+        for k in range(n):  # k coordinates after the leading 1
+            size = self.q ** k
+            lead = [np.zeros(size, np.int16)] * (n - 1 - k) + [np.ones(size, np.int16)]
+            blocks.append(_columns(lead + list(self._digits(np.arange(size), k))[::-1]))
         return np.concatenate(blocks)
 
+    def _pair_rows(self, ncols, c0, c1, slots, idx):
+        """The row pairs (U, V) of the RREF matrices with pivots c0, c1 whose
+        free entries, read base q in slot order, are idx."""
+        U = np.zeros((len(idx), ncols), np.int16, order="F")
+        V = np.zeros((len(idx), ncols), np.int16, order="F")
+        U[:, c0] = 1
+        V[:, c1] = 1
+        for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
+            (U if row == 0 else V)[:, j] = col
+        return U, V
+
     def _line_pair_chunks(self, ncols):
-        """Spanning row pairs of every rank-2 RREF 2 x ncols matrix, chunked."""
-        q = self.q
-        for c0 in range(ncols - 1):
-            for c1 in range(c0 + 1, ncols):
-                slots = [(0, j) for j in range(c0 + 1, ncols) if j != c1]
-                slots += [(1, j) for j in range(c1 + 1, ncols)]
-                total = q ** len(slots)
-                for start in range(0, total, self.chunk):
-                    idx = np.arange(start, min(start + self.chunk, total), dtype=np.int64)
-                    U = np.zeros((len(idx), ncols), np.int16, order="F")
-                    V = np.zeros((len(idx), ncols), np.int16, order="F")
-                    U[:, c0] = 1
-                    V[:, c1] = 1
-                    for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
-                        (U if row == 0 else V)[:, j] = col
-                    yield U, V
+        """Spanning row pairs of every rank-2 RREF 2 x ncols matrix, chunked;
+        for ncols = 4 the chunks run through the line ranks in order."""
+        for c0, c1, slots, _offset, total in _pair_blocks(ncols, self.q):
+            for start in range(0, total, self.chunk):
+                # int32 digits take half the time of int64 ones; total <= q^4
+                idx = np.arange(start, min(start + self.chunk, total), dtype=np.int32)
+                yield self._pair_rows(ncols, c0, c1, slots, idx)
 
-    # -- model key sets ---------------------------------------------------------
+    def _universe(self):
+        """(ranks, P) per chunk of all lines: a slice of consecutive ranks and
+        the Pluecker rows of those lines, normalized since l_{c0 c1} = 1."""
+        lo = 0
+        for U, V in self._line_pair_chunks(4):
+            yield slice(lo, lo + len(U)), self._plucker(U, V)
+            lo += len(U)
 
-    def _build_model_keys(self):
-        field, model = self.field, self.model
-        pg2 = self._proj_points(3)
+    def _model_flags(self):
+        """Per line rank: MEETS if the line meets the cubic, GAMMA if it lies
+        in an osculating plane, AXIS for the axis (xi = 0 only)."""
+        flags = np.zeros(pg3.line_count(self.q), np.uint8)
 
-        # lines meeting the cubic: all lines through each cubic point
-        parts = []
-        for pt in sorted(model.cubic_point_set):
-            j = next(i for i in range(4) if pt[i])
-            avoid = [i for i in range(4) if i != j]
-            V = np.zeros((len(pg2), 4), np.int16)
-            V[:, avoid] = pg2
-            U = np.tile(np.asarray(pt, np.int16), (len(pg2), 1))
-            parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
-        self.meets_cubic_keys = sorted_unique(np.concatenate(parts))
+        # each cubic point joined to every point of a plane x_j = 0 missing it
+        points = self._proj_points(4)
+        for pt in sorted(self.model.cubic_point_set):
+            V = points[points[:, next(i for i in range(4) if pt[i])] == 0]
+            U = np.tile(np.asarray(pt, np.int16), (len(V), 1))
+            flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= MEETS
 
-        # lines inside some osculating plane
+        # all lines in each osculating plane
         r0, r1 = (np.concatenate(rows).T for rows in zip(*self._line_pair_chunks(3)))
-        parts = []
-        for plane in sorted(model.gamma_plane_set):
-            basis = list(zip(*pg3.plane_basis(field, plane)))  # its 4 columns
+        for plane in sorted(self.model.gamma_plane_set):
+            basis = list(zip(*pg3.plane_basis(self.field, plane)))  # its 4 columns
             U = _columns([self._lincomb(col, r0) for col in basis])
             V = _columns([self._lincomb(col, r1) for col in basis])
-            parts.append(self.pack(list(self._normalize_rows(self._plucker(U, V)).T)))
-        self.gamma_line_keys = sorted_unique(np.concatenate(parts))
+            flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= GAMMA
 
-        self.gamma_plane_keys = sorted_unique(np.array(
-            [self.pack_tuple(pl) for pl in model.gamma_plane_set], dtype=np.int64))
-        self.cubic_point_keys = sorted_unique(np.array(
-            [self.pack_tuple(pt) for pt in model.cubic_point_set], dtype=np.int64))
-
-        if field.xi == 0:
-            self.axis_plucker = model.axis.plucker
-            self.axis_key = self.pack_tuple(model.axis.plucker)
-        else:
-            self.axis_plucker = None
-            self.axis_key = None
+        if self.axis_plucker is not None:
+            flags[self._rank(np.array([self.axis_plucker], np.int16))] |= AXIS
+        return flags
 
     # -- classification ----------------------------------------------------------
 
-    def _classify_chunk(self, U, V):
-        P = self._normalize_rows(self._plucker(U, V))
-        keys = self.pack(list(P.T))
+    def _classify_chunk(self, P, flags):
+        """Class codes and Klein violations of the lines with normalized
+        Pluecker rows P and model flags `flags`."""
         klein_bad = int(np.count_nonzero(self._klein(P)))
 
         cc = self._chord_code(P)
-        cls = np.full(len(P), CODE[twisted.ENG], np.int8)
-        cls[cc == 2] = CODE[twisted.RC]
-        cls[cc == 1] = CODE[twisted.T]
-        cls[cc == 3] = CODE[twisted.IC]
+        chords = (twisted.ENG, twisted.T, twisted.RC, twisted.IC)  # by chord code
+        cls = np.array([CODE[c] for c in chords], np.int8).take(cc)
 
         rest = cc == 0
-        meets = isin_sorted(keys, self.meets_cubic_keys)
-        in_gamma = isin_sorted(keys, self.gamma_line_keys)
+        meets = flags & MEETS != 0
+        in_gamma = flags & GAMMA != 0
         m1 = rest & meets
         cls[m1 & in_gamma] = CODE[twisted.UG]
         cls[m1 & ~in_gamma] = CODE[twisted.UNG]
@@ -349,104 +394,84 @@ class Engine:
             ext = m0 & (pc == 0)
             cls[ext & in_gamma] = CODE[twisted.EG]
         else:
-            is_axis = m0 & (keys == self.axis_key)
+            is_axis = m0 & (flags & AXIS != 0)
             cls[is_axis] = CODE[twisted.A]
             hits_axis = m0 & ~is_axis & (self._pairing_with(P, self.axis_plucker) == 0)
             cls[hits_axis] = CODE[twisted.EA]
-        return keys, cls, klein_bad
+        return cls, klein_bad
 
-    def class_keys(self) -> dict[str, np.ndarray]:
-        """Sorted key array per populated class, classifying the whole universe."""
-        if self._class_keys is None:
-            buckets = {cls: [] for cls in twisted.valid_line_classes(self.field)}
+    def class_codes(self) -> np.ndarray:
+        """The class code (index into CLASS_ORDER) of every line, by rank,
+        from one chunked pass over the whole universe."""
+        if self._codes is None:
+            codes = np.empty(pg3.line_count(self.q), np.int8)
+            counts = np.zeros(len(CLASS_ORDER), np.int64)
+            flags = self._model_flags()
             klein_bad = 0
-            total = 0
-            for U, V in self._line_pair_chunks(4):
-                keys, cls, bad = self._classify_chunk(U, V)
+            for ranks, P in self._universe():
+                codes[ranks], bad = self._classify_chunk(P, flags[ranks])
+                counts += np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
                 klein_bad += bad
-                total += len(keys)
-                for name in buckets:
-                    sel = cls == CODE[name]
-                    if sel.any():
-                        buckets[name].append(keys[sel])
-            expect = pg3.line_count(self.q)
-            if total != expect:
-                raise RuntimeError(f"enumerated {total} lines, expected {expect}")
-            self._class_keys = {}
-            for name, parts in buckets.items():
-                # sorted in place: a sorted copy of the 16.5 M EnG keys at
-                # q = 64 would add 132 MB to the peak
-                keys = np.concatenate(parts) if parts else np.empty(0, np.int64)
-                keys.sort()
-                self._class_keys[name] = keys
-            self._klein_violations = klein_bad
-        return self._class_keys
+            if ranks.stop != len(codes):
+                raise RuntimeError(f"enumerated {ranks.stop} lines, expected {len(codes)}")
+            self._codes, self._counts, self._klein_violations = codes, counts, klein_bad
+        return self._codes
 
     def klein_violations(self) -> int:
-        self.class_keys()
+        self.class_codes()
         return self._klein_violations
 
     def class_counts(self) -> dict[str, int]:
-        return {name: len(keys) for name, keys in self.class_keys().items()}
+        self.class_codes()
+        return {name: int(self._counts[CODE[name]])
+                for name in twisted.valid_line_classes(self.field)}
 
-    def _polar_images(self, keys) -> np.ndarray:
-        """Keys of the polar images of the given lines, in input order."""
-        if self.field.xi == 0:
-            raise ValueError("the null polarity degenerates when q = 0 mod 3")
-        P = self._polar(self.unpack(keys))
-        return self.pack(list(self._normalize_rows(P).T))
+    def class_ranks(self, cls) -> np.ndarray:
+        """Ascending ranks of the lines of one class."""
+        return np.flatnonzero(self.class_codes() == CODE[cls])
+
+    def class_keys(self) -> dict[str, np.ndarray]:
+        """Sorted packed keys per populated class, derived from the class
+        codes (a view for tests and benchmarks; the census uses ranks)."""
+        return {cls: np.sort(self.pack(self._unrank(self.class_ranks(cls))))
+                for cls in twisted.valid_line_classes(self.field)}
 
     def polar_keys(self, keys) -> np.ndarray:
         """Sorted keys of the polar images of the given lines (xi != 0)."""
-        return np.sort(self._polar_images(keys))
+        return np.sort(self.pack(self._normalize_rows(self._polar(self.unpack(keys)))))
 
-    def polar_label_pairs(self, keys, labels, dst_keys, dst_labels):
-        """Send a sorted key set through the null polarity, chunk by chunk.
+    def polar_orbit_counts(self, polar_code, orbit_id, m):
+        """Send every line through the null polarity, chunk by chunk (xi != 0).
 
-        Each chunk's images are sorted and located in the sorted dst_keys.
-        Returns (onto, pairs): onto is True iff the images are exactly
-        dst_keys, each hit once; pairs is the ascending (k, 2) array of the
-        distinct (label, image label) pairs.
-        """
-        n = len(dst_keys)
-        if len(keys) != n:
-            return False, np.empty((0, 2), np.int64)
-        hit = np.zeros(n, dtype=bool)
-        onto = True
-        codes = [np.empty(0, np.int64)]
-        for start in range(0, n, self.chunk):
-            img = self._polar_images(keys[start:start + self.chunk])
-            order = np.argsort(img)
-            img = img[order]
-            pos = np.minimum(np.searchsorted(dst_keys, img), n - 1)
-            found = dst_keys[pos] == img
-            onto &= bool(found.all())
-            pos = pos[found]
-            hit[pos] = True
-            src = labels[start:start + self.chunk][order][found]
-            codes.append(sorted_unique((src.astype(np.int64) << 16) | dst_labels[pos]))
-        codes = sorted_unique(np.concatenate(codes))
-        return onto and bool(hit.all()), np.stack([codes >> 16, codes & 0xFFFF], axis=1)
+        A line of class c with orbit label k is in orbit orbit_id[c] + k of m.
+        Returns (exchange, counts): exchange is True iff every line is an
+        image and each image has class polar_code[c] (so the map takes each
+        class onto its partner); counts[i, j] counts the lines of orbit i
+        with image in orbit j."""
+        codes, labels = self.class_codes(), self.orbit_labels
+        hit = np.zeros(len(codes), dtype=bool)
+        counts = np.zeros(m * m, np.int64)
+        exchange = True
+        for ranks, P in self._universe():
+            img = self._rank(self._normalize_rows(self._polar(P)))
+            src, dst = codes[ranks], codes[img]
+            exchange &= bool((polar_code[src] == dst).all())
+            hit[img] = True
+            orbit = orbit_id[src] + labels[ranks]
+            counts += np.bincount(orbit * m + orbit_id[dst] + labels[img], minlength=m * m)
+        return exchange and bool(hit.all()), counts.reshape(m, m)
 
     # -- group sweeps ------------------------------------------------------------
 
     def _group_arrays(self):
         if self._group is None:
-            q = self.q
-            cs, ds = np.meshgrid(np.arange(q, dtype=np.int16),
-                                 np.arange(q, dtype=np.int16), indexing="ij")
-            c0 = cs.ravel()
-            d0 = ds.ravel()
-            keep = c0 != 0
-            blk0 = np.stack([np.zeros(keep.sum(), np.int16),
-                             np.ones(keep.sum(), np.int16), c0[keep], d0[keep]], 1)
-            b1, c1, d1 = [x.ravel() for x in np.meshgrid(
-                np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
-                np.arange(q, dtype=np.int16), indexing="ij")]
-            keep1 = self._sub(d1, self._mul(b1, c1)) != 0
-            blk1 = np.stack([np.ones(keep1.sum(), np.int16), b1[keep1],
-                             c1[keep1], d1[keep1]], 1)
-            abcd = np.concatenate([blk0, blk1], 0)
+            # normalized (a, b, c, d) with ad - bc != 0: (0, 1, c != 0, d), then (1, b, c, d)
+            elems = np.arange(self.q, dtype=np.int16)
+            b, c, d = (x.ravel() for x in np.meshgrid(elems, elems, elems, indexing="ij"))
+            a = np.ones_like(b)
+            abcd = np.concatenate([
+                np.stack([a - 1, b, c, d], 1)[(b == 1) & (c != 0)],
+                np.stack([a, b, c, d], 1)[self._sub(d, self._mul(b, c)) != 0]])
             if len(abcd) != self.group_order:
                 raise RuntimeError("group enumeration size mismatch")
 
@@ -459,114 +484,115 @@ class Engine:
     def group_abcd(self):
         return self._group_arrays()[0]
 
-    def _act_all(self, pt):
-        """Image of one point under every group element, as an (N,4) array."""
-        _, mats = self._group_arrays()
+    def _act_all(self, pt, sel=None):
+        """Image of one point under every group element, or under the
+        elements with indices sel, as an (N,4) array."""
+        mats = self._group_arrays()[1]
+        if sel is not None:
+            mats = mats[sel]
         return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
 
-    def _image_keys(self, line) -> np.ndarray:
-        """Key of the line's image under every group element, in group order."""
+    def _images(self, line):
+        """Normalized Pluecker rows of the line's image under every group
+        element, in group order."""
         u, v = line.pair
-        P = self._normalize_rows(self._plucker(self._act_all(u), self._act_all(v)))
-        return self.pack(list(P.T))
+        return self._normalize_rows(self._plucker(self._act_all(u), self._act_all(v)))
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line."""
-        return sorted_unique(self._image_keys(line))
+        return sorted_unique(self.pack(self._images(line)))
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]
         return pg3.line_from_plucker(self.field, tuple(row.tolist()))
 
-    def orbit_partition_keys(self, keys_sorted) -> OrbitPartition:
-        """Partition an action-closed sorted key array into orbits.
-
-        Records are (size, stabilizer_order, representative_key) sorted by
-        (size, representative); representative is the orbit's minimal key.
-        """
-        n = len(keys_sorted)
-        labels = np.full(n, -1, dtype=np.int16)
+    def orbit_partition_keys(self, cls) -> OrbitPartition:
+        """Partition the lines of one class into orbits, writing the index of
+        each line's orbit record into orbit_labels at its rank.  An orbit's
+        size counts the distinct ranks of its sweep, its representative is
+        its minimal key; an image outside the class raises ValueError."""
+        codes = self.class_codes()
+        code = CODE[cls]
+        if self.orbit_labels is None:
+            self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
+        labels = self.orbit_labels
+        np.putmask(labels, codes == code, -1)  # forget an earlier partition of cls
         records = []
         fixers = []
-        pos = 0
-        while pos < n:
-            seed_key = keys_sorted[pos]
-            images = self._image_keys(self.line_from_key(seed_key))
-            orbit = sorted_unique(images)
-            where = np.searchsorted(keys_sorted, orbit)
-            if (where >= n).any() or (keys_sorted[where] != orbit).any():
-                raise ValueError("key set is not closed under the group action")
-            labels[where] = len(records)
-            size = len(orbit)
-            if self.group_order % size:
-                raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
-            records.append((size, self.group_order // size, int(orbit[0])))
-            fixers.append(int(np.count_nonzero(images == seed_key)))
-            pos = _first_negative(labels, pos, self.chunk)
-        if (labels < 0).any():
-            raise RuntimeError("orbit partition missed input lines")
+        for start in range(0, len(codes), SCAN):
+            window = slice(start, start + SCAN)
+            # seed a sweep at each line of the window that is still unlabelled
+            while (free := (codes[window] == code) & (labels[window] < 0)).any():
+                seed = start + int(free.argmax())
+                P = self._images(self.line_from_rank(seed))
+                ranks = self._rank(P)
+                orbit = sorted_unique(ranks)
+                if (codes[orbit] != code).any():
+                    raise ValueError(f"the {cls} lines are not closed under the group action")
+                labels[orbit] = len(records)
+                size = len(orbit)
+                if self.group_order % size:
+                    raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
+                records.append((size, self.group_order // size, int(self.pack(P).min())))
+                fixers.append(int(np.count_nonzero(ranks == seed)))
         order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
         relabel = np.empty(len(records), dtype=np.int16)
         relabel[order] = np.arange(len(records))
-        return OrbitPartition([records[i] for i in order], relabel[labels],
-                              [fixers[i] for i in order])
+        for start in range(0, len(codes), self.chunk):
+            part = labels[start:start + self.chunk]
+            mine = codes[start:start + self.chunk] == code
+            part[mine] = relabel.take(part[mine])
+        return OrbitPartition([records[i] for i in order], [fixers[i] for i in order])
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
-        """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples."""
+        """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples.
+
+        Only the elements that keep the first point on the line act on the
+        second point: about 1/q^2 of the group."""
         abcd, _ = self._group_arrays()
-        mask = np.ones(len(abcd), dtype=bool)
+        sel = None
         for pt in line.pair:
-            for form in pg3.incidence_forms(self._act_all(pt).T, line.plucker,
-                                            self._mul, self._sub, self._add):
-                mask &= form == 0
-        return sorted(map(tuple, abcd[mask].tolist()))
+            forms = pg3.incidence_forms(self._act_all(pt, sel).T, line.plucker,
+                                        self._mul, self._sub, self._add)
+            on_line = np.logical_and.reduce([form == 0 for form in forms])
+            sel = np.flatnonzero(on_line) if sel is None else sel[on_line]
+        return sorted(map(tuple, abcd[sel].tolist()))
 
     # -- structural checks ---------------------------------------------------------
 
-    def _pencil_keys(self, P):
-        """Packed normalized points u + t*v (t in GF(q)) and v of every line
-        in the Pluecker rows P.  u and v are the rows i and j of the line's
-        skew Pluecker matrix, where l_ij is its first nonzero coordinate;
-        they span the line because that l_ij is nonzero."""
-        n = len(P)
-        L = np.empty((n, 4, 4), dtype=np.int16)
-        for i, row in enumerate(pg3.skew_rows(P.T, self._neg)):
-            for j, entry in enumerate(row):
-                L[:, i, j] = entry
-        rows = np.arange(n)
-        first = (P != 0).argmax(axis=1)
-        pivot = np.array(PAIR_IDX, dtype=np.intp)[first]
-        U = L[rows, pivot[:, 0]]
-        V = L[rows, pivot[:, 1]]
+    def _line_points(self, ranks):
+        """Normalized points v, u + t*v (t in GF(q)) of the lines with the
+        given ranks, where (u, v) is the line's RREF row pair."""
+        U, V = self._pairs_of(ranks)
         pts = [V] + [self._add(U, self._mul(t, V)) for t in range(self.q)]
-        return self.pack(list(self._normalize_rows(np.concatenate(pts)).T))
+        return self._normalize_rows(np.concatenate(pts))
 
-    def covers_once(self, keys, excluded, dual=False) -> bool:
-        """Whether the points of the given lines, or with dual=True the planes
-        through them, cover every point (plane) of PG(3,q) outside the
-        sorted key array `excluded` exactly once."""
-        P = self.unpack(keys)
+    def covers_once(self, ranks, excluded, dual=False) -> bool:
+        """Whether the points of the lines with the given ranks, or with
+        dual=True the planes through them, cover every point (plane) of
+        PG(3,q) outside the point ranks `excluded` exactly once."""
         if dual:
+            # the planes through a line are the points of the line with the
             # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)
-            neg = self._neg
-            P = _columns([P[:, 5], neg(P[:, 4]), P[:, 3],
-                          P[:, 2], neg(P[:, 1]), P[:, 0]])
-        got = self._pencil_keys(P)
-        got = np.sort(got[~isin_sorted(got, excluded)])
-        every = self.pack(list(self._proj_points(4).T))  # ascending
-        return np.array_equal(got, every[~isin_sorted(every, excluded)])
+            P, neg = self._unrank(ranks), self._neg
+            ranks = self._rank(self._normalize_rows(_columns([
+                P[:, 5], neg(P[:, 4]), P[:, 3], P[:, 2], neg(P[:, 1]), P[:, 0]])))
+        hits = np.bincount(self._point_rank(self._line_points(ranks)),
+                           minlength=pg3.point_count(self.q))
+        hits[excluded] = 1
+        return bool((hits == 1).all())
 
     def triple_images(self, triple) -> int:
         """Number of distinct ordered triples of cubic points among the
         images of the given triple of points under every group element."""
-        cubic = self.cubic_point_keys
-        m = len(cubic)
+        m = len(self.cubic_point_ranks)
+        index = np.full(pg3.point_count(self.q), -1, dtype=np.int64)
+        index[self.cubic_point_ranks] = np.arange(m)
         code = np.zeros(self.group_order, dtype=np.int64)
         on_cubic = np.ones(self.group_order, dtype=bool)
         for pt in triple:
-            k = self.pack(list(self._normalize_rows(self._act_all(pt)).T))
-            pos = np.minimum(np.searchsorted(cubic, k), m - 1)
-            on_cubic &= cubic[pos] == k
+            pos = index[self._point_rank(self._normalize_rows(self._act_all(pt)))]
+            on_cubic &= pos >= 0
             code = code * m + pos
         return len(sorted_unique(code[on_cubic]))
 
@@ -580,12 +606,6 @@ class Engine:
             m += self._lincomb(pt, planes.T) == 0
         if int(m.max()) > 3:
             raise RuntimeError("a plane contains four cubic points")
-        keys = self.pack([planes[:, 0], planes[:, 1], planes[:, 2], planes[:, 3]])
-        gamma = isin_sorted(keys, self.gamma_plane_keys)
-        return {
-            "gamma": int(gamma.sum()),
-            "2C": int(((m == 2) & ~gamma).sum()),
-            "3C": int(((m == 3) & ~gamma).sum()),
-            "1C": int(((m == 1) & ~gamma).sum()),
-            "0C": int(((m == 0) & ~gamma).sum()),
-        }
+        m[self.gamma_plane_ranks] = -1
+        return {name: int(np.count_nonzero(m == d))
+                for name, d in (("gamma", -1), ("2C", 2), ("3C", 3), ("1C", 1), ("0C", 0))}

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import action, gfq, pg3, twisted
-from .bulk import Engine, OrbitPartition
+from .bulk import CLASS_ORDER, CODE, Engine, OrbitPartition
 
 SCHEMA_VERSION = 2
 
@@ -143,8 +143,7 @@ class CensusRun:
 
     def orbit_records(self, cls: str) -> list[tuple[int, int, int]]:
         if cls not in self._partitions:
-            self._partitions[cls] = self.engine.orbit_partition_keys(
-                self.engine.class_keys()[cls])
+            self._partitions[cls] = self.engine.orbit_partition_keys(cls)
         return self._partitions[cls].records
 
     def partition(self, cls: str) -> OrbitPartition:
@@ -157,40 +156,25 @@ class CensusRun:
 
     def polarity_images(self) -> tuple[bool, bool]:
         """(class exchange, orbit image) verdicts of one chunked pass of every
-        class through the null polarity (xi != 0).
-
-        Class exchange: the polar images of each class are exactly its
-        POLAR_CLASS partner.  Orbit image: each orbit's labels count its
-        size, and there is one (orbit, image orbit) pair per orbit with equal
-        sizes, so (the map being a bijection) every orbit is mapped onto an
-        orbit.
-        """
+        line through the null polarity (xi != 0).  Class exchange: the polar
+        images of each class are exactly its POLAR_CLASS partner.  Orbit
+        image: each orbit's labels count its size, and all its lines map into
+        one orbit of equal size, so (the map being a bijection) onto it."""
         if self._polarity is None:
-            keys = self.engine.class_keys()
-            exchange = orbit_image = True
+            polar_code = np.zeros(len(CLASS_ORDER), np.int8)
+            orbit_id = np.zeros(len(CLASS_ORDER), np.int64)
+            sizes = []
             for src, dst in POLAR_CLASS.items():
-                a, b = self.partition(src), self.partition(dst)
-                sizes = [size for size, _stab, _rep in a.records]
-                onto, pairs = self.engine.polar_label_pairs(
-                    keys[src], a.labels, keys[dst], b.labels)
-                exchange &= onto
-                orbit_image &= (
-                    onto
-                    and np.array_equal(_label_counts(a.labels, len(sizes),
-                                                     self.engine.chunk), sizes)
-                    and len(pairs) == len(sizes)
-                    and all(sizes[i] == b.records[j][0] for i, j in pairs))
+                polar_code[CODE[src]] = CODE[dst]
+                orbit_id[CODE[src]] = len(sizes)
+                sizes += [size for size, _stab, _rep in self.orbit_records(src)]
+            exchange, counts = self.engine.polar_orbit_counts(
+                polar_code, orbit_id, len(sizes))
+            sizes = np.array(sizes)
+            orbit_image = exchange and all(np.array_equal(got, sizes) for got in (
+                counts.sum(axis=1), counts.max(axis=1), sizes[counts.argmax(axis=1)]))
             self._polarity = (exchange, orbit_image)
         return self._polarity
-
-
-def _label_counts(labels, m, chunk):
-    """Number of each label in 0..m-1, one chunk at a time: a single
-    bincount would widen every int16 label to intp at once."""
-    counts = np.zeros(m, np.int64)
-    for start in range(0, len(labels), chunk):
-        counts += np.bincount(labels[start:start + chunk], minlength=m)
-    return counts
 
 
 # -- individual checks ---------------------------------------------------------
@@ -282,27 +266,22 @@ def check_families(run):
     ]
 
 
-def _class_union(run, classes):
-    keys = run.engine.class_keys()
-    return np.concatenate([keys[cls] for cls in classes])
-
-
 def check_chord_uniqueness(run):
     """Every point off the cubic lies on exactly one chord (real, tangent or
     imaginary); exhaustive."""
     eng = run.engine
-    chords = _class_union(run, (twisted.RC, twisted.T, twisted.IC))
+    chords = np.concatenate([eng.class_ranks(c) for c in (twisted.RC, twisted.T, twisted.IC)])
     return _check("chord_uniqueness", True,
-                  eng.covers_once(chords, eng.cubic_point_keys))
+                  eng.covers_once(chords, eng.cubic_point_ranks))
 
 
 def check_axis_uniqueness(run):
     """Every plane off the osculating family carries exactly one axis
     (real, imaginary, or tangent); exhaustive."""
     eng = run.engine
-    axes = _class_union(run, (twisted.RA, twisted.IA, twisted.T))
+    axes = np.concatenate([eng.class_ranks(c) for c in (twisted.RA, twisted.IA, twisted.T)])
     return _check("axis_uniqueness", True,
-                  eng.covers_once(axes, eng.gamma_plane_keys, dual=True))
+                  eng.covers_once(axes, eng.gamma_plane_ranks, dual=True))
 
 
 def check_axis_pencil(run):

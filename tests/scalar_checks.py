@@ -8,7 +8,6 @@ they only serve as an independent oracle in the differential tests.
 import numpy as np
 
 from twistedcubic import action, pg3, twisted
-from twistedcubic.bulk import isin_sorted
 
 
 def chord_uniqueness(run):
@@ -39,7 +38,7 @@ def axis_uniqueness(run):
         in_plane = np.array(
             [eng.pack_tuple(ln.plucker) for ln in pg3.lines_in_plane(f, plane)],
             dtype=np.int64)
-        if int(isin_sorted(in_plane, axis_keys).sum()) != 1:
+        if int(np.isin(in_plane, axis_keys).sum()) != 1:
             ok = False
     return ok
 

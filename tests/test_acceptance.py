@@ -157,28 +157,40 @@ def test_criterion_6_external_census_medium():
 LONG_RUN_SHA256 = {
     37: ("54d7fd6ff7b2d02a8358bcf8094f5896ef0782082d79c012386521131b770fb2",
          "4653608bb72fee102b05f5a1d8b5ce4a5b0a16cba5042afa8512d56f99de5b32"),
+    41: ("5c75382365c67fc5a7d15537ee992fbb65c437874ef15ca990e7ca150d00fc88",
+         "79f94124c383e05f572f9fa1121ad4f8094e0815badde7c11607b690ba459d59"),
+    43: ("11d57df685820f31a7f7e0657a2059b1a0d9178be5ccbb462a91537ee4ea4482",
+         "f244855cdd374dc5e1366e12e8895bf0a340f44d9f923bcc7055a070c1cf7f9e"),
+    47: ("0467281646f0e6b291e28c6248f137d3b24941ef179705824680d3c3aa2654a7",
+         "7e972e8ed13edeaae3408da12ec5a9d7b6def97cb2fcccf867856cd249e6fe00"),
     49: ("8856cfc9faa3b469c9d12ca24fdf05c56211c6f5d00fece8ef4d77d0011359b2",
          "cd999bed97e036f5fb5e27b812d86000580151ae7f8d2b072431d4e19924ae02"),
+    53: ("59f4b768dc902b38de5665b28a91b064d07b78904cf2c06f43a2c0d432899234",
+         "50385cbe5b515653a4f8462f17742fa0f0cb628739a92c6c857103b3b22911f7"),
+    59: ("b86e1be628c029e6e4b9dadd7e228cf8ccce8e1dd4bd9afbc25f1771b67d2c29",
+         "8cab936c196cbf580b1452ad461e91c039036d6c05c7857bc13def314ebc1d04"),
+    61: ("38eec4e3b37c2fc9191a3da06b70c78514cd3fdb859e10995fe2588456ab3574",
+         "c2abb3ab884d84b099c32dfca9c5dd55e84219cb014ac11bda7931397e2497e6"),
     64: ("c793d3c17ea2a400b49e6c14a77f4097c6176273f70adad4c81e85debdf724fb",
          "82399a1304bf884270f81c43165066c3b32c204c22f326a8fdffaf66420d6c92"),
 }
 
 
-@pytest.mark.skipif(not LONG_RUN, reason="set TWISTEDCUBIC_LONG_RUN=1 to run q=37,49,64")
+@pytest.mark.skipif(not LONG_RUN, reason="set TWISTEDCUBIC_LONG_RUN=1 to run q > 32")
 def test_criterion_6_external_census_long_run():
     started = time.monotonic()
     for q in (37, 64):
         _check_spectrum(q, budget=7200.0)
     combined = time.monotonic() - started
     assert combined < 7200.0
-    for q in (37, 49, 64):
+    for q in sorted(LONG_RUN_SHA256):
         report = census.verify(q)
         assert report["pass"], [c["name"] for c in report["checks"] if not c["pass"]]
         json_sha, csv_sha = LONG_RUN_SHA256[q]
         assert hashlib.sha256(census.report_to_json(report).encode()).hexdigest() == json_sha
         assert hashlib.sha256(census.report_to_csv(report).encode()).hexdigest() == csv_sha
     print(f"PASS criterion-6c long-run census q=37,64 in {combined:.0f}s; "
-          "verify(37/49/64) all green")
+          f"verify(q) all green for q in {sorted(LONG_RUN_SHA256)}")
 
 
 def test_criterion_7_polarity(run):

@@ -2,10 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twistedcubic import action as act
 from twistedcubic import census, pg3, twisted as tw
-from twistedcubic.bulk import Engine, field_ops, isin_sorted, sorted_unique
+from twistedcubic.bulk import CODE, Engine, _pair_blocks, field_ops, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -63,16 +64,16 @@ def test_orbit_partition_matches_scalar(field, model, engine):
         by_cls.setdefault(tw.classify_line(line, m), []).append(line)
     for cls, lines in by_cls.items():
         scalar = act.orbit_partition(f, lines, cls)
-        bulk = eng.orbit_partition_keys(eng.class_keys()[cls])
+        bulk = eng.orbit_partition_keys(cls)
         assert [(r.size, r.stabilizer_order, eng.pack_tuple(r.representative.plucker))
                 for r in scalar] == bulk.records
 
 
-def test_orbit_partition_rejects_unclosed_keys(engine):
-    eng = engine(5)
-    keys = eng.class_keys()[tw.UNG]
+def test_orbit_partition_rejects_unclosed_keys(field, model):
+    eng = Engine(field(5), model(5))
+    eng.class_codes()[eng.class_ranks(tw.UNG)[10]] = CODE[tw.ENG]
     with pytest.raises(ValueError):
-        eng.orbit_partition_keys(keys[:10])
+        eng.orbit_partition_keys(tw.UNG)
 
 
 def test_bulk_stabilizer_matches_scalar(field, engine):
@@ -105,13 +106,6 @@ def test_sorted_unique_matches_np_unique():
         assert sorted_unique(vals).tolist() == np.unique(vals).tolist()
 
 
-def test_isin_sorted():
-    table = np.array([3, 5, 9], dtype=np.int64)
-    vals = np.array([1, 3, 4, 5, 9, 10], dtype=np.int64)
-    assert isin_sorted(vals, table).tolist() == [False, True, False, True, True, False]
-    assert isin_sorted(vals, np.empty(0, np.int64)).tolist() == [False] * 6
-
-
 def test_class_counts_match_closed_forms_larger_q(engine):
     for q in (11, 13, 16):
         eng = engine(q)
@@ -122,6 +116,7 @@ def test_class_counts_match_closed_forms_larger_q(engine):
 def test_tiny_chunks_split_enumeration_consistently(field, model, engine):
     eng = Engine(field(5), model(5), chunk=100)
     assert eng.class_counts() == engine(5).class_counts()
+    assert eng.class_codes().tolist() == engine(5).class_codes().tolist()
     for cls, keys in eng.class_keys().items():
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
 
@@ -149,7 +144,7 @@ def test_array_forms_match_scalar_forms(field, engine, q):
         assert got == [pg3.lines_meet(f, ln, r) for ln in lines]
         assert 0 < sum(got) < len(lines)
 
-    pencils = eng._pencil_keys(P).reshape(q + 1, len(lines)).T
+    pencils = eng.pack(eng._line_points(eng._rank(P))).reshape(q + 1, len(lines)).T
     for ln, keys in zip(lines, pencils):
         want = [eng.pack_tuple(pt) for pt in pg3.line_points(f, ln)]
         assert sorted(keys.tolist()) == want
@@ -207,3 +202,66 @@ def test_orbit_sweeps_at_large_q(field, model, engine, q):
         assert len(orbit) * stab == q**3 - q, (q, cls)
         assert (len(orbit), stab) in allowed[cls], (q, cls)
         assert eng.pack_tuple(line.plucker) in orbit.tolist(), (q, cls)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25))
+def test_rank_is_the_enumeration_index(engine, q):
+    """The rank of every line is its index in _line_pair_chunks(4), whose
+    Pluecker vectors come out normalized; unranking inverts it."""
+    eng = engine(q)
+    lo = 0
+    for U, V in eng._line_pair_chunks(4):
+        P = eng._plucker(U, V)
+        assert eng._normalize_rows(P).tolist() == P.tolist()
+        ranks = eng._rank(P)
+        assert ranks.tolist() == list(range(lo, lo + len(P)))
+        assert eng._unrank(ranks).tolist() == P.tolist()
+        lo += len(P)
+    assert lo == pg3.line_count(q)
+
+
+def test_rank_on_seeded_chunks_at_q64(engine):
+    eng = engine(64)
+    rng = np.random.default_rng(64)
+    for c0, c1, slots, offset, size in _pair_blocks(4, 64):
+        start = int(rng.integers(0, size))
+        idx = np.arange(start, min(start + 5000, size), dtype=np.int64)
+        P = eng._plucker(*eng._pair_rows(4, c0, c1, slots, idx))
+        assert eng._rank(P).tolist() == (offset + idx).tolist()
+        assert eng._rank(P[::-1]).tolist() == (offset + idx[::-1]).tolist()
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_point_rank_is_the_proj_points_index(engine, q):
+    eng = engine(q)
+    points = eng._proj_points(4)
+    assert eng._point_rank(points).tolist() == list(range(pg3.point_count(q)))
+    assert eng._point_rank(points[::-1]).tolist() == list(range(pg3.point_count(q)))[::-1]
+
+
+def test_rank_of_all_lines_is_a_permutation(field, engine):
+    eng = engine(5)
+    P = np.array([ln.plucker for ln in pg3.all_lines(field(5))], np.int16)
+    assert sorted(eng._rank(P).tolist()) == list(range(pg3.line_count(5)))
+
+
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25, 64)), st.data())
+def test_rank_round_trip(engine, q, data):
+    eng = engine(q)
+    ranks = np.array(data.draw(st.lists(
+        st.integers(0, pg3.line_count(q) - 1), min_size=1, max_size=20)), np.int64)
+    P = eng._unrank(ranks)
+    assert eng._normalize_rows(P).tolist() == P.tolist()
+    assert eng._klein(P).tolist() == [0] * len(P)
+    assert eng._rank(P).tolist() == ranks.tolist()
+    line = eng.line_from_rank(int(ranks[0]))
+    assert list(line.plucker) == P[0].tolist()
+
+
+def test_verify_builds_no_class_key_sets(monkeypatch):
+    """The census addresses lines by rank; class_keys is a derived view only."""
+    def refuse(self):
+        raise AssertionError("verify called Engine.class_keys")
+    monkeypatch.setattr(Engine, "class_keys", refuse)
+    assert census.verify(5)["pass"]
+    assert census.verify(9)["pass"]

@@ -6,15 +6,25 @@ import pytest
 
 import scalar_checks
 from twistedcubic import census, twisted as tw
+from twistedcubic.bulk import CODE
 
 DIFF_Q = (4, 5, 7, 8)
 
 
 def _corrupt(run, cls, mode):
-    """Drop or duplicate the smallest key of one class in the run's key sets."""
-    keys = run.engine.class_keys()
-    k = keys[cls]
-    keys[cls] = k[1:] if mode == "drop" else np.sort(np.append(k, k[0]))
+    """Drop or duplicate the first line of one class.
+
+    drop: reassign the line's class code to EnG, which no check reads;
+    dup: every caller of the engine's class_ranks (the census checks, so
+    covers_once, and the scalar oracles through class_keys) gets the line
+    twice."""
+    eng = run.engine
+    first = eng.class_ranks(cls)[:1]
+    if mode == "drop":
+        eng.class_codes()[first] = CODE[tw.ENG]
+    else:
+        ranks = eng.class_ranks
+        eng.class_ranks = lambda c: np.append(ranks(c), first) if c == cls else ranks(c)
     return run
 
 
@@ -83,14 +93,12 @@ def test_stabilizer_check_fails_on_a_wrong_count():
     assert not census.check_stabilizers_brute(run)["pass"]
 
 
-# not T: every tangent is self-polar, so dropping one leaves a bijection
+# the dropped line moves to EnG, whose polar partner is EnG again
 @pytest.mark.parametrize("cls", (tw.RA, tw.IC, tw.EG))
 def test_polarity_class_exchange_fails_on_a_dropped_key(cls):
     run = census.CensusRun(5)
     run.all_orbit_records()
-    part = run.partition(cls)
-    run.engine.class_keys()[cls] = run.engine.class_keys()[cls][1:]
-    run._partitions[cls] = part._replace(labels=part.labels[1:])
+    _corrupt(run, cls, "drop")
     assert not census.check_polarity_class_exchange(run)["pass"]
     assert not census.check_polarity_orbit_images(run)["pass"]
 
@@ -99,7 +107,9 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
     run = census.CensusRun(5)
     part = run.partition(tw.ENG)
     assert len(part.records) > 1
-    part.labels[0] = (part.labels[0] + 1) % len(part.records)
+    first = run.engine.class_ranks(tw.ENG)[0]
+    labels = run.engine.orbit_labels
+    labels[first] = (labels[first] + 1) % len(part.records)
     assert census.check_polarity_class_exchange(run)["pass"]
     assert not census.check_polarity_orbit_images(run)["pass"]
 
@@ -108,11 +118,13 @@ def test_partition_labels_index_the_records(run):
     r = run(7)
     eng = r.engine
     for cls in tw.valid_line_classes(r.field):
-        keys = eng.class_keys()[cls]
+        ranks = eng.class_ranks(cls)
         part = r.partition(cls)
-        assert part.labels.dtype == np.int16
+        assert eng.orbit_labels.dtype == np.int16
+        labels = eng.orbit_labels[ranks]
+        assert labels.min() == 0 and labels.max() == len(part.records) - 1
         for label, (size, _stab, rep) in enumerate(part.records):
-            members = keys[part.labels == label]
+            members = np.sort(eng.pack(eng._unrank(ranks[labels == label])))
             assert members.tolist() == eng.orbit_sweep(eng.line_from_key(rep)).tolist()
             assert len(members) == size and members[0] == rep
 
