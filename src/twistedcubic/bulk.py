@@ -3,9 +3,10 @@
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
 (`_line_pair_chunks(4)`), read off its normalized Pluecker vector by `_rank`;
 a point's or plane's rank is its index in `_proj_points(4)`.  Whole-universe
-state (class codes, orbit labels) is one entry per rank, so locating a line
-is an index, not a search.  Packed base-q int64 keys of Pluecker vectors
-remain only as the orbit representatives of the report.
+state (class codes, orbit labels) is one entry per rank, and the lines of a
+class are the ascending array of their ranks, so locating a line is an
+index, not a search.  Packed base-q int64 keys of Pluecker vectors remain
+only as the orbit representatives of the report.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -107,9 +108,6 @@ def _pair_blocks(ncols, q):
 # bits of the per-rank model flags built by Engine._model_flags
 MEETS, GAMMA, AXIS = 1, 2, 4
 
-# window of the scan for the next unlabelled line of a class
-SCAN = 1 << 16
-
 
 class OrbitPartition(NamedTuple):
     """Orbits of one line class: (size, stabilizer_order, representative_key)
@@ -142,7 +140,7 @@ class Engine:
             self._point_rank(np.array(sorted(pts), np.int16))
             for pts in (self.model.cubic_point_set, self.model.gamma_plane_set))
         self.axis_plucker = self.model.axis.plucker if field.xi == 0 else None
-        self._codes = self._counts = self._klein_violations = None
+        self._keys = self._codes = self._klein_violations = None
         self.orbit_labels = None  # per rank: index into its class's records
         self._group = None
 
@@ -374,8 +372,10 @@ class Engine:
         klein_bad = int(np.count_nonzero(self._klein(P)))
 
         cc = self._chord_code(P)
-        chords = (twisted.ENG, twisted.T, twisted.RC, twisted.IC)  # by chord code
-        cls = np.array([CODE[c] for c in chords], np.int8).take(cc)
+        cls = np.full(len(P), CODE[twisted.ENG], np.int8)
+        cls[cc == 2] = CODE[twisted.RC]
+        cls[cc == 1] = CODE[twisted.T]
+        cls[cc == 3] = CODE[twisted.IC]
 
         rest = cc == 0
         meets = flags & MEETS != 0
@@ -400,41 +400,32 @@ class Engine:
             cls[hits_axis] = CODE[twisted.EA]
         return cls, klein_bad
 
-    def class_codes(self) -> np.ndarray:
-        """The class code (index into CLASS_ORDER) of every line, by rank,
-        from one chunked pass over the whole universe."""
-        if self._codes is None:
+    def class_keys(self) -> dict[str, np.ndarray]:
+        """The ascending ranks of the lines of each populated class (a line's
+        key is its rank; int32, as line_count(q) < 2^31 for q <= 64), from one
+        chunked pass over the whole universe that also fills the class codes."""
+        if self._keys is None:
             codes = np.empty(pg3.line_count(self.q), np.int8)
-            counts = np.zeros(len(CLASS_ORDER), np.int64)
             flags = self._model_flags()
             klein_bad = 0
             for ranks, P in self._universe():
                 codes[ranks], bad = self._classify_chunk(P, flags[ranks])
-                counts += np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
                 klein_bad += bad
             if ranks.stop != len(codes):
                 raise RuntimeError(f"enumerated {ranks.stop} lines, expected {len(codes)}")
-            self._codes, self._counts, self._klein_violations = codes, counts, klein_bad
+            self._keys = {cls: np.flatnonzero(codes == CODE[cls]).astype(np.int32)
+                          for cls in twisted.valid_line_classes(self.field)}
+            self._codes, self._klein_violations = codes, klein_bad
+        return self._keys
+
+    def class_codes(self) -> np.ndarray:
+        """The class code (index into CLASS_ORDER) of every line, by rank."""
+        self.class_keys()
         return self._codes
 
     def klein_violations(self) -> int:
-        self.class_codes()
+        self.class_keys()
         return self._klein_violations
-
-    def class_counts(self) -> dict[str, int]:
-        self.class_codes()
-        return {name: int(self._counts[CODE[name]])
-                for name in twisted.valid_line_classes(self.field)}
-
-    def class_ranks(self, cls) -> np.ndarray:
-        """Ascending ranks of the lines of one class."""
-        return np.flatnonzero(self.class_codes() == CODE[cls])
-
-    def class_keys(self) -> dict[str, np.ndarray]:
-        """Sorted packed keys per populated class, derived from the class
-        codes (a view for tests and benchmarks; the census uses ranks)."""
-        return {cls: np.sort(self.pack(self._unrank(self.class_ranks(cls))))
-                for cls in twisted.valid_line_classes(self.field)}
 
     def polar_keys(self, keys) -> np.ndarray:
         """Sorted keys of the polar images of the given lines (xi != 0)."""
@@ -465,13 +456,21 @@ class Engine:
 
     def _group_arrays(self):
         if self._group is None:
-            # normalized (a, b, c, d) with ad - bc != 0: (0, 1, c != 0, d), then (1, b, c, d)
-            elems = np.arange(self.q, dtype=np.int16)
-            b, c, d = (x.ravel() for x in np.meshgrid(elems, elems, elems, indexing="ij"))
-            a = np.ones_like(b)
-            abcd = np.concatenate([
-                np.stack([a - 1, b, c, d], 1)[(b == 1) & (c != 0)],
-                np.stack([a, b, c, d], 1)[self._sub(d, self._mul(b, c)) != 0]])
+            q = self.q
+            cs, ds = np.meshgrid(np.arange(q, dtype=np.int16),
+                                 np.arange(q, dtype=np.int16), indexing="ij")
+            c0 = cs.ravel()
+            d0 = ds.ravel()
+            keep = c0 != 0
+            blk0 = np.stack([np.zeros(keep.sum(), np.int16),
+                             np.ones(keep.sum(), np.int16), c0[keep], d0[keep]], 1)
+            b1, c1, d1 = [x.ravel() for x in np.meshgrid(
+                np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
+                np.arange(q, dtype=np.int16), indexing="ij")]
+            keep1 = self._sub(d1, self._mul(b1, c1)) != 0
+            blk1 = np.stack([np.ones(keep1.sum(), np.int16), b1[keep1],
+                             c1[keep1], d1[keep1]], 1)
+            abcd = np.concatenate([blk0, blk1], 0)
             if len(abcd) != self.group_order:
                 raise RuntimeError("group enumeration size mismatch")
 
@@ -511,19 +510,23 @@ class Engine:
         each line's orbit record into orbit_labels at its rank.  An orbit's
         size counts the distinct ranks of its sweep, its representative is
         its minimal key; an image outside the class raises ValueError."""
-        codes = self.class_codes()
+        codes, members = self.class_codes(), self.class_keys()[cls]
         code = CODE[cls]
         if self.orbit_labels is None:
             self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
         labels = self.orbit_labels
-        np.putmask(labels, codes == code, -1)  # forget an earlier partition of cls
+        windows = [members[i:i + self.chunk] for i in range(0, len(members), self.chunk)]
+        for window in windows:
+            labels[window] = -1  # forget an earlier partition of cls
         records = []
         fixers = []
-        for start in range(0, len(codes), SCAN):
-            window = slice(start, start + SCAN)
-            # seed a sweep at each line of the window that is still unlabelled
-            while (free := (codes[window] == code) & (labels[window] < 0)).any():
-                seed = start + int(free.argmax())
+        for window in windows:
+            # seed a sweep at each line of the window that is still unlabelled;
+            # the lines before a seed are labelled, so the scan resumes after it
+            while (free := labels.take(window) < 0).any():
+                at = int(free.argmax())
+                seed = int(window[at])
+                window = window[at + 1:]
                 P = self._images(self.line_from_rank(seed))
                 ranks = self._rank(P)
                 orbit = sorted_unique(ranks)
@@ -538,10 +541,8 @@ class Engine:
         order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
         relabel = np.empty(len(records), dtype=np.int16)
         relabel[order] = np.arange(len(records))
-        for start in range(0, len(codes), self.chunk):
-            part = labels[start:start + self.chunk]
-            mine = codes[start:start + self.chunk] == code
-            part[mine] = relabel.take(part[mine])
+        for window in windows:
+            labels[window] = relabel.take(labels[window])
         return OrbitPartition([records[i] for i in order], [fixers[i] for i in order])
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:

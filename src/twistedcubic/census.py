@@ -136,7 +136,7 @@ class CensusRun:
         self._polarity: tuple[bool, bool] | None = None
 
     def class_counts(self) -> dict[str, int]:
-        return self.engine.class_counts()
+        return {cls: len(ranks) for cls, ranks in self.engine.class_keys().items()}
 
     def plane_counts(self) -> dict[str, int]:
         return self.engine.plane_class_counts()
@@ -270,7 +270,7 @@ def check_chord_uniqueness(run):
     """Every point off the cubic lies on exactly one chord (real, tangent or
     imaginary); exhaustive."""
     eng = run.engine
-    chords = np.concatenate([eng.class_ranks(c) for c in (twisted.RC, twisted.T, twisted.IC)])
+    chords = np.concatenate([eng.class_keys()[c] for c in (twisted.RC, twisted.T, twisted.IC)])
     return _check("chord_uniqueness", True,
                   eng.covers_once(chords, eng.cubic_point_ranks))
 
@@ -279,7 +279,7 @@ def check_axis_uniqueness(run):
     """Every plane off the osculating family carries exactly one axis
     (real, imaginary, or tangent); exhaustive."""
     eng = run.engine
-    axes = np.concatenate([eng.class_ranks(c) for c in (twisted.RA, twisted.IA, twisted.T)])
+    axes = np.concatenate([eng.class_keys()[c] for c in (twisted.RA, twisted.IA, twisted.T)])
     return _check("axis_uniqueness", True,
                   eng.covers_once(axes, eng.gamma_plane_ranks, dual=True))
 

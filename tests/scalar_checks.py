@@ -15,7 +15,7 @@ def chord_uniqueness(run):
     model = run.model
     eng = run.engine
     chords = list(model.real_chord_set) + list(model.tangent_set)
-    chords += [eng.line_from_key(k) for k in eng.class_keys()[twisted.IC]]
+    chords += [eng.line_from_rank(r) for r in eng.class_keys()[twisted.IC].tolist()]
     counts = {}
     for ln in chords:
         for pt in pg3.line_points(f, ln):
@@ -29,8 +29,8 @@ def axis_uniqueness(run):
     f = run.field
     eng = run.engine
     keys = eng.class_keys()
-    axis_keys = np.sort(np.concatenate(
-        [keys[twisted.RA], keys[twisted.IA], keys[twisted.T]]))
+    axis_keys = eng.pack(eng._unrank(np.concatenate(
+        [keys[twisted.RA], keys[twisted.IA], keys[twisted.T]])))
     ok = True
     for plane in pg3.all_planes(f):
         if plane in run.model.gamma_plane_set:

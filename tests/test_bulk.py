@@ -11,6 +11,10 @@ from twistedcubic.bulk import CODE, Engine, _pair_blocks, field_ops, sorted_uniq
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
 
+def class_counts(eng):
+    return {cls: len(ranks) for cls, ranks in eng.class_keys().items()}
+
+
 @pytest.mark.parametrize("q", AGREE_Q)
 def test_bulk_classification_matches_scalar(field, model, engine, q):
     f = field(q)
@@ -22,15 +26,16 @@ def test_bulk_classification_matches_scalar(field, model, engine, q):
             eng.pack_tuple(line.plucker))
     bulk = eng.class_keys()
     assert set(bulk) == set(tw.valid_line_classes(f))
-    for cls in bulk:
-        assert sorted(scalar.get(cls, [])) == bulk[cls].tolist(), (q, cls)
+    for cls, ranks in bulk.items():
+        keys = np.sort(eng.pack(eng._unrank(ranks)))
+        assert sorted(scalar.get(cls, [])) == keys.tolist(), (q, cls)
     assert eng.klein_violations() == 0
 
 
 def test_key_pack_round_trip(engine):
     eng = engine(9)
-    for keys in eng.class_keys().values():
-        for k in keys[:: max(1, len(keys) // 7)]:
+    for ranks in eng.class_keys().values():
+        for k in eng.pack(eng._unrank(ranks[:: max(1, len(ranks) // 7)])):
             line = eng.line_from_key(k)
             assert eng.pack_tuple(line.plucker) == int(k)
 
@@ -71,7 +76,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
 
 def test_orbit_partition_rejects_unclosed_keys(field, model):
     eng = Engine(field(5), model(5))
-    eng.class_codes()[eng.class_ranks(tw.UNG)[10]] = CODE[tw.ENG]
+    eng.class_codes()[eng.class_keys()[tw.UNG][10]] = CODE[tw.ENG]
     with pytest.raises(ValueError):
         eng.orbit_partition_keys(tw.UNG)
 
@@ -109,13 +114,13 @@ def test_sorted_unique_matches_np_unique():
 def test_class_counts_match_closed_forms_larger_q(engine):
     for q in (11, 13, 16):
         eng = engine(q)
-        assert eng.class_counts() == tw.expected_class_sizes(eng.field)
+        assert class_counts(eng) == tw.expected_class_sizes(eng.field)
         assert eng.klein_violations() == 0
 
 
 def test_tiny_chunks_split_enumeration_consistently(field, model, engine):
     eng = Engine(field(5), model(5), chunk=100)
-    assert eng.class_counts() == engine(5).class_counts()
+    assert class_counts(eng) == class_counts(engine(5))
     assert eng.class_codes().tolist() == engine(5).class_codes().tolist()
     for cls, keys in eng.class_keys().items():
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
@@ -258,10 +263,12 @@ def test_rank_round_trip(engine, q, data):
     assert list(line.plucker) == P[0].tolist()
 
 
-def test_verify_builds_no_class_key_sets(monkeypatch):
-    """The census addresses lines by rank; class_keys is a derived view only."""
-    def refuse(self):
-        raise AssertionError("verify called Engine.class_keys")
-    monkeypatch.setattr(Engine, "class_keys", refuse)
-    assert census.verify(5)["pass"]
-    assert census.verify(9)["pass"]
+@pytest.mark.parametrize("q", (5, 9))
+def test_class_keys_partition_the_ranks_by_code(engine, q):
+    eng = engine(q)
+    keys = eng.class_keys()
+    assert np.sort(np.concatenate(list(keys.values()))).tolist() == \
+        list(range(pg3.line_count(q)))
+    for cls, ranks in keys.items():
+        assert ranks.dtype == np.int32 and (np.diff(ranks) > 0).all()
+        assert (eng.class_codes()[ranks] == CODE[cls]).all(), cls

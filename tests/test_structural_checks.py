@@ -14,17 +14,18 @@ DIFF_Q = (4, 5, 7, 8)
 def _corrupt(run, cls, mode):
     """Drop or duplicate the first line of one class.
 
-    drop: reassign the line's class code to EnG, which no check reads;
-    dup: every caller of the engine's class_ranks (the census checks, so
-    covers_once, and the scalar oracles through class_keys) gets the line
-    twice."""
+    drop: remove the line from the class's ranks and reassign its class code
+    to EnG, which no check reads; dup: list the line twice in the class's
+    ranks, so every reader of class_keys (the census checks, so covers_once,
+    and the scalar oracles) gets it twice."""
     eng = run.engine
-    first = eng.class_ranks(cls)[:1]
+    keys = eng.class_keys()
+    first = keys[cls][:1]
     if mode == "drop":
+        keys[cls] = keys[cls][1:]
         eng.class_codes()[first] = CODE[tw.ENG]
     else:
-        ranks = eng.class_ranks
-        eng.class_ranks = lambda c: np.append(ranks(c), first) if c == cls else ranks(c)
+        keys[cls] = np.append(keys[cls], first)
     return run
 
 
@@ -107,7 +108,7 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
     run = census.CensusRun(5)
     part = run.partition(tw.ENG)
     assert len(part.records) > 1
-    first = run.engine.class_ranks(tw.ENG)[0]
+    first = run.engine.class_keys()[tw.ENG][0]
     labels = run.engine.orbit_labels
     labels[first] = (labels[first] + 1) % len(part.records)
     assert census.check_polarity_class_exchange(run)["pass"]
@@ -118,7 +119,7 @@ def test_partition_labels_index_the_records(run):
     r = run(7)
     eng = r.engine
     for cls in tw.valid_line_classes(r.field):
-        ranks = eng.class_ranks(cls)
+        ranks = eng.class_keys()[cls]
         part = r.partition(cls)
         assert eng.orbit_labels.dtype == np.int16
         labels = eng.orbit_labels[ranks]
