@@ -1,7 +1,7 @@
 """Vectorized line engine over rank-indexed lines.
 
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
-(`_line_pair_chunks(4)`), read off its normalized Pluecker vector by `_rank`;
+(`_pair_blocks(4, q)`), read off its normalized Pluecker vector by `_rank`;
 a point's or plane's rank is its index in `_proj_points(4)`.  Whole-universe
 state (class codes, orbit labels) is one entry per rank, and the lines of a
 class are the ascending array of their ranks, so locating a line is an
@@ -20,10 +20,31 @@ Pluecker matrix) and twisted (chord pattern) with these ops on coordinate
 arrays, the same functions the scalar modules call with Field methods.  The
 independent oracles stay separate: the monomial null polarity (`_polar`) and
 the root count of the chord quadratic (`_root_count`).
+
+Independent work runs on min(2, cores) threads: the calling thread and the
+helpers of one shared pool, started on first use (numpy releases the GIL in
+`take`, the ufuncs and the sorts).  They share out the chunks of the line
+enumeration (`_line_tasks`) in the class pass and the polarity pass, and
+contiguous slices of the group (`_over_group`) in the stabilizer filter and
+each orbit sweep.  The contract:
+
+- a task writes only the disjoint rank slice of its own chunk (the
+  polarity pass also stores True into its hit mask, which no task reads);
+- results are merged in task order, so no output depends on scheduling;
+- a task calls only private Engine helpers and the shared pg3 and twisted
+  forms, never a public method or entry point: the traced benchmark
+  (perfbench/spans.py) wraps those with a span recorder that is not
+  thread-safe; the group arrays are built before any task is handed out,
+  and no task hands out tasks of its own (a helper would wait forever for
+  itself);
+- small work runs inline on the calling thread: a single task, a universe
+  that fits in one chunk, a group of fewer than SPLIT_SWEEP elements.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import cache
 from typing import NamedTuple
 
@@ -105,6 +126,57 @@ def _pair_blocks(ncols, q):
     return tuple(blocks)  # cached: shared by every caller
 
 
+# threads that work at once, the calling thread included: numpy releases the
+# GIL in take, the ufuncs and the sorts, so each keeps one core busy
+WORKERS = min(2, len(os.sched_getaffinity(0)))
+
+# a group sweep is split over the workers only from this many elements on
+# (q >= 41): below it the thread handoffs cost more than the split saves
+SPLIT_SWEEP = 60_000
+
+
+@cache
+def _pool():
+    """The helper threads of the process, started on first use.  Their
+    module is imported here too: it takes about 7 ms, a few percent of a
+    census small enough to run all inline."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="twistedcubic")
+
+
+def _in_order(fn, tasks):
+    """[fn(task) for task in tasks], in task order.  The calling thread and
+    the pool's helpers each take the next task until none is left, so a
+    helper whose core is busy leaves its share to the calling thread."""
+    results = [None] * len(tasks)
+    todo = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(tasks[i])
+            except BaseException:
+                with lock:
+                    for _ in todo:  # start no further task
+                        pass
+                raise
+
+    helpers = ([_pool().submit(drain) for _ in range(WORKERS - 1)]
+               if len(tasks) > 1 else [])
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():  # one that never started took no task
+                helper.result()
+    return results
+
+
 # bits of the per-rank model flags built by Engine._model_flags
 MEETS, GAMMA, AXIS = 1, 2, 4
 
@@ -119,9 +191,14 @@ class OrbitPartition(NamedTuple):
 
 class Engine:
     """Bulk classification and orbit machinery for one (field, cubic) pair.
-    Arrays with one entry per line are built on first use, never for queries."""
+    Arrays with one entry per line are built on first use, never for queries.
 
-    def __init__(self, field, model=None, chunk=1 << 20):
+    Chunks of `chunk` lines, and large group sweeps, are shared out over
+    threads under the module's contract: disjoint rank slices per task,
+    results merged in task order, only private helpers in tasks, small work
+    inline.  The results depend only on the field and the cubic."""
+
+    def __init__(self, field, model=None, chunk=1 << 19):
         self.field = field
         self.model = model if model is not None else twisted.build_cubic(field)
         self.chunk = chunk
@@ -146,12 +223,14 @@ class Engine:
 
     # -- packing and ranks ---------------------------------------------------
 
-    def pack(self, P):
+    def _pack(self, P):
         """Packed base-q int64 keys of the rows of P."""
         out = P[:, 0].astype(np.int64)
         for j in range(1, P.shape[1]):
             out = out * self.q + P[:, j]
         return out
+
+    pack = _pack  # the public name; tasks on other threads call _pack
 
     def pack_tuple(self, tup):
         return int(self.pack(np.array([tup], np.int64))[0])
@@ -168,12 +247,13 @@ class Engine:
         return _columns(list(self._digits(keys, 6))[::-1])
 
     def _rank(self, P):
-        """Index of each normalized Pluecker row in the _line_pair_chunks(4)
-        enumeration: the offset of its pivot pattern (c0, c1), the position
-        of its first nonzero coordinate, plus its free RREF entries read base
-        q.  Those are l_{j c1} (c0 < j < c1) and -l_{c1 j} (j > c1) in row 0,
-        and l_{c0 j} (j > c1) in row 1.  Every row is first ranked as if its
-        pivot were (0, 1), as all but about 1/q of them are, then the rest."""
+        """Index of each normalized Pluecker row in the enumeration of the
+        rank-2 RREF 2 x 4 matrices (_pair_blocks(4, q)): the offset of its
+        pivot pattern (c0, c1), the position of its first nonzero coordinate,
+        plus its free RREF entries read base q.  Those are l_{j c1}
+        (c0 < j < c1) and -l_{c1 j} (j > c1) in row 0, and l_{c0 j} (j > c1)
+        in row 1.  Every row is first ranked as if its pivot were (0, 1), as
+        all but about 1/q of them are, then the rest."""
         out = np.empty(len(P), np.int64)
         rows, sub = slice(None), P
         for c0, c1, slots, offset, _size in _pair_blocks(4, self.q):
@@ -323,22 +403,36 @@ class Engine:
             (U if row == 0 else V)[:, j] = col
         return U, V
 
-    def _line_pair_chunks(self, ncols):
-        """Spanning row pairs of every rank-2 RREF 2 x ncols matrix, chunked;
-        for ncols = 4 the chunks run through the line ranks in order."""
-        for c0, c1, slots, _offset, total in _pair_blocks(ncols, self.q):
-            for start in range(0, total, self.chunk):
-                # int32 digits take half the time of int64 ones; total <= q^4
-                idx = np.arange(start, min(start + self.chunk, total), dtype=np.int32)
-                yield self._pair_rows(ncols, c0, c1, slots, idx)
+    def _line_tasks(self):
+        """Chunk descriptors (ranks, c0, c1, slots, start, stop) covering the
+        line ranks in order: the lines of the rank slice `ranks` are the RREF
+        matrices with pivots c0, c1 whose free entries, read base q, run
+        from start to stop."""
+        tasks = []
+        for c0, c1, slots, offset, size in _pair_blocks(4, self.q):
+            for start in range(0, size, self.chunk):
+                stop = min(start + self.chunk, size)
+                tasks.append((slice(offset + start, offset + stop), c0, c1, slots, start, stop))
+        if tasks[-1][0].stop != pg3.line_count(self.q):
+            raise RuntimeError(f"enumerated {tasks[-1][0].stop} lines, "
+                               f"expected {pg3.line_count(self.q)}")
+        return tasks
 
-    def _universe(self):
-        """(ranks, P) per chunk of all lines: a slice of consecutive ranks and
-        the Pluecker rows of those lines, normalized since l_{c0 c1} = 1."""
-        lo = 0
-        for U, V in self._line_pair_chunks(4):
-            yield slice(lo, lo + len(U)), self._plucker(U, V)
-            lo += len(U)
+    def _task_plucker(self, task):
+        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1."""
+        _ranks, c0, c1, slots, start, stop = task
+        # int32 digits take half the time of int64 ones; stop <= q^4
+        idx = np.arange(start, stop, dtype=np.int32)
+        return self._plucker(*self._pair_rows(4, c0, c1, slots, idx))
+
+    def _over_lines(self, fn):
+        """fn(ranks, P) per chunk of all lines, in rank order, with P the
+        normalized Pluecker rows of the rank slice `ranks`.  The chunks are
+        shared out over the threads only when the lines fill more than one."""
+        def task(t):
+            return fn(t[0], self._task_plucker(t))
+        run = map if pg3.line_count(self.q) <= self.chunk else _in_order
+        return run(task, self._line_tasks())
 
     def _model_flags(self):
         """Per line rank: MEETS if the line meets the cubic, GAMMA if it lies
@@ -353,7 +447,9 @@ class Engine:
             flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= MEETS
 
         # all lines in each osculating plane
-        r0, r1 = (np.concatenate(rows).T for rows in zip(*self._line_pair_chunks(3)))
+        r0, r1 = (np.concatenate(rows).T for rows in zip(*(
+            self._pair_rows(3, c0, c1, slots, np.arange(size))
+            for c0, c1, slots, _offset, size in _pair_blocks(3, self.q))))
         for plane in sorted(self.model.gamma_plane_set):
             basis = list(zip(*pg3.plane_basis(self.field, plane)))  # its 4 columns
             U = _columns([self._lincomb(col, r0) for col in basis])
@@ -407,15 +503,24 @@ class Engine:
         if self._keys is None:
             codes = np.empty(pg3.line_count(self.q), np.int8)
             flags = self._model_flags()
-            klein_bad = 0
-            for ranks, P in self._universe():
+
+            def classify(ranks, P):
                 codes[ranks], bad = self._classify_chunk(P, flags[ranks])
-                klein_bad += bad
-            if ranks.stop != len(codes):
-                raise RuntimeError(f"enumerated {ranks.stop} lines, expected {len(codes)}")
-            self._keys = {cls: np.flatnonzero(codes == CODE[cls]).astype(np.int32)
-                          for cls in twisted.valid_line_classes(self.field)}
-            self._codes, self._klein_violations = codes, klein_bad
+                return bad, np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
+            bad, sizes = zip(*self._over_lines(classify))
+            sizes = sum(sizes)
+            keys = {cls: np.empty(sizes[CODE[cls]], np.int32)
+                    for cls in twisted.valid_line_classes(self.field)}
+            # window by window: an int64 index of every rank at once would set
+            # the peak memory of the whole census
+            filled = dict.fromkeys(keys, 0)
+            for lo in range(0, len(codes), self.chunk):
+                window = codes[lo:lo + self.chunk]
+                for cls, out in keys.items():
+                    found = np.flatnonzero(window == CODE[cls])
+                    out[filled[cls]:filled[cls] + len(found)] = found + lo
+                    filled[cls] += len(found)
+            self._keys, self._codes, self._klein_violations = keys, codes, sum(bad)
         return self._keys
 
     def class_codes(self) -> np.ndarray:
@@ -441,15 +546,19 @@ class Engine:
         with image in orbit j."""
         codes, labels = self.class_codes(), self.orbit_labels
         hit = np.zeros(len(codes), dtype=bool)
-        counts = np.zeros(m * m, np.int64)
-        exchange = True
-        for ranks, P in self._universe():
+
+        def polarize(ranks, P):
             img = self._rank(self._normalize_rows(self._polar(P)))
             src, dst = codes[ranks], codes[img]
-            exchange &= bool((polar_code[src] == dst).all())
-            hit[img] = True
+            hit[img] = True  # chunks only ever store True, so none is lost
             orbit = orbit_id[src] + labels[ranks]
-            counts += np.bincount(orbit * m + orbit_id[dst] + labels[img], minlength=m * m)
+            return (bool((polar_code[src] == dst).all()),
+                    np.bincount(orbit * m + orbit_id[dst] + labels[img], minlength=m * m))
+        counts = np.zeros(m * m, np.int64)
+        exchange = True
+        for same, pairs in self._over_lines(polarize):
+            exchange &= same
+            counts += pairs
         return exchange and bool(hit.all()), counts.reshape(m, m)
 
     # -- group sweeps ------------------------------------------------------------
@@ -485,21 +594,32 @@ class Engine:
 
     def _act_all(self, pt, sel=None):
         """Image of one point under every group element, or under the
-        elements with indices sel, as an (N,4) array."""
+        elements sel (an index array or a slice), as an (N,4) array."""
         mats = self._group_arrays()[1]
         if sel is not None:
             mats = mats[sel]
         return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
 
-    def _images(self, line):
-        """Normalized Pluecker rows of the line's image under every group
-        element, in group order."""
+    def _over_group(self, fn):
+        """fn(sel) per contiguous slice sel of the group elements, as a list
+        in group order.  A group of SPLIT_SWEEP elements or more is cut into
+        two slices per thread, so that a thread whose core is busy leaves
+        part of its share to the other."""
+        n = len(self._group_arrays()[0])  # built here, never in a task
+        parts = 2 * WORKERS if WORKERS > 1 and n >= SPLIT_SWEEP else 1
+        cuts = [n * i // parts for i in range(parts + 1)]
+        return _in_order(fn, [slice(*c) for c in zip(cuts, cuts[1:])])
+
+    def _images(self, line, fn):
+        """fn(P) per slice of _over_group, with P the normalized Pluecker rows
+        of the line's images under the slice's elements."""
         u, v = line.pair
-        return self._normalize_rows(self._plucker(self._act_all(u), self._act_all(v)))
+        return self._over_group(lambda sel: fn(self._normalize_rows(self._plucker(
+            self._act_all(u, sel), self._act_all(v, sel)))))
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line."""
-        return sorted_unique(self.pack(self._images(line)))
+        return sorted_unique(self.pack(np.concatenate(self._images(line, _identity))))
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]
@@ -527,8 +647,9 @@ class Engine:
                 at = int(free.argmax())
                 seed = int(window[at])
                 window = window[at + 1:]
-                P = self._images(self.line_from_rank(seed))
-                ranks = self._rank(P)
+                parts = self._images(self.line_from_rank(seed),
+                                     lambda P: (self._rank(P), int(self._pack(P).min())))
+                ranks = np.concatenate([r for r, _key in parts])
                 orbit = sorted_unique(ranks)
                 if (codes[orbit] != code).any():
                     raise ValueError(f"the {cls} lines are not closed under the group action")
@@ -536,7 +657,7 @@ class Engine:
                 size = len(orbit)
                 if self.group_order % size:
                     raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
-                records.append((size, self.group_order // size, int(self.pack(P).min())))
+                records.append((size, self.group_order // size, min(k for _r, k in parts)))
                 fixers.append(int(np.count_nonzero(ranks == seed)))
         order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
         relabel = np.empty(len(records), dtype=np.int16)
@@ -551,12 +672,15 @@ class Engine:
         Only the elements that keep the first point on the line act on the
         second point: about 1/q^2 of the group."""
         abcd, _ = self._group_arrays()
-        sel = None
-        for pt in line.pair:
+        u, v = line.pair
+
+        def keeps_on_line(pt, sel):
             forms = pg3.incidence_forms(self._act_all(pt, sel).T, line.plucker,
                                         self._mul, self._sub, self._add)
-            on_line = np.logical_and.reduce([form == 0 for form in forms])
-            sel = np.flatnonzero(on_line) if sel is None else sel[on_line]
+            return np.logical_and.reduce([form == 0 for form in forms])
+        sel = np.concatenate(self._over_group(
+            lambda part: part.start + np.flatnonzero(keeps_on_line(u, part))))
+        sel = sel[keeps_on_line(v, sel)]
         return sorted(map(tuple, abcd[sel].tolist()))
 
     # -- structural checks ---------------------------------------------------------

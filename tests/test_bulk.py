@@ -1,11 +1,15 @@
+import os
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from twistedcubic import action as act
-from twistedcubic import census, pg3, twisted as tw
+from twistedcubic import bulk, census, cli, pg3, twisted as tw
 from twistedcubic.bulk import CODE, Engine, _pair_blocks, field_ops, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -211,15 +215,16 @@ def test_orbit_sweeps_at_large_q(field, model, engine, q):
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25))
 def test_rank_is_the_enumeration_index(engine, q):
-    """The rank of every line is its index in _line_pair_chunks(4), whose
+    """The rank of every line is its index in the chunked enumeration, whose
     Pluecker vectors come out normalized; unranking inverts it."""
     eng = engine(q)
     lo = 0
-    for U, V in eng._line_pair_chunks(4):
-        P = eng._plucker(U, V)
+    for task in eng._line_tasks():
+        P = eng._task_plucker(task)
         assert eng._normalize_rows(P).tolist() == P.tolist()
         ranks = eng._rank(P)
         assert ranks.tolist() == list(range(lo, lo + len(P)))
+        assert task[0] == slice(lo, lo + len(P))
         assert eng._unrank(ranks).tolist() == P.tolist()
         lo += len(P)
     assert lo == pg3.line_count(q)
@@ -272,3 +277,110 @@ def test_class_keys_partition_the_ranks_by_code(engine, q):
     for cls, ranks in keys.items():
         assert ranks.dtype == np.int32 and (np.diff(ranks) > 0).all()
         assert (eng.class_codes()[ranks] == CODE[cls]).all(), cls
+
+
+def _partitions(eng):
+    return {cls: eng.orbit_partition_keys(cls)
+            for cls in tw.valid_line_classes(eng.field)}
+
+
+def _polar_counts(eng, partitions):
+    """The polarity pass's (exchange, counts), with its arguments built as
+    CensusRun.polarity_images builds them."""
+    polar_code = np.zeros(len(CODE), np.int8)
+    orbit_id = np.zeros(len(CODE), np.int64)
+    m = 0
+    for src, dst in census.POLAR_CLASS.items():
+        polar_code[CODE[src]] = CODE[dst]
+        orbit_id[CODE[src]] = m
+        m += len(partitions[src].records)
+    exchange, counts = eng.polar_orbit_counts(polar_code, orbit_id, m)
+    return exchange, counts.tolist()
+
+
+@pytest.mark.parametrize("q", (8, 9, 13))
+def test_results_do_not_depend_on_scheduling(field, model, engine, q):
+    """An engine with 64-line chunks, so that many chunks are in flight on
+    the pool at once and the threads switch often, agrees with the default
+    engine, which classifies these orders inline."""
+    small, whole = Engine(field(q), model(q), chunk=64), engine(q)
+    assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _partitions(small)
+        polar = _polar_counts(small, got) if field(q).xi != 0 else None
+    finally:
+        sys.setswitchinterval(interval)
+    want = _partitions(whole)
+    assert small.class_codes().tolist() == whole.class_codes().tolist()
+    assert ({cls: ranks.tolist() for cls, ranks in small.class_keys().items()}
+            == {cls: ranks.tolist() for cls, ranks in whole.class_keys().items()})
+    assert small.klein_violations() == whole.klein_violations() == 0
+    assert got == want
+    assert small.orbit_labels.tolist() == whole.orbit_labels.tolist()
+    if polar is not None:
+        assert polar == _polar_counts(whole, want)
+
+
+def test_in_order_keeps_task_order_and_stops_after_a_failure():
+    """Results come back in task order however the threads took the tasks;
+    a failing task raises in the caller, and no task starts after it."""
+    assert bulk._in_order(lambda t: t * t, list(range(200))) == [t * t for t in range(200)]
+    started = []
+
+    def fail_at_3(t):
+        started.append(t)
+        if t == 3:
+            raise ValueError("task 3")
+        time.sleep(0.01)
+    with pytest.raises(ValueError, match="task 3"):
+        bulk._in_order(fail_at_3, list(range(100)))
+    assert 3 in started and len(started) < 10
+
+
+def test_split_sweeps_match_one_pass_over_the_group(engine):
+    """At q = 49 the group is cut into slices; the sweep and the stabilizer
+    equal their one-pass forms over the whole group."""
+    eng = engine(49)
+    n = eng.group_order
+    parts = eng._over_group(lambda sel: (sel.start, sel.stop))
+    assert len(parts) == (2 * bulk.WORKERS if bulk.WORKERS > 1 else 1)
+    assert parts[0][0] == 0 and parts[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+    abcd = eng.group_abcd()
+    rng = random.Random(49)
+    for rank in rng.sample(range(pg3.line_count(49)), 3):
+        line = eng.line_from_rank(rank)
+        u, v = line.pair
+        P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
+        assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
+        fixed = np.flatnonzero(eng._rank(P) == rank)
+        assert eng.stabilizer_abcd(line) == sorted(map(tuple, abcd[fixed].tolist()))
+
+
+def test_pool_is_shared_and_has_no_setting(engine, capsys):
+    """Repeated verifies and a large sweep reuse one pool of at most two
+    threads, and the CLI offers no thread or worker option."""
+    census.verify(8)
+    census.verify(8)
+    for eng in (engine(49), Engine(engine(49).field, engine(49).model)):
+        eng.orbit_sweep(eng.line_from_rank(0))
+    assert threading.active_count() <= 1 + min(2, len(os.sched_getaffinity(0)))
+    with pytest.raises(SystemExit):
+        cli.main(["census", "--help"])
+    text = capsys.readouterr().out.lower()
+    assert "--q" in text
+    assert "thread" not in text and "worker" not in text
+
+
+@pytest.mark.parametrize("q", (81, max(census.SUPPORTED_Q)))
+def test_integer_headroom(q):
+    """The fixed-width integers of the engine hold their largest values at
+    q = 81 (the next order to support) and at every supported order."""
+    xi = {0: 0, 1: 1, 2: -1}[q % 3]
+    assert (q - 1) * q + (q - 1) < 2**15  # int16 index into a flat field table
+    assert q**6 < 2**63  # int64 packed key of a Pluecker vector
+    assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
+    assert (q + 1) ** 3 < 2**63  # int64 code of a triple of cubic points
+    assert pg3.line_count(q) < 2**31  # int32 class ranks
