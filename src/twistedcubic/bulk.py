@@ -15,8 +15,8 @@ characteristic 2 the canonical encoding makes addition XOR, so `_add` and
 `_sub` are `np.bitwise_xor` and `_neg` is the identity.
 
 The line formulas are not written here: the Engine calls the shared forms of
-pg3 (Pluecker vector, incidence, Klein relation, its polarized form, skew
-Pluecker matrix) and twisted (chord pattern) with these ops on coordinate
+pg3 (Pluecker vector, incidence, Klein relation, its polarized form, RREF
+entries) and twisted (chord pattern) with these ops on coordinate
 arrays, the same functions the scalar modules call with Field methods.  The
 independent oracles stay separate: the monomial null polarity (`_polar`) and
 the root count of the chord quadratic (`_root_count`).
@@ -51,8 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import action, pg3, twisted
-
-PAIR_IDX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 CLASS_ORDER = twisted.LINE_CLASSES
 CODE = {cls: i for i, cls in enumerate(CLASS_ORDER)}
@@ -119,8 +117,7 @@ def _pair_blocks(ncols, q):
     offset = 0
     for c0 in range(ncols - 1):
         for c1 in range(c0 + 1, ncols):
-            slots = tuple([(0, j) for j in range(c0 + 1, ncols) if j != c1]
-                          + [(1, j) for j in range(c1 + 1, ncols)])
+            slots = pg3.rref_slots(c0, c1, ncols)
             blocks.append((c0, c1, slots, offset, q ** len(slots)))
             offset += q ** len(slots)
     return tuple(blocks)  # cached: shared by every caller
@@ -250,27 +247,30 @@ class Engine:
         """Index of each normalized Pluecker row in the enumeration of the
         rank-2 RREF 2 x 4 matrices (_pair_blocks(4, q)): the offset of its
         pivot pattern (c0, c1), the position of its first nonzero coordinate,
-        plus its free RREF entries read base q.  Those are l_{j c1}
-        (c0 < j < c1) and -l_{c1 j} (j > c1) in row 0, and l_{c0 j} (j > c1)
-        in row 1.  Every row is first ranked as if its pivot were (0, 1), as
-        all but about 1/q of them are, then the rest."""
+        plus its free RREF entries (pg3.rref_entries) read base q.  Every row
+        is first ranked as if its pivot were (0, 1), as all but about 1/q of
+        them are, then the rest."""
         out = np.empty(len(P), np.int64)
         rows, sub = slice(None), P
-        for c0, c1, slots, offset, _size in _pair_blocks(4, self.q):
+        for c0, c1, _slots, offset, _size in _pair_blocks(4, self.q):
             if not len(sub):
                 break
             rank = np.zeros(len(sub), np.int64)
-            for row, j in slots:
-                entry = sub[:, PAIR_IDX.index((c0, j) if row else tuple(sorted((j, c1))))]
+            for entry in pg3.rref_entries(sub.T, c0, c1, self._neg):
                 rank *= self.q
-                rank += self._neg(entry) if row == 0 and j > c1 else entry
+                rank += entry
             out[rows] = rank + offset
-            later = np.flatnonzero(sub[:, PAIR_IDX.index((c0, c1))] == 0)
+            later = np.flatnonzero(sub[:, pg3.PAIR_IDX.index((c0, c1))] == 0)
             rows, sub = later if sub is P else rows[later], sub[later]
         return out
 
     def _pairs_of(self, ranks):
-        """The RREF row pairs (U, V) of the lines with the given ranks."""
+        """The RREF row pairs (U, V) of the lines with the given ranks;
+        ValueError for a rank outside [0, line_count(q))."""
+        n = pg3.line_count(self.q)
+        bad = ranks[(ranks < 0) | (ranks >= n)]
+        if len(bad):
+            raise ValueError(f"line rank {bad[0]} is outside [0, {n})")
         U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
         for c0, c1, slots, offset, size in _pair_blocks(4, self.q):
             sel = (ranks >= offset) & (ranks < offset + size)

@@ -5,10 +5,12 @@ coordinate scaled to 1); a plane (c0,c1,c2,c3) is the locus of
 c0*x0 + c1*x1 + c2*x2 + c3*x3 = 0.  A line is canonically represented by its
 normalized Pluecker 6-vector (l01,l02,l03,l12,l13,l23), l_ij = u_i*v_j - u_j*v_i
 for any two spanning points, together with the two lexicographically smallest
-points on it.
+points on it.  Those two are its RREF rows, the row with the later pivot
+first, read off the normalized Pluecker vector in O(1) (`rref_entries`); no
+line-construction path enumerates the q+1 points of a line.
 
 The line formulas (Pluecker vector, incidence forms, Klein relation, its
-polarized form, skew Pluecker matrix) are each written once over injected
+polarized form, RREF entries) are each written once over injected
 field operations: the scalar functions here pass Field methods on one
 element, bulk.Engine passes elementwise table lookups on coordinate arrays.
 """
@@ -71,8 +73,18 @@ def all_planes(field):
     return _proj_reps(field.q, 4)
 
 
+# the coordinates of a Pluecker vector, in order
+PAIR_IDX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 class ProjLine:
-    """Canonical line value: normalized Pluecker vector plus spanning pair."""
+    """Canonical line value: normalized Pluecker vector plus spanning pair.
+
+    The pair is the two lexicographically smallest points of the line: its
+    RREF rows U, V (pivots c0 < c1), the later pivot first.  The other points
+    are U + t*V: each has 1 in column c0, where V has 0, and t in column c1,
+    where U has 0, so V < U < U + t*V for t != 0.
+    """
 
     __slots__ = ("plucker", "pair")
 
@@ -116,18 +128,58 @@ def _span_points(field, u, v):
     return pts
 
 
+def rref_slots(c0, c1, ncols):
+    """The free (row, column) entries of the rank-2 RREF 2 x ncols matrices
+    with pivots c0 < c1, most significant digit first: row 0 after its pivot
+    but column c1, then row 1 after its pivot."""
+    return tuple([(0, j) for j in range(c0 + 1, ncols) if j != c1]
+                 + [(1, j) for j in range(c1 + 1, ncols)])
+
+
+def rref_entries(p, c0, c1, neg):
+    """The free entries, in rref_slots(c0, c1, 4) order, of the RREF rows
+    spanning the line with normalized Pluecker vector p, whose first nonzero
+    coordinate is l_{c0 c1} = 1: l_{j c1} (c0 < j < c1) and -l_{c1 j}
+    (j > c1) in row 0, l_{c0 j} (j > c1) in row 1; over the injected
+    negation."""
+    for row, j in rref_slots(c0, c1, 4):
+        if row:
+            yield p[PAIR_IDX.index((c0, j))]
+        elif j < c1:
+            yield p[PAIR_IDX.index((j, c1))]
+        else:
+            yield neg(p[PAIR_IDX.index((c1, j))])
+
+
+def _rref_rows(ncols, c0, c1, entries):
+    """The RREF rows (U, V) with pivots c0 < c1 and the given free entries,
+    in rref_slots order."""
+    rows = ([0] * ncols, [0] * ncols)
+    rows[0][c0] = rows[1][c1] = 1
+    for (row, j), x in zip(rref_slots(c0, c1, ncols), entries):
+        rows[row][j] = x
+    return tuple(rows[0]), tuple(rows[1])
+
+
+def _rref_pair(field, p):
+    """The two smallest points of the line with normalized Pluecker vector p:
+    its RREF rows (U, V), returned as (V, U)."""
+    c0, c1 = PAIR_IDX[next(k for k, x in enumerate(p) if x)]
+    u, v = _rref_rows(4, c0, c1, rref_entries(p, c0, c1, field.neg))
+    return v, u
+
+
 def line_through(field, p, q) -> ProjLine:
     """The canonical line through two distinct points; symmetric in arguments."""
-    u = normalize(field, p)
-    v = normalize(field, q)
-    raw = plucker_forms(u, v, field.mul, field.sub)
+    raw = plucker_forms(p, q, field.mul, field.sub)
     if not any(raw):
         raise ValueError(f"line_through requires distinct points, got {p} and {q}")
-    pts = sorted(_span_points(field, u, v))
-    return ProjLine(normalize(field, raw), (pts[0], pts[1]))
+    plucker = normalize(field, raw)
+    return ProjLine(plucker, _rref_pair(field, plucker))
 
 
 def line_points(field, line):
+    """The q+1 points of the line, ascending (the enumeration oracle)."""
     return sorted(_span_points(field, line.pair[0], line.pair[1]))
 
 
@@ -181,49 +233,22 @@ def pairing_form(p, r, m, s, a):
     return a(acc, m(p[5], r[0]))
 
 
-def skew_rows(p, neg):
-    """Rows of the skew Pluecker matrix (entry ij is l_ij, entry ji is -l_ij)
-    over the injected negation; the nonzero rows are points of the line, and
-    rows i and j span it when l_ij is nonzero."""
-    l01, l02, l03, l12, l13, l23 = p
-    return (
-        (0, l01, l02, l03),
-        (neg(l01), 0, l12, l13),
-        (neg(l02), neg(l12), 0, l23),
-        (neg(l03), neg(l13), neg(l23), 0),
-    )
-
-
 def line_from_plucker(field, plucker) -> ProjLine:
-    """Rebuild the canonical line from a (valid) Pluecker vector."""
+    """The canonical line with the given Pluecker vector; ValueError for the
+    zero vector and for any vector off the Klein quadric."""
     p = normalize(field, plucker)
-    rows = [normalize(field, r) for r in skew_rows(p, field.neg) if any(r)]
-    u = rows[0]
-    v = next((r for r in rows[1:] if r != u), None)
-    if v is None:
+    pair = _rref_pair(field, p)
+    if normalize(field, plucker_forms(*pair, field.mul, field.sub)) != p:
         raise ValueError(f"{plucker} does not satisfy the Klein relation")
-    line = line_through(field, u, v)
-    if line.plucker != p:
-        raise ValueError(f"{plucker} does not satisfy the Klein relation")
-    return line
+    return ProjLine(p, pair)
 
 
 def _rref_pairs(q, ncols):
     """Spanning row pairs of every rank-2 RREF matrix with ncols columns."""
     for c0 in range(ncols - 1):
         for c1 in range(c0 + 1, ncols):
-            free0 = [j for j in range(c0 + 1, ncols) if j != c1]
-            free1 = [j for j in range(c1 + 1, ncols)]
-            for vals in product(range(q), repeat=len(free0) + len(free1)):
-                r0 = [0] * ncols
-                r1 = [0] * ncols
-                r0[c0] = 1
-                r1[c1] = 1
-                for j, val in zip(free0, vals):
-                    r0[j] = val
-                for j, val in zip(free1, vals[len(free0):]):
-                    r1[j] = val
-                yield tuple(r0), tuple(r1)
+            for vals in product(range(q), repeat=len(rref_slots(c0, c1, ncols))):
+                yield _rref_rows(ncols, c0, c1, vals)
 
 
 def all_lines(field):

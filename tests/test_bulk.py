@@ -268,6 +268,15 @@ def test_rank_round_trip(engine, q, data):
     assert list(line.plucker) == P[0].tolist()
 
 
+@pytest.mark.parametrize("rank", (5_999_991, -1))
+def test_rank_outside_the_universe_is_rejected(engine, rank):
+    eng = engine(49)
+    with pytest.raises(ValueError, match=f"line rank {rank} is outside \\[0, 5887302\\)"):
+        eng.line_from_rank(rank)
+    with pytest.raises(ValueError, match=f"line rank {rank} "):
+        eng._pairs_of(np.array([0, rank], np.int64))
+
+
 @pytest.mark.parametrize("q", (5, 9))
 def test_class_keys_partition_the_ranks_by_code(engine, q):
     eng = engine(q)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from twistedcubic import pg3
+from twistedcubic import census, pg3, twisted
 
 
 def test_point_and_plane_counts(field):
@@ -176,8 +176,69 @@ def test_line_from_plucker_round_trip(field):
         pg3.line_from_plucker(f, (1, 0, 0, 0, 0, 1))  # violates Klein relation
 
 
+def _check_canonical_pair(f, line):
+    """The pair is two distinct points of the line, the two smallest of its
+    enumeration, and spans it."""
+    u, v = line.pair
+    assert u != v
+    assert pg3.point_on_line(f, u, line) and pg3.point_on_line(f, v, line)
+    assert list(line.pair) == pg3.line_points(f, line)[:2]
+    assert pg3.normalize(f, pg3.plucker_forms(u, v, f.mul, f.sub)) == line.plucker
+
+
 def test_canonical_pair_is_minimal(field):
-    f = field(5)
-    for line in pg3.all_lines(f)[::17]:
-        pts = pg3.line_points(f, line)
-        assert line.pair == (pts[0], pts[1])
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field(q)
+        for line in pg3.all_lines(f):
+            _check_canonical_pair(f, line)
+
+
+@pytest.mark.parametrize("q", (25, 27, 49, 64))
+def test_canonical_pair_is_minimal_on_seeded_lines(field, q):
+    f = field(q)
+    rng = random.Random(q)
+    n = 0
+    while n < 2000:
+        p, r = (tuple(rng.randrange(q) for _ in range(4)) for _ in range(2))
+        if not any(pg3.plucker_forms(p, r, f.mul, f.sub)):
+            continue  # not two distinct points
+        line, back = pg3.line_through(f, p, r), pg3.line_through(f, r, p)
+        assert (back.plucker, back.pair) == (line.plucker, line.pair)
+        _check_canonical_pair(f, line)
+        n += 1
+
+
+@given(st.sampled_from((4, 5, 9, 49)), st.data())
+def test_line_from_plucker_validates_its_input(field, q, data):
+    f = field(q)
+    elem = st.integers(0, q - 1)
+    vec = data.draw(st.one_of(
+        st.tuples(*[elem] * 6),                                   # mostly off the quadric
+        st.tuples(st.tuples(*[elem] * 4), st.tuples(*[elem] * 4)).map(
+            lambda uv: pg3.plucker_forms(*uv, f.mul, f.sub))))    # a line's, or zero
+    with pytest.raises(ValueError):
+        pg3.line_from_plucker(f, (0,) * 6)
+    if not any(vec) or pg3.klein_value(f, vec):
+        with pytest.raises(ValueError):
+            pg3.line_from_plucker(f, vec)
+        return
+    line = pg3.line_from_plucker(f, vec)
+    assert line.plucker == pg3.normalize(f, vec)
+    scaled = pg3.line_from_plucker(f, pg3.vec_scale(f, data.draw(st.integers(1, q - 1)), vec))
+    assert (scaled.plucker, scaled.pair) == (line.plucker, line.pair)
+
+
+def test_census_path_never_enumerates_line_points(field, engine, monkeypatch):
+    """The cubic model, the line constructors and a whole census read each
+    line's pair off its Pluecker vector; only line_points enumerates."""
+    def enumerate_points(*args):
+        raise AssertionError("a line's points were enumerated")
+    monkeypatch.setattr(pg3, "_span_points", enumerate_points)
+    assert twisted.build_cubic(field(64)).axis is None
+    f, eng = field(8), engine(8)
+    for rank in range(0, pg3.line_count(8), 97):
+        line = eng.line_from_rank(rank)
+        assert pg3.line_from_plucker(f, line.plucker) == line
+        image = twisted.null_polarity_line(f, line)
+        assert twisted.null_polarity_line(f, image) == line
+    assert census.verify(8)["pass"]
