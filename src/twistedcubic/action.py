@@ -96,13 +96,7 @@ def lift_rows(field, a, b, c, d, m, ad):
 
 def mat_vec(field, vec, mat):
     """Row vector times matrix."""
-    out = []
-    for j in range(4):
-        acc = 0
-        for i in range(4):
-            acc = field.add(acc, field.mul(vec[i], mat[i][j]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(pg3.dot(field, vec, col) for col in zip(*mat))
 
 
 def mat_inverse(field, mat):
@@ -130,17 +124,7 @@ def act_point(field, g, point):
 def act_plane(field, g, plane):
     """Plane coefficients transform by the inverse matrix times the column."""
     minv = lift(field, inverse(field, g))
-    coeffs = tuple(
-        _dot_row(field, minv[i], plane) for i in range(4)
-    )
-    return pg3.normalize(field, coeffs)
-
-
-def _dot_row(field, row, col):
-    acc = 0
-    for x, y in zip(row, col):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return pg3.normalize(field, tuple(pg3.dot(field, row, plane) for row in minv))
 
 
 def act_line(field, g, line) -> pg3.ProjLine:

@@ -16,10 +16,11 @@ characteristic 2 the canonical encoding makes addition XOR, so `_add` and
 
 The line formulas are not written here: the Engine calls the shared forms of
 pg3 (Pluecker vector, incidence, Klein relation, its polarized form, RREF
-entries) and twisted (chord pattern) with these ops on coordinate
-arrays, the same functions the scalar modules call with Field methods.  The
-independent oracles stay separate: the monomial null polarity (`_polar`) and
-the root count of the chord quadratic (`_root_count`).
+entries) and twisted (chord pattern, polar plane of a point) with these ops
+on coordinate arrays, the same functions the scalar modules call with Field
+methods.  The independent oracles stay separate: the monomial null polarity
+on Pluecker vectors (`_polar`) and the root count of the chord quadratic
+(`_root_count`).
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
@@ -45,7 +46,8 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import cache
+from functools import cache, reduce
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -123,9 +125,17 @@ def _pair_blocks(ncols, q):
     return tuple(blocks)  # cached: shared by every caller
 
 
-# threads that work at once, the calling thread included: numpy releases the
-# GIL in take, the ufuncs and the sorts, so each keeps one core busy
-WORKERS = min(2, len(os.sched_getaffinity(0)))
+def _worker_count():
+    """Threads that work at once, the calling thread included: numpy releases
+    the GIL in take, the ufuncs and the sorts, so each keeps one core busy.
+    min(2, cores), counting the process's affinity set where the platform
+    reports one (Linux), else the machine's cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+WORKERS = _worker_count()
 
 # a group sweep is split over the workers only from this many elements on
 # (q >= 41): below it the thread handoffs cost more than the split saves
@@ -187,7 +197,7 @@ class OrbitPartition(NamedTuple):
 
 
 class Engine:
-    """Bulk classification and orbit machinery for one (field, cubic) pair.
+    """Bulk classification and orbit machinery for one field's cubic.
     Arrays with one entry per line are built on first use, never for queries.
 
     Chunks of `chunk` lines, and large group sweeps, are shared out over
@@ -195,9 +205,8 @@ class Engine:
     results merged in task order, only private helpers in tasks, small work
     inline.  The results depend only on the field and the cubic."""
 
-    def __init__(self, field, model=None, chunk=1 << 19):
+    def __init__(self, field, chunk=1 << 19):
         self.field = field
-        self.model = model if model is not None else twisted.build_cubic(field)
         self.chunk = chunk
         q = field.q
         self.q = q
@@ -210,10 +219,16 @@ class Engine:
         self.four = field.of_int(4)
         self.group_order = q**3 - q
 
+        params = list(field.elements()) + [twisted.INF]
+        self.cubic_points, self.gamma_planes = (
+            sorted(form(field, t) for t in params)
+            for form in (twisted.cubic_point, twisted.osculating_plane))
         self.cubic_point_ranks, self.gamma_plane_ranks = (
-            self._point_rank(np.array(sorted(pts), np.int16))
-            for pts in (self.model.cubic_point_set, self.model.gamma_plane_set))
-        self.axis_plucker = self.model.axis.plucker if field.xi == 0 else None
+            self._point_rank(np.array(pts, np.int16))
+            for pts in (self.cubic_points, self.gamma_planes))
+        self.axis_plucker = None
+        if field.xi == 0:  # the common line of the osculating planes
+            self.axis_plucker = pg3.meet_planes(field, *self.gamma_planes[:2]).plucker
         self._keys = self._codes = self._klein_violations = None
         self.orbit_labels = None  # per rank: index into its class's records
         self._group = None
@@ -441,7 +456,7 @@ class Engine:
 
         # each cubic point joined to every point of a plane x_j = 0 missing it
         points = self._proj_points(4)
-        for pt in sorted(self.model.cubic_point_set):
+        for pt in self.cubic_points:
             V = points[points[:, next(i for i in range(4) if pt[i])] == 0]
             U = np.tile(np.asarray(pt, np.int16), (len(V), 1))
             flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= MEETS
@@ -450,7 +465,7 @@ class Engine:
         r0, r1 = (np.concatenate(rows).T for rows in zip(*(
             self._pair_rows(3, c0, c1, slots, np.arange(size))
             for c0, c1, slots, _offset, size in _pair_blocks(3, self.q))))
-        for plane in sorted(self.model.gamma_plane_set):
+        for plane in self.gamma_planes:
             basis = list(zip(*pg3.plane_basis(self.field, plane)))  # its 4 columns
             U = _columns([self._lincomb(col, r0) for col in basis])
             V = _columns([self._lincomb(col, r1) for col in basis])
@@ -721,13 +736,37 @@ class Engine:
             code = code * m + pos
         return len(sorted_unique(code[on_cubic]))
 
+    def polarity_violations(self) -> int:
+        """Number of group elements whose lift M does not preserve the null
+        polarity's alternating form w(x, y) = x . twisted.polar_form(y) up
+        to a scalar (xi != 0), i.e. does not commute with the polarity.  With
+        K_ik = w(M_i, M_k) over the rows M_i of M, an element passes iff
+        K_03 != 0 and K_ik = K_03 * w(e_i, e_k) for every i < k."""
+        if self.field.xi == 0:
+            raise ValueError("the null polarity degenerates when q = 0 mod 3")
+        f = self.field
+        # w(e_i, e_k) = polar_form(e_k)[i], as J[k][i]; w(e_0, e_3) = 1
+        J = [twisted.polar_form(e, self.three, f.mul, f.neg)
+             for e in np.eye(4, dtype=int).tolist()]
+        mats = self._group_arrays()[1]
+        rows = [mats[:, i, :].T for i in range(4)]  # row i of every lift, as columns
+        polars = [twisted.polar_form(r, self.three, self._mul, self._neg) for r in rows]
+
+        def w(i, k):
+            return reduce(self._add, map(self._mul, rows[i], polars[k]))
+        scale = w(0, 3)
+        ok = scale != 0
+        for i, k in combinations(range(4), 2):
+            ok &= w(i, k) == self._mul(J[k][i], scale)
+        return int(np.count_nonzero(~ok))
+
     # -- plane census ------------------------------------------------------------
 
     def plane_class_counts(self) -> dict[str, int]:
         """Counts of osculating / d-point plane types over all planes."""
         planes = self._proj_points(4)
         m = np.zeros(len(planes), dtype=np.int16)
-        for pt in sorted(self.model.cubic_point_set):
+        for pt in self.cubic_points:
             m += self._lincomb(pt, planes.T) == 0
         if int(m.max()) > 3:
             raise RuntimeError("a plane contains four cubic points")

@@ -2,10 +2,11 @@
 
 Verbs: classify, orbits, stabilizer, verify, census.  Exit codes: 0 all
 checks pass, 1 check failure, 2 usage error / unsupported q / unwritable
---out.  Reports are deterministic for a fixed (q, modulus); pass --timing to
-include wall-clock runtime in the meta block (off by default so default
-output is byte-stable).  --out is written atomically: a temporary file in the
-target directory, then a rename over the target.
+--out.  Every check is exhaustive, so a report depends only on
+(q, modulus); pass --timing to include wall-clock runtime in the meta block
+(off by default so default output is byte-stable).  --out is written
+atomically: a temporary file in the target directory, then a rename over the
+target.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ def _parse_line(text):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("a line needs 6 comma-separated coordinates")
     return tuple(int(c) for c in parts)
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                        ("census", "full report (classes, orbits, checks)")):
         p = sub.add_parser(verb, help=text)
         common(p)
-        p.add_argument("--samples", type=_positive_int, default=200,
-                       help="random (point, group element) pairs for the "
-                            "polarity_commutation check")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of the polarity_commutation samples")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock runtime in the report meta")
     return ap
@@ -181,8 +170,7 @@ def _stabilizer_report(args):
 
 
 def _verify_report(args, print_checks):
-    report = census.verify(args.q, args.modulus, samples=args.samples,
-                           seed=args.seed, timing=args.timing)
+    report = census.verify(args.q, args.modulus, timing=args.timing)
     if print_checks:
         for chk in report["checks"]:
             status = "PASS" if chk["pass"] else "FAIL"

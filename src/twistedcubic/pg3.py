@@ -302,17 +302,6 @@ def plane_basis(field, plane):
     return _nullspace(field, [plane], 4)
 
 
-def plane_points(field, plane):
-    b = plane_basis(field, plane)
-    pts = []
-    for coeffs in _proj_reps(field.q, 3):
-        v = (0, 0, 0, 0)
-        for c, bv in zip(coeffs, b):
-            v = vec_add(field, v, vec_scale(field, c, bv))
-        pts.append(normalize(field, v))
-    return sorted(pts)
-
-
 def lines_in_plane(field, plane):
     """The q^2+q+1 lines lying in the plane."""
     b = plane_basis(field, plane)
@@ -326,14 +315,6 @@ def lines_in_plane(field, plane):
             v = vec_add(field, v, vec_scale(field, c, bv))
         out.append(line_through(field, u, v))
     return sorted(out)
-
-
-def lines_through_point(field, point):
-    """The q^2+q+1 lines through the point."""
-    point = normalize(field, point)
-    j = next(i for i in range(4) if point[i])
-    avoid = tuple(1 if i == j else 0 for i in range(4))  # plane x_j = 0 misses point
-    return sorted(line_through(field, point, v) for v in plane_points(field, avoid))
 
 
 def planes_through_line(field, line):

@@ -136,18 +136,19 @@ def is_imaginary_chord(field, line) -> bool:
     return params is not None and not field.quadratic_roots(*params)
 
 
+def polar_form(x, three, m, neg):
+    """The coefficients (x3, -3*x2, 3*x1, -x0) of the polar plane of the
+    point x over the injected field operations m, neg (multiply, negate);
+    x . polar_form(y) is the alternating form of the null polarity."""
+    x0, x1, x2, x3 = x
+    return x3, neg(m(three, x2)), m(three, x1), neg(x0)
+
+
 def null_polarity_point(field, point):
     """Polar plane of a point; undefined in characteristic 3."""
     if field.xi == 0:
         raise ValueError("the null polarity degenerates when q = 0 mod 3")
-    x0, x1, x2, x3 = point
-    three = field.of_int(3)
-    return pg3.normalize(field, (
-        x3,
-        field.neg(field.mul(three, x2)),
-        field.mul(three, x1),
-        field.neg(x0),
-    ))
+    return pg3.normalize(field, polar_form(point, field.of_int(3), field.mul, field.neg))
 
 
 def null_polarity_plane(field, plane):

@@ -43,11 +43,11 @@ def model(field):
 
 
 @pytest.fixture(scope="session")
-def engine(field, model):
+def engine(field):
     def get(q, modulus=None):
         key = (q, modulus)
         if key not in _engines:
-            _engines[key] = Engine(field(q, modulus), model(q, modulus))
+            _engines[key] = Engine(field(q, modulus))
         return _engines[key]
     return get
 

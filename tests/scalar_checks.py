@@ -82,3 +82,20 @@ def polarity_orbit_images(run):
             if not np.array_equal(image, image_orbit):
                 ok = False
     return ok
+
+
+# a projective frame of PG(3,q): two collineations agree iff they agree on it
+FRAME = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
+
+
+def polarity_commutation(run):
+    """Number of group elements g that move the polar plane of some frame
+    point x elsewhere than the polar plane of g(x).  Both x -> g(polar(x))
+    and x -> polar(g(x)) are induced by linear maps, so they are equal iff
+    they agree on the frame."""
+    f = run.field
+    return sum(
+        any(action.act_plane(f, g, twisted.null_polarity_point(f, pt))
+            != twisted.null_polarity_point(f, action.act_point(f, g, pt))
+            for pt in FRAME)
+        for g in action.all_elements(f))

@@ -78,8 +78,8 @@ def test_orbit_partition_matches_scalar(field, model, engine):
                 for r in scalar] == bulk.records
 
 
-def test_orbit_partition_rejects_unclosed_keys(field, model):
-    eng = Engine(field(5), model(5))
+def test_orbit_partition_rejects_unclosed_keys(field):
+    eng = Engine(field(5))
     eng.class_codes()[eng.class_keys()[tw.UNG][10]] = CODE[tw.ENG]
     with pytest.raises(ValueError):
         eng.orbit_partition_keys(tw.UNG)
@@ -122,8 +122,8 @@ def test_class_counts_match_closed_forms_larger_q(engine):
         assert eng.klein_violations() == 0
 
 
-def test_tiny_chunks_split_enumeration_consistently(field, model, engine):
-    eng = Engine(field(5), model(5), chunk=100)
+def test_tiny_chunks_split_enumeration_consistently(field, engine):
+    eng = Engine(field(5), chunk=100)
     assert class_counts(eng) == class_counts(engine(5))
     assert eng.class_codes().tolist() == engine(5).class_codes().tolist()
     for cls, keys in eng.class_keys().items():
@@ -308,11 +308,11 @@ def _polar_counts(eng, partitions):
 
 
 @pytest.mark.parametrize("q", (8, 9, 13))
-def test_results_do_not_depend_on_scheduling(field, model, engine, q):
+def test_results_do_not_depend_on_scheduling(field, engine, q):
     """An engine with 64-line chunks, so that many chunks are in flight on
     the pool at once and the threads switch often, agrees with the default
     engine, which classifies these orders inline."""
-    small, whole = Engine(field(q), model(q), chunk=64), engine(q)
+    small, whole = Engine(field(q), chunk=64), engine(q)
     assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -373,9 +373,9 @@ def test_pool_is_shared_and_has_no_setting(engine, capsys):
     threads, and the CLI offers no thread or worker option."""
     census.verify(8)
     census.verify(8)
-    for eng in (engine(49), Engine(engine(49).field, engine(49).model)):
+    for eng in (engine(49), Engine(engine(49).field)):
         eng.orbit_sweep(eng.line_from_rank(0))
-    assert threading.active_count() <= 1 + min(2, len(os.sched_getaffinity(0)))
+    assert threading.active_count() <= 1 + bulk._worker_count()
     with pytest.raises(SystemExit):
         cli.main(["census", "--help"])
     text = capsys.readouterr().out.lower()
@@ -393,3 +393,13 @@ def test_integer_headroom(q):
     assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
     assert (q + 1) ** 3 < 2**63  # int64 code of a triple of cubic points
     assert pg3.line_count(q) < 2**31  # int32 class ranks
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    """Where os.sched_getaffinity is missing (macOS, Windows) the cores are
+    os.cpu_count(), still capped at two, and one when it is unknown."""
+    assert bulk.WORKERS == bulk._worker_count()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cores, workers in ((7, 2), (2, 2), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert bulk._worker_count() == workers

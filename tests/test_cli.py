@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -134,25 +137,41 @@ def exit_code(argv):
         return exc.code
 
 
-def _not_a_positive_int(text):
-    try:
-        return int(text) < 1
-    except ValueError:
-        return True
+def test_sampling_flags_are_rejected():
+    """polarity_commutation covers the whole group, so the options that
+    seeded and sized its sample are gone."""
+    for flag, value in (("--samples", "3"), ("--seed", "1")):
+        res = run_cli("verify", "--q", "5", flag, value)
+        assert res.returncode == 2
+        assert flag in res.stderr
 
 
-@pytest.mark.parametrize("verb", ("verify", "census"))
-@pytest.mark.parametrize("samples", ("0", "-3"))
-def test_samples_below_one_is_a_usage_error(verb, samples):
-    res = run_cli(verb, "--q", "5", f"--samples={samples}")
-    assert res.returncode == 2
-    assert "--samples" in res.stderr
+def _long_options(parser):
+    """The long options of a parser and of its subparsers, --help aside."""
+    opts = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _long_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            opts |= {o for o in action.option_strings if o.startswith("--")}
+    return opts
 
 
-@hypothesis.given(st.one_of(st.integers(max_value=0).map(str),
-                            st.text(max_size=8).filter(_not_a_positive_int)))
-def test_malformed_samples_exit_two(samples):
-    assert exit_code(["verify", "--q", "5", f"--samples={samples}"]) == 2
+def test_readme_names_exactly_the_cli_options():
+    """Every --flag the README names (the pip line aside) is an option of
+    the CLI or of the suite script, and every CLI option is named there."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = "\n".join(line for line in (root / "README.md").read_text().splitlines()
+                     if "pip install" not in line)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    suite_help = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_census_suite.py"), "--help"],
+        capture_output=True, text=True, check=True).stdout
+    cli_options = _long_options(cli.build_parser())
+    suite_options = set(re.findall(r"--[a-z][a-z0-9-]*", suite_help)) - {"--help"}
+    assert named - cli_options - suite_options == set()
+    assert cli_options - named == set()
 
 
 _token = st.integers(min_value=-3, max_value=12).map(str)

@@ -151,14 +151,6 @@ def test_lines_in_plane(field):
         assert all(pg3.line_in_plane(f, l, plane) for l in lines)
 
 
-def test_lines_through_point(field):
-    f = field(5)
-    pt = (1, 2, 3, 4)
-    lines = pg3.lines_through_point(f, pt)
-    assert len(lines) == 31 == len(set(lines))
-    assert all(pg3.point_on_line(f, pg3.normalize(f, pt), l) for l in lines)
-
-
 def test_every_plane_carries_expected_line_count(field):
     f = field(3)
     universe = set(pg3.all_lines(f))

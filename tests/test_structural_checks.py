@@ -6,7 +6,7 @@ import pytest
 
 import scalar_checks
 from twistedcubic import census, twisted as tw
-from twistedcubic.bulk import CODE
+from twistedcubic.bulk import CODE, Engine
 
 DIFF_Q = (4, 5, 7, 8)
 
@@ -78,6 +78,53 @@ def test_triple_transitivity_fails_on_a_repeated_group_element():
     check = census.check_triple_transitivity(run)
     assert check["actual"] == check["expected"] - 1
     assert not check["pass"]
+
+
+@pytest.mark.parametrize("q", DIFF_Q)
+def test_polarity_commutation_matches_scalar_oracle(run, q):
+    """The lift identity and act_point/act_plane over every element and a
+    projective frame find the same (zero) number of failing elements."""
+    r = run(q)
+    check = census.check_polarity_commutation(r)
+    assert check["actual"] == scalar_checks.polarity_commutation(r) == 0
+    assert check["pass"]
+
+
+@pytest.mark.parametrize("q", DIFF_Q)
+def test_polarity_commutation_matches_scalar_oracle_on_a_wrong_polarity(run, monkeypatch, q):
+    """With 3 replaced by another unit in the polar form, most elements no
+    longer commute; the lift identity and the oracle count the same ones."""
+    r = run(q)
+    three = r.field.of_int(3)
+    unit = next(x for x in r.field.elements() if x not in (0, three))
+    form = tw.polar_form
+    monkeypatch.setattr(tw, "polar_form", lambda x, _three, m, neg: form(x, unit, m, neg))
+    bad = r.engine.polarity_violations()
+    assert 0 < bad == scalar_checks.polarity_commutation(r)
+
+
+@pytest.mark.parametrize("q", DIFF_Q)
+@pytest.mark.parametrize("where", ("first", "middle", "last"))
+def test_polarity_commutation_fails_on_a_corrupted_lift_entry(q, where):
+    run = census.CensusRun(q)
+    abcd, mats = run.engine._group_arrays()
+    mats = mats.copy()
+    g = {"first": 0, "middle": len(abcd) // 2, "last": len(abcd) - 1}[where]
+    mats[g, 1, 2] = (mats[g, 1, 2] + 1) % q
+    run.engine._group = (abcd, mats)
+    check = census.check_polarity_commutation(run)
+    assert check["actual"] == 1
+    assert not check["pass"]
+
+
+def test_polarity_commutation_covers_the_group_at_every_order(field):
+    for q in census.SUPPORTED_Q:
+        eng = Engine(field(q))
+        if eng.field.xi == 0:
+            with pytest.raises(ValueError):
+                eng.polarity_violations()
+        else:
+            assert eng.polarity_violations() == 0, q
 
 
 def test_stabilizer_counts_come_from_the_sweep(run):
