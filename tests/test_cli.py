@@ -146,6 +146,28 @@ def test_sampling_flags_are_rejected():
         assert flag in res.stderr
 
 
+def _not_a_positive_int(text):
+    try:
+        return int(text) < 1
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("verb", ("verify", "census"))
+@pytest.mark.parametrize("samples", ("0", "-3"))
+def test_samples_below_one_is_a_usage_error(verb, samples):
+    """The removed --samples option stays a usage error on both verbs."""
+    res = run_cli(verb, "--q", "5", f"--samples={samples}")
+    assert res.returncode == 2
+    assert "--samples" in res.stderr
+
+
+@hypothesis.given(st.one_of(st.integers(max_value=0).map(str),
+                            st.text(max_size=8).filter(_not_a_positive_int)))
+def test_malformed_samples_exit_two(samples):
+    assert exit_code(["verify", "--q", "5", f"--samples={samples}"]) == 2
+
+
 def _long_options(parser):
     """The long options of a parser and of its subparsers, --help aside."""
     opts = set()
