@@ -156,13 +156,8 @@ def group_order(q: int) -> int:
 
 def all_elements(field) -> list[GroupElement]:
     """All q^3 - q elements, ascending by normalized (a,b,c,d)."""
-    out = []
-    for c, d in product(field.elements(), repeat=2):
-        if c != 0:
-            out.append(GroupElement((0, 1, c, d)))
-    for b, c, d in product(field.elements(), repeat=3):
-        if field.sub(d, field.mul(b, c)) != 0:
-            out.append(GroupElement((1, b, c, d)))
+    out = [GroupElement((a, b, c, d)) for a, b, c, d in pg3._proj_reps(field.q, 4)
+           if field.sub(field.mul(a, d), field.mul(b, c)) != 0]
     if len(out) != group_order(field.q):
         raise RuntimeError("group enumeration size mismatch")
     return out

@@ -203,7 +203,9 @@ class Engine:
     Chunks of `chunk` lines, and large group sweeps, are shared out over
     threads under the module's contract: disjoint rank slices per task,
     results merged in task order, only private helpers in tasks, small work
-    inline.  The results depend only on the field and the cubic."""
+    inline.  The results depend only on the field and the cubic, the closed
+    forms twisted.cubic_point and twisted.osculating_plane, checked to give
+    q + 1 distinct points and planes, each plane meeting the cubic once."""
 
     def __init__(self, field, chunk=1 << 19):
         self.field = field
@@ -223,6 +225,8 @@ class Engine:
         self.cubic_points, self.gamma_planes = (
             sorted(form(field, t) for t in params)
             for form in (twisted.cubic_point, twisted.osculating_plane))
+        if len({*self.cubic_points}) != q + 1 or len({*self.gamma_planes}) != q + 1:
+            raise RuntimeError(f"the cubic points or osculating planes are not {q + 1} distinct")
         self.cubic_point_ranks, self.gamma_plane_ranks = (
             self._point_rank(np.array(pts, np.int16))
             for pts in (self.cubic_points, self.gamma_planes))
@@ -580,21 +584,10 @@ class Engine:
 
     def _group_arrays(self):
         if self._group is None:
-            q = self.q
-            cs, ds = np.meshgrid(np.arange(q, dtype=np.int16),
-                                 np.arange(q, dtype=np.int16), indexing="ij")
-            c0 = cs.ravel()
-            d0 = ds.ravel()
-            keep = c0 != 0
-            blk0 = np.stack([np.zeros(keep.sum(), np.int16),
-                             np.ones(keep.sum(), np.int16), c0[keep], d0[keep]], 1)
-            b1, c1, d1 = [x.ravel() for x in np.meshgrid(
-                np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
-                np.arange(q, dtype=np.int16), indexing="ij")]
-            keep1 = self._sub(d1, self._mul(b1, c1)) != 0
-            blk1 = np.stack([np.ones(keep1.sum(), np.int16), b1[keep1],
-                             c1[keep1], d1[keep1]], 1)
-            abcd = np.concatenate([blk0, blk1], 0)
+            # the normalized (a, b, c, d) with ad - bc != 0, ascending
+            abcd = self._proj_points(4)
+            a, b, c, d = abcd.T
+            abcd = abcd[self._sub(self._mul(a, d), self._mul(b, c)) != 0]
             if len(abcd) != self.group_order:
                 raise RuntimeError("group enumeration size mismatch")
 
@@ -770,6 +763,8 @@ class Engine:
             m += self._lincomb(pt, planes.T) == 0
         if int(m.max()) > 3:
             raise RuntimeError("a plane contains four cubic points")
+        if (m[self.gamma_plane_ranks] != 1).any():
+            raise RuntimeError("an osculating plane does not meet the cubic in one point")
         m[self.gamma_plane_ranks] = -1
         return {name: int(np.count_nonzero(m == d))
                 for name, d in (("gamma", -1), ("2C", 2), ("3C", 3), ("1C", 1), ("0C", 0))}

@@ -131,6 +131,8 @@ def _orbits_report(args):
 
 
 def _stabilizer_report(args):
+    if args.line is not None and args.line_class is not None:
+        raise ValueError("--class is not taken with --line; the line's own class is printed")
     run = census.CensusRun(args.q, args.modulus)
     f = run.field
     entries = []

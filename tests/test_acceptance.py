@@ -176,6 +176,11 @@ LONG_RUN_SHA256 = {
 }
 
 
+def test_long_run_digests_pin_every_long_run_order():
+    """An order joins LONG_RUN_Q only together with its pinned digests."""
+    assert set(LONG_RUN_SHA256) == census.LONG_RUN_Q
+
+
 @pytest.mark.skipif(not LONG_RUN, reason="set TWISTEDCUBIC_LONG_RUN=1 to run q > 32")
 def test_criterion_6_external_census_long_run():
     started = time.monotonic()

@@ -108,6 +108,27 @@ def test_plane_counts_closed_forms(engine):
         }
 
 
+@pytest.mark.parametrize("form", ("cubic_point", "osculating_plane"))
+def test_engine_rejects_a_repeated_cubic_point_or_plane(field, monkeypatch, form):
+    f = field(7)
+    real = getattr(tw, form)
+    monkeypatch.setattr(tw, form, lambda fld, t: real(fld, 0 if t == 1 else t))
+    with pytest.raises(RuntimeError, match="distinct"):
+        Engine(f)
+
+
+def test_plane_counts_reject_an_osculating_plane_with_two_cubic_points(field, monkeypatch):
+    """The plane x1 = 0 meets the cubic at t = 0 and t = infinity; put in
+    for the osculating plane at t = 1, it leaves every plane distinct."""
+    f = field(7)
+    real = tw.osculating_plane
+    monkeypatch.setattr(tw, "osculating_plane",
+                        lambda fld, t: (0, 1, 0, 0) if t == 1 else real(fld, t))
+    eng = Engine(f)
+    with pytest.raises(RuntimeError, match="osculating plane"):
+        eng.plane_class_counts()
+
+
 def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(0)
     for n in (0, 1, 2, 1000):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from twistedcubic import census
+from twistedcubic import census, twisted
 
 
 def test_classify_all_examples():
@@ -241,3 +241,25 @@ def test_structural_checks_run_at_every_q():
     names = {c["name"] for c in census.verify(3)["checks"]}
     assert {"stabilizer_orders_brute", "axis_pencil", "chord_uniqueness",
             "triple_transitivity"} <= names
+
+
+@pytest.mark.parametrize("q", (5, 8, 9))
+def test_census_path_builds_no_scalar_model(monkeypatch, q):
+    """verify, classify and orbits read the Engine's cubic only."""
+    def refuse(field):
+        raise AssertionError("build_cubic called on the census path")
+    monkeypatch.setattr(twisted, "build_cubic", refuse)
+    assert census.verify(q)["pass"]
+    run = census.CensusRun(q)
+    assert census.classify_all(q) == twisted.expected_class_sizes(run.field)
+    assert census.classify_planes(q) == census.expected_plane_class_sizes(q)
+    assert len(census.orbit_census(q)["classes"]) == len(
+        twisted.valid_line_classes(run.field))
+
+
+def test_model_is_built_on_first_read():
+    run = census.CensusRun(9)
+    assert "model" not in vars(run)
+    model = run.model
+    assert isinstance(model, twisted.CubicModel) and model.field is run.field
+    assert run.model is model and model.axis is not None

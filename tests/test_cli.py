@@ -58,6 +58,15 @@ def test_stabilizer_by_line():
     assert [1, 0, 0, 1] in entry["elements"]
 
 
+def test_stabilizer_line_with_class_is_a_usage_error():
+    """The class of an explicit line is computed, so --class cannot name it."""
+    res = run_cli("stabilizer", "--q", "5", "--line", "0,0,1,0,0,0", "--class", "T")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    (error,) = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert "--class" in error and "--line" in error
+
+
 def test_verify_pass_lines_and_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("verify", "--q", "5", "--out", str(out))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_checks
-from twistedcubic import census, twisted as tw
+from twistedcubic import census, pg3, twisted as tw
 from twistedcubic.bulk import CODE, Engine
 
 DIFF_Q = (4, 5, 7, 8)
@@ -180,5 +180,7 @@ def test_partition_labels_index_the_records(run):
 def test_axis_pencil_fails_off_the_axis():
     run = census.CensusRun(9)
     assert census.check_axis_pencil(run)["pass"]
-    run.model.axis = run.model.tangent_of[0]
+    f = run.field
+    tangent = pg3.line_through(f, tw.cubic_point(f, 0), tw.tangent_direction(f, 0))
+    run.engine.axis_plucker = tangent.plucker
     assert not census.check_axis_pencil(run)["pass"]
