@@ -2,11 +2,11 @@
 
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
 (`_pair_blocks(4, q)`), read off its normalized Pluecker vector by `_rank`;
-a point's or plane's rank is its index in `_proj_points(4)`.  Whole-universe
-state (class codes, orbit labels) is one entry per rank, and the lines of a
-class are the ascending array of their ranks, so locating a line is an
-index, not a search.  Packed base-q int64 keys of Pluecker vectors remain
-only as the orbit representatives of the report.
+a point's or plane's rank is its index in `_proj_points(4)`.  The whole-
+universe state is one int8 class code and one int16 global orbit label per
+rank, so locating a line is an index, not a search, and the lines of a class
+are the ranks its code marks.  Packed base-q int64 keys of Pluecker vectors
+remain only as the orbit representatives of the report.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -198,7 +198,8 @@ class OrbitPartition(NamedTuple):
 
 class Engine:
     """Bulk classification and orbit machinery for one field's cubic.
-    Arrays with one entry per line are built on first use, never for queries.
+    Its only arrays with one entry per line, the class codes and the global
+    orbit labels, are built on first use, never for queries.
 
     Chunks of `chunk` lines, and large group sweeps, are shared out over
     threads under the module's contract: disjoint rank slices per task,
@@ -233,8 +234,9 @@ class Engine:
         self.axis_plucker = None
         if field.xi == 0:  # the common line of the osculating planes
             self.axis_plucker = pg3.meet_planes(field, *self.gamma_planes[:2]).plucker
-        self._keys = self._codes = self._klein_violations = None
-        self.orbit_labels = None  # per rank: index into its class's records
+        self._codes = self._class_sizes = self._klein_violations = None
+        self.orbit_labels = None  # per rank: global orbit index
+        self.partitions: dict[str, OrbitPartition] = {}
         self._group = None
 
     # -- packing and ranks ---------------------------------------------------
@@ -515,11 +517,11 @@ class Engine:
             cls[hits_axis] = CODE[twisted.EA]
         return cls, klein_bad
 
-    def class_keys(self) -> dict[str, np.ndarray]:
-        """The ascending ranks of the lines of each populated class (a line's
-        key is its rank; int32, as line_count(q) < 2^31 for q <= 64), from one
-        chunked pass over the whole universe that also fills the class codes."""
-        if self._keys is None:
+    def class_codes(self) -> np.ndarray:
+        """The class code (index into CLASS_ORDER) of every line, by rank,
+        from one chunked pass over the whole universe that also counts the
+        lines of each class and the Klein violations."""
+        if self._codes is None:
             codes = np.empty(pg3.line_count(self.q), np.int8)
             flags = self._model_flags()
 
@@ -527,58 +529,53 @@ class Engine:
                 codes[ranks], bad = self._classify_chunk(P, flags[ranks])
                 return bad, np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
             bad, sizes = zip(*self._over_lines(classify))
-            sizes = sum(sizes)
-            keys = {cls: np.empty(sizes[CODE[cls]], np.int32)
-                    for cls in twisted.valid_line_classes(self.field)}
-            # window by window: an int64 index of every rank at once would set
-            # the peak memory of the whole census
-            filled = dict.fromkeys(keys, 0)
-            for lo in range(0, len(codes), self.chunk):
-                window = codes[lo:lo + self.chunk]
-                for cls, out in keys.items():
-                    found = np.flatnonzero(window == CODE[cls])
-                    out[filled[cls]:filled[cls] + len(found)] = found + lo
-                    filled[cls] += len(found)
-            self._keys, self._codes, self._klein_violations = keys, codes, sum(bad)
-        return self._keys
-
-    def class_codes(self) -> np.ndarray:
-        """The class code (index into CLASS_ORDER) of every line, by rank."""
-        self.class_keys()
+            self._codes, self._class_sizes, self._klein_violations = codes, sum(sizes), sum(bad)
         return self._codes
 
+    def class_counts(self) -> dict[str, int]:
+        """The number of lines of each populated class."""
+        self.class_codes()
+        return {cls: int(self._class_sizes[CODE[cls]])
+                for cls in twisted.valid_line_classes(self.field)}
+
+    def class_keys(self) -> dict[str, np.ndarray]:
+        """The ascending ranks of the lines of each populated class, read off
+        the class codes on each call; the census never calls it."""
+        codes = self.class_codes()
+        return {cls: np.flatnonzero(codes == CODE[cls])
+                for cls in twisted.valid_line_classes(self.field)}
+
     def klein_violations(self) -> int:
-        self.class_keys()
+        self.class_codes()
         return self._klein_violations
 
     def polar_keys(self, keys) -> np.ndarray:
         """Sorted keys of the polar images of the given lines (xi != 0)."""
         return np.sort(self.pack(self._normalize_rows(self._polar(self.unpack(keys)))))
 
-    def polar_orbit_counts(self, polar_code, orbit_id, m):
-        """Send every line through the null polarity, chunk by chunk (xi != 0).
+    def orbits(self) -> list[tuple[str, int]]:
+        """(class, size) of every orbit partitioned so far, by global index."""
+        return [(cls, size) for cls, part in self.partitions.items()
+                for size, _stab, _rep in part.records]
 
-        A line of class c with orbit label k is in orbit orbit_id[c] + k of m.
-        Returns (exchange, counts): exchange is True iff every line is an
-        image and each image has class polar_code[c] (so the map takes each
-        class onto its partner); counts[i, j] counts the lines of orbit i
-        with image in orbit j."""
-        codes, labels = self.class_codes(), self.orbit_labels
-        hit = np.zeros(len(codes), dtype=bool)
+    def polar_orbit_counts(self):
+        """Send every line through the null polarity, chunk by chunk (xi != 0),
+        once every populated class is partitioned.
+
+        Returns (onto, counts): onto is True iff every line is an image;
+        counts[i, j] counts the lines of orbit i with image in orbit j."""
+        if set(self.partitions) != set(twisted.valid_line_classes(self.field)):
+            raise ValueError("the polarity pass needs every class partitioned")
+        labels, m = self.orbit_labels, len(self.orbits())
+        hit = np.zeros(len(labels), dtype=bool)
 
         def polarize(ranks, P):
             img = self._rank(self._normalize_rows(self._polar(P)))
-            src, dst = codes[ranks], codes[img]
             hit[img] = True  # chunks only ever store True, so none is lost
-            orbit = orbit_id[src] + labels[ranks]
-            return (bool((polar_code[src] == dst).all()),
-                    np.bincount(orbit * m + orbit_id[dst] + labels[img], minlength=m * m))
-        counts = np.zeros(m * m, np.int64)
-        exchange = True
-        for same, pairs in self._over_lines(polarize):
-            exchange &= same
-            counts += pairs
-        return exchange and bool(hit.all()), counts.reshape(m, m)
+            return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
+                               minlength=m * m)
+        counts = sum(self._over_lines(polarize))
+        return bool(hit.all()), counts.reshape(m, m)
 
     # -- group sweeps ------------------------------------------------------------
 
@@ -634,45 +631,51 @@ class Engine:
         return pg3.line_from_plucker(self.field, tuple(row.tolist()))
 
     def orbit_partition_keys(self, cls) -> OrbitPartition:
-        """Partition the lines of one class into orbits, writing the index of
-        each line's orbit record into orbit_labels at its rank.  An orbit's
-        size counts the distinct ranks of its sweep, its representative is
-        its minimal key; an image outside the class raises ValueError."""
-        codes, members = self.class_codes(), self.class_keys()[cls]
-        code = CODE[cls]
+        """Partition the lines of one class into orbits, once per engine.  The
+        class's orbits take the next global indices, in record order, and
+        each line's index is written into orbit_labels at its rank.  An
+        orbit's size counts the distinct ranks of its sweep, its
+        representative is its minimal key; an image outside the class raises
+        ValueError."""
+        if cls in self.partitions:
+            return self.partitions[cls]
+        codes, code = self.class_codes(), CODE[cls]
         if self.orbit_labels is None:
             self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
         labels = self.orbit_labels
-        windows = [members[i:i + self.chunk] for i in range(0, len(members), self.chunk)]
-        for window in windows:
-            labels[window] = -1  # forget an earlier partition of cls
+        base = len(self.orbits())
         records = []
         fixers = []
-        for window in windows:
-            # seed a sweep at each line of the window that is still unlabelled;
+        for lo in range(0, len(codes), self.chunk):
+            hi = min(lo + self.chunk, len(codes))
+            # seed a sweep at each unlabelled line of the class in the window;
             # the lines before a seed are labelled, so the scan resumes after it
-            while (free := labels.take(window) < 0).any():
-                at = int(free.argmax())
-                seed = int(window[at])
-                window = window[at + 1:]
+            while (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
+                seed = lo + int(free.argmax())
+                lo = seed + 1
                 parts = self._images(self.line_from_rank(seed),
                                      lambda P: (self._rank(P), int(self._pack(P).min())))
                 ranks = np.concatenate([r for r, _key in parts])
                 orbit = sorted_unique(ranks)
                 if (codes[orbit] != code).any():
                     raise ValueError(f"the {cls} lines are not closed under the group action")
-                labels[orbit] = len(records)
+                labels[orbit] = base + len(records)
                 size = len(orbit)
                 if self.group_order % size:
                     raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
                 records.append((size, self.group_order // size, min(k for _r, k in parts)))
                 fixers.append(int(np.count_nonzero(ranks == seed)))
         order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
-        relabel = np.empty(len(records), dtype=np.int16)
-        relabel[order] = np.arange(len(records))
-        for window in windows:
-            labels[window] = relabel.take(labels[window])
-        return OrbitPartition([records[i] for i in order], [fixers[i] for i in order])
+        if order != sorted(order):  # relabel the class's lines in record order
+            relabel = np.empty(len(records), dtype=np.int16)
+            relabel[order] = base + np.arange(len(records))
+            for lo in range(0, len(labels), self.chunk):
+                window = labels[lo:lo + self.chunk]
+                mine = window >= base
+                window[mine] = relabel.take(window[mine] - base)
+        self.partitions[cls] = OrbitPartition(
+            [records[i] for i in order], [fixers[i] for i in order])
+        return self.partitions[cls]
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
         """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples.
@@ -700,10 +703,15 @@ class Engine:
         pts = [V] + [self._add(U, self._mul(t, V)) for t in range(self.q)]
         return self._normalize_rows(np.concatenate(pts))
 
-    def covers_once(self, ranks, excluded, dual=False) -> bool:
-        """Whether the points of the lines with the given ranks, or with
+    def covers_once(self, classes, excluded, dual=False) -> bool:
+        """Whether the points of the lines of the given classes, or with
         dual=True the planes through them, cover every point (plane) of
         PG(3,q) outside the point ranks `excluded` exactly once."""
+        codes, wanted = self.class_codes(), [CODE[c] for c in classes]
+        # window by window: a mask of every rank at once would set the peak
+        # memory of the census
+        ranks = np.concatenate([lo + np.flatnonzero(np.isin(codes[lo:lo + self.chunk], wanted))
+                                for lo in range(0, len(codes), self.chunk)])
         if dual:
             # the planes through a line are the points of the line with the
             # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import action, gfq, pg3, twisted
-from .bulk import CLASS_ORDER, CODE, Engine, OrbitPartition
+from .bulk import Engine, OrbitPartition
 
 SCHEMA_VERSION = 2
 
@@ -133,7 +133,6 @@ class CensusRun:
         self.q = q
         self.field = gfq.make_field(q, modulus)
         self.engine = Engine(self.field)
-        self._partitions: dict[str, OrbitPartition] = {}
         self._polarity: tuple[bool, bool] | None = None
 
     @cached_property
@@ -142,19 +141,16 @@ class CensusRun:
         return twisted.build_cubic(self.field)
 
     def class_counts(self) -> dict[str, int]:
-        return {cls: len(ranks) for cls, ranks in self.engine.class_keys().items()}
+        return self.engine.class_counts()
 
     def plane_counts(self) -> dict[str, int]:
         return self.engine.plane_class_counts()
 
     def orbit_records(self, cls: str) -> list[tuple[int, int, int]]:
-        if cls not in self._partitions:
-            self._partitions[cls] = self.engine.orbit_partition_keys(cls)
-        return self._partitions[cls].records
+        return self.partition(cls).records
 
     def partition(self, cls: str) -> OrbitPartition:
-        self.orbit_records(cls)
-        return self._partitions[cls]
+        return self.engine.orbit_partition_keys(cls)
 
     def all_orbit_records(self) -> dict[str, list[tuple[int, int, int]]]:
         return {cls: self.orbit_records(cls)
@@ -167,15 +163,11 @@ class CensusRun:
         image: each orbit's labels count its size, and all its lines map into
         one orbit of equal size, so (the map being a bijection) onto it."""
         if self._polarity is None:
-            polar_code = np.zeros(len(CLASS_ORDER), np.int8)
-            orbit_id = np.zeros(len(CLASS_ORDER), np.int64)
-            sizes = []
-            for src, dst in POLAR_CLASS.items():
-                polar_code[CODE[src]] = CODE[dst]
-                orbit_id[CODE[src]] = len(sizes)
-                sizes += [size for size, _stab, _rep in self.orbit_records(src)]
-            exchange, counts = self.engine.polar_orbit_counts(
-                polar_code, orbit_id, len(sizes))
+            self.all_orbit_records()
+            onto, counts = self.engine.polar_orbit_counts()
+            classes, sizes = zip(*self.engine.orbits())
+            exchange = onto and all(POLAR_CLASS[classes[i]] == classes[j]
+                                    for i, j in zip(*np.nonzero(counts)))
             sizes = np.array(sizes)
             orbit_image = exchange and all(np.array_equal(got, sizes) for got in (
                 counts.sum(axis=1), counts.max(axis=1), sizes[counts.argmax(axis=1)]))
@@ -260,18 +252,16 @@ def check_chord_uniqueness(run):
     """Every point off the cubic lies on exactly one chord (real, tangent or
     imaginary); exhaustive."""
     eng = run.engine
-    chords = np.concatenate([eng.class_keys()[c] for c in (twisted.RC, twisted.T, twisted.IC)])
-    return _check("chord_uniqueness", True,
-                  eng.covers_once(chords, eng.cubic_point_ranks))
+    return _check("chord_uniqueness", True, eng.covers_once(
+        (twisted.RC, twisted.T, twisted.IC), eng.cubic_point_ranks))
 
 
 def check_axis_uniqueness(run):
     """Every plane off the osculating family carries exactly one axis
     (real, imaginary, or tangent); exhaustive."""
     eng = run.engine
-    axes = np.concatenate([eng.class_keys()[c] for c in (twisted.RA, twisted.IA, twisted.T)])
-    return _check("axis_uniqueness", True,
-                  eng.covers_once(axes, eng.gamma_plane_ranks, dual=True))
+    return _check("axis_uniqueness", True, eng.covers_once(
+        (twisted.RA, twisted.IA, twisted.T), eng.gamma_plane_ranks, dual=True))
 
 
 def check_axis_pencil(run):

@@ -15,10 +15,6 @@ from twistedcubic.bulk import CODE, Engine, _pair_blocks, field_ops, sorted_uniq
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
 
-def class_counts(eng):
-    return {cls: len(ranks) for cls, ranks in eng.class_keys().items()}
-
-
 @pytest.mark.parametrize("q", AGREE_Q)
 def test_bulk_classification_matches_scalar(field, model, engine, q):
     f = field(q)
@@ -139,13 +135,13 @@ def test_sorted_unique_matches_np_unique():
 def test_class_counts_match_closed_forms_larger_q(engine):
     for q in (11, 13, 16):
         eng = engine(q)
-        assert class_counts(eng) == tw.expected_class_sizes(eng.field)
+        assert eng.class_counts() == tw.expected_class_sizes(eng.field)
         assert eng.klein_violations() == 0
 
 
 def test_tiny_chunks_split_enumeration_consistently(field, engine):
     eng = Engine(field(5), chunk=100)
-    assert class_counts(eng) == class_counts(engine(5))
+    assert eng.class_counts() == engine(5).class_counts()
     assert eng.class_codes().tolist() == engine(5).class_codes().tolist()
     for cls, keys in eng.class_keys().items():
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
@@ -300,13 +296,15 @@ def test_rank_outside_the_universe_is_rejected(engine, rank):
 
 @pytest.mark.parametrize("q", (5, 9))
 def test_class_keys_partition_the_ranks_by_code(engine, q):
+    """The codes of every rank take only populated classes, as many of each
+    as the class pass's per-chunk bincounts counted."""
     eng = engine(q)
-    keys = eng.class_keys()
-    assert np.sort(np.concatenate(list(keys.values()))).tolist() == \
-        list(range(pg3.line_count(q)))
-    for cls, ranks in keys.items():
-        assert ranks.dtype == np.int32 and (np.diff(ranks) > 0).all()
-        assert (eng.class_codes()[ranks] == CODE[cls]).all(), cls
+    codes = eng.class_codes()
+    assert codes.dtype == np.int8 and len(codes) == pg3.line_count(q)
+    got = np.bincount(codes, minlength=len(CODE))
+    assert {cls: int(got[CODE[cls]]) for cls in CODE if got[CODE[cls]]} == eng.class_counts()
+    for cls, ranks in eng.class_keys().items():
+        assert (np.diff(ranks) > 0).all() and len(ranks) == eng.class_counts()[cls]
 
 
 def _partitions(eng):
@@ -314,18 +312,10 @@ def _partitions(eng):
             for cls in tw.valid_line_classes(eng.field)}
 
 
-def _polar_counts(eng, partitions):
-    """The polarity pass's (exchange, counts), with its arguments built as
-    CensusRun.polarity_images builds them."""
-    polar_code = np.zeros(len(CODE), np.int8)
-    orbit_id = np.zeros(len(CODE), np.int64)
-    m = 0
-    for src, dst in census.POLAR_CLASS.items():
-        polar_code[CODE[src]] = CODE[dst]
-        orbit_id[CODE[src]] = m
-        m += len(partitions[src].records)
-    exchange, counts = eng.polar_orbit_counts(polar_code, orbit_id, m)
-    return exchange, counts.tolist()
+def _polar_counts(eng):
+    """The polarity pass's (onto, counts) over every partitioned class."""
+    onto, counts = eng.polar_orbit_counts()
+    return onto, counts.tolist()
 
 
 @pytest.mark.parametrize("q", (8, 9, 13))
@@ -339,7 +329,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     sys.setswitchinterval(1e-6)
     try:
         got = _partitions(small)
-        polar = _polar_counts(small, got) if field(q).xi != 0 else None
+        polar = _polar_counts(small) if field(q).xi != 0 else None
     finally:
         sys.setswitchinterval(interval)
     want = _partitions(whole)
@@ -350,7 +340,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     assert got == want
     assert small.orbit_labels.tolist() == whole.orbit_labels.tolist()
     if polar is not None:
-        assert polar == _polar_counts(whole, want)
+        assert polar == _polar_counts(whole)
 
 
 def test_in_order_keeps_task_order_and_stops_after_a_failure():
@@ -413,7 +403,7 @@ def test_integer_headroom(q):
     assert q**6 < 2**63  # int64 packed key of a Pluecker vector
     assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
     assert (q + 1) ** 3 < 2**63  # int64 code of a triple of cubic points
-    assert pg3.line_count(q) < 2**31  # int32 class ranks
+    assert q**4 < 2**31  # int32 free entries of a chunk's lines
 
 
 def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):

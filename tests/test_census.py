@@ -1,9 +1,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from twistedcubic import census, twisted
+from twistedcubic import census, pg3, twisted
+from twistedcubic.bulk import CODE, Engine
 
 
 def test_classify_all_examples():
@@ -263,3 +265,48 @@ def test_model_is_built_on_first_read():
     model = run.model
     assert isinstance(model, twisted.CubicModel) and model.field is run.field
     assert run.model is model and model.axis is not None
+
+
+def _engines(monkeypatch):
+    """The Engines that census entry points build from here on."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(Engine(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(census, "Engine", make)
+    return made
+
+
+def test_census_reads_no_class_rank_arrays(monkeypatch):
+    def refuse(self):
+        raise AssertionError("class_keys called on the census path")
+    monkeypatch.setattr(Engine, "class_keys", refuse)
+    assert census.verify(5)["pass"] and census.verify(9)["pass"]
+    assert census.classify_all(8) == twisted.expected_class_sizes(census.CensusRun(8).field)
+    orbits = [orb for e in census.orbit_census(7)["classes"] for orb in e["orbits"]]
+    assert len(orbits) == census.expected_total_orbit_count(7, 1)
+
+
+@pytest.mark.parametrize("q", (8, 9))
+def test_per_line_state_is_one_code_and_one_label(monkeypatch, q):
+    """After a verify, the only Engine arrays with one entry per line are the
+    int8 class codes and the int16 orbit labels, and a line's label is the
+    global index of an orbit of its own class."""
+    made = _engines(monkeypatch)
+    assert census.verify(q)["pass"]
+    eng, = made
+    per_line = {name: value.dtype for name, value in vars(eng).items()
+                if isinstance(value, np.ndarray) and len(value) == pg3.line_count(q)}
+    assert per_line == {"_codes": np.int8, "orbit_labels": np.int16}
+    orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
+    assert (orbit_codes[eng.orbit_labels] == eng.class_codes()).all()
+
+
+def test_orbits_of_one_class_label_only_its_lines(monkeypatch):
+    made = _engines(monkeypatch)
+    census.orbit_census(7, line_class=twisted.UG)
+    eng, = made
+    assert list(eng.partitions) == [twisted.UG]
+    labelled = eng.orbit_labels >= 0
+    assert (labelled == (eng.class_codes() == CODE[twisted.UG])).all()

@@ -5,27 +5,27 @@ import numpy as np
 import pytest
 
 import scalar_checks
-from twistedcubic import census, pg3, twisted as tw
+from twistedcubic import action as act, census, pg3, twisted as tw
 from twistedcubic.bulk import CODE, Engine
 
 DIFF_Q = (4, 5, 7, 8)
 
 
 def _corrupt(run, cls, mode):
-    """Drop or duplicate the first line of one class.
+    """Move one line out of or into a class by rewriting its class code.
 
-    drop: remove the line from the class's ranks and reassign its class code
-    to EnG, which no check reads; dup: list the line twice in the class's
-    ranks, so every reader of class_keys (the census checks, so covers_once,
-    and the scalar oracles) gets it twice."""
+    drop: re-code the first line of the class to EnG, which no chord or axis
+    check reads; dup: re-code the first EnG line into the class, so some
+    points (planes) are covered by two of the class's lines.  Once the
+    classes are partitioned, a dropped line also takes the label of the
+    first EnG orbit, so that codes and labels agree on its new class."""
     eng = run.engine
-    keys = eng.class_keys()
-    first = keys[cls][:1]
-    if mode == "drop":
-        keys[cls] = keys[cls][1:]
-        eng.class_codes()[first] = CODE[tw.ENG]
-    else:
-        keys[cls] = np.append(keys[cls], first)
+    codes = eng.class_codes()
+    src, dst = (cls, tw.ENG) if mode == "drop" else (tw.ENG, cls)
+    moved = np.flatnonzero(codes == CODE[src])[0]
+    codes[moved] = CODE[dst]
+    if mode == "drop" and eng.orbit_labels is not None:
+        eng.orbit_labels[moved] = [c for c, _size in eng.orbits()].index(tw.ENG)
     return run
 
 
@@ -50,9 +50,7 @@ def test_corrupted_key_sets_match_scalar_loops(q, mode):
     assert scalar_checks.chord_uniqueness(chords) is False
     axes = _corrupt(census.CensusRun(q), tw.RA, mode)
     assert census.check_axis_uniqueness(axes)["pass"] is False
-    # the scalar loop tests membership per plane, so it misses a duplicated
-    # axis key; the vectorized check counts every key
-    assert scalar_checks.axis_uniqueness(axes) is (mode == "dup")
+    assert scalar_checks.axis_uniqueness(axes) is False
 
 
 @pytest.mark.parametrize("cls", (tw.RC, tw.T, tw.IC))
@@ -152,29 +150,39 @@ def test_polarity_class_exchange_fails_on_a_dropped_key(cls):
 
 
 def test_polarity_orbit_image_fails_on_a_corrupted_label():
+    """The first EnG line moves to the next EnG orbit: each line keeps the
+    class of its label, but two orbits no longer count their sizes."""
     run = census.CensusRun(5)
-    part = run.partition(tw.ENG)
-    assert len(part.records) > 1
-    first = run.engine.class_keys()[tw.ENG][0]
-    labels = run.engine.orbit_labels
-    labels[first] = (labels[first] + 1) % len(part.records)
+    run.all_orbit_records()
+    eng = run.engine
+    eng_orbits = [i for i, (c, _size) in enumerate(eng.orbits()) if c == tw.ENG]
+    assert len(eng_orbits) > 1
+    first = np.flatnonzero(eng.class_codes() == CODE[tw.ENG])[0]
+    labels = eng.orbit_labels
+    at = eng_orbits.index(labels[first])
+    labels[first] = eng_orbits[(at + 1) % len(eng_orbits)]
     assert census.check_polarity_class_exchange(run)["pass"]
     assert not census.check_polarity_orbit_images(run)["pass"]
 
 
 def test_partition_labels_index_the_records(run):
+    """Labels are global: the orbits of the classes in partition order, each
+    class's in record order, and the class of a line's orbit is its code."""
     r = run(7)
+    r.all_orbit_records()
     eng = r.engine
-    for cls in tw.valid_line_classes(r.field):
-        ranks = eng.class_keys()[cls]
-        part = r.partition(cls)
-        assert eng.orbit_labels.dtype == np.int16
-        labels = eng.orbit_labels[ranks]
-        assert labels.min() == 0 and labels.max() == len(part.records) - 1
-        for label, (size, _stab, rep) in enumerate(part.records):
-            members = np.sort(eng.pack(eng._unrank(ranks[labels == label])))
+    labels = eng.orbit_labels
+    assert labels.dtype == np.int16
+    orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
+    assert labels.min() == 0 and labels.max() == len(orbit_codes) - 1
+    assert (orbit_codes[labels] == eng.class_codes()).all()
+    label = 0
+    for part in eng.partitions.values():
+        for size, _stab, rep in part.records:
+            members = np.sort(eng.pack(eng._unrank(np.flatnonzero(labels == label))))
             assert members.tolist() == eng.orbit_sweep(eng.line_from_key(rep)).tolist()
             assert len(members) == size and members[0] == rep
+            label += 1
 
 
 def test_axis_pencil_fails_off_the_axis():
@@ -184,3 +192,29 @@ def test_axis_pencil_fails_off_the_axis():
     tangent = pg3.line_through(f, tw.cubic_point(f, 0), tw.tangent_direction(f, 0))
     run.engine.axis_plucker = tangent.plucker
     assert not census.check_axis_pencil(run)["pass"]
+
+
+@pytest.mark.parametrize("form", act.FAMILY_IDS)
+def test_family_check_fails_on_a_family_missing_an_element(monkeypatch, form):
+    """With one element dropped from one parametric family, that family's
+    check reads false and every other family's still passes."""
+    run = next(r for r in map(census.CensusRun, (5, 8, 9))
+               if act.family_applicable(r.field, form))
+    family = act.stab_family
+    monkeypatch.setattr(act, "stab_family", lambda f, name: (
+        family(f, name)[1:] if name == form else family(f, name)))
+    verdicts = {c["name"]: c["pass"] for c in census.check_families(run)}
+    assert verdicts.pop(f"family:{form}") is False
+    assert all(verdicts.values())
+
+
+def test_external_spectrum_sum_rule_fails_on_a_resized_orbit(monkeypatch):
+    records = census.CensusRun.orbit_records
+
+    def resized(run, cls):
+        (size, stab, rep), *rest = records(run, cls)
+        return [(size + 1 if cls == tw.ENG else size, stab, rep)] + rest
+    monkeypatch.setattr(census.CensusRun, "orbit_records", resized)
+    check = next(c for c in census.verify(5)["checks"]
+                 if c["name"] == "external_spectrum_sum_rule")
+    assert check["actual"] == check["expected"] + 1 and not check["pass"]
