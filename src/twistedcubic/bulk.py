@@ -322,11 +322,14 @@ class Engine:
 
     def _lincomb(self, scalars, cols):
         """Sum of s * col over the scalars s and arrays col, skipping zero
-        scalars (all zeros when every scalar is zero)."""
+        scalars (all zeros when every scalar is zero) and the multiply by a
+        scalar 1.  When the only nonzero scalar is 1, the result is that col
+        itself, not a copy: a view into the caller's array (the group lifts,
+        the points or the planes), which every caller only reads."""
         acc = None
         for c, col in zip(scalars, cols):
             if c:
-                term = self._mul(int(c), col)
+                term = col if c == 1 else self._mul(int(c), col)
                 acc = term if acc is None else self._add(acc, term)
         return np.zeros_like(cols[0]) if acc is None else acc
 
@@ -359,7 +362,10 @@ class Engine:
 
         Scale invariant, so P need not be normalized.  Chords through the
         t=infinity cubic point have the last three coordinates zero; all other
-        chords match the symmetric-function pattern with nonzero l23.
+        chords match the symmetric-function pattern with nonzero l23.  Its
+        first coordinate, l01/l23 = (l12/l23)^2, reads l01*l23 = l12^2
+        homogeneously; about 1/q of the rows pass that test, and only they
+        are matched against the whole pattern and their roots counted.
         """
         m = self._mul
         p0, p1, p2, p3, p4, p5 = P.T
@@ -369,17 +375,19 @@ class Engine:
         code[thru_inf & (p1 == 0) & (p2 == 0)] = 1
         code[thru_inf & (p2 != 0) & (m(p0, p2) == m(p1, p1))] = 2
 
-        s = self.INV[p5]
+        rows = np.flatnonzero((p5 != 0) & (m(p0, p5) == m(p3, p3)))
+        p0, p1, p2, p3, p4, p5 = (p.take(rows) for p in (p0, p1, p2, p3, p4, p5))
+        s = self.INV.take(p5)
         a1 = m(p4, s)
         a2 = m(p3, s)
         pattern = twisted.chord_pattern(a1, a2, m, self._sub)
-        match = p5 != 0
+        match = np.ones(len(rows), dtype=bool)
         for want, got in zip(pattern, (p0, p1, p2)):
             match &= want == m(got, s)
         cnt = self._root_count(a1, a2)
-        code[match & (cnt == 2)] = 2
-        code[match & (cnt == 1)] = 1
-        code[match & (cnt == 0)] = 3
+        code[rows[match & (cnt == 2)]] = 2
+        code[rows[match & (cnt == 1)]] = 1
+        code[rows[match & (cnt == 0)]] = 3
         return code
 
     def _polar(self, P):
@@ -656,7 +664,10 @@ class Engine:
                 parts = self._images(self.line_from_rank(seed),
                                      lambda P: (self._rank(P), int(self._pack(P).min())))
                 ranks = np.concatenate([r for r, _key in parts])
-                orbit = sorted_unique(ranks)
+                # sorted as int32 in half the int64 time, since every rank is
+                # below line_count(q) < 2^31 (q <= 81); then intp, which numpy
+                # would otherwise convert to on each gather and scatter below
+                orbit = sorted_unique(ranks.astype(np.int32)).astype(np.intp)
                 if (codes[orbit] != code).any():
                     raise ValueError(f"the {cls} lines are not closed under the group action")
                 labels[orbit] = base + len(records)

@@ -3,6 +3,8 @@
 These are the point-by-point loops over `pg3` and `action` that the
 vectorized `Engine` checks replaced.  They are slow (seconds at q = 8), so
 they only serve as an independent oracle in the differential tests.
+`chord_code` is the full-evaluation form of `Engine._chord_code`, kept as
+the reference for its filtered form.
 """
 
 import numpy as np
@@ -99,3 +101,28 @@ def polarity_commutation(run):
             != twisted.null_polarity_point(f, action.act_point(f, g, pt))
             for pt in FRAME)
         for g in action.all_elements(f))
+
+
+def chord_code(eng, P):
+    """Engine._chord_code evaluated on every row: the whole symmetric-function
+    pattern and the root count, with no filter first."""
+    m = eng._mul
+    p0, p1, p2, p3, p4, p5 = P.T
+    code = np.zeros(len(P), dtype=np.int8)
+
+    thru_inf = (p3 == 0) & (p4 == 0) & (p5 == 0)
+    code[thru_inf & (p1 == 0) & (p2 == 0)] = 1
+    code[thru_inf & (p2 != 0) & (m(p0, p2) == m(p1, p1))] = 2
+
+    s = eng.INV[p5]
+    a1 = m(p4, s)
+    a2 = m(p3, s)
+    pattern = twisted.chord_pattern(a1, a2, m, eng._sub)
+    match = p5 != 0
+    for want, got in zip(pattern, (p0, p1, p2)):
+        match &= want == m(got, s)
+    cnt = eng._root_count(a1, a2)
+    code[match & (cnt == 2)] = 2
+    code[match & (cnt == 1)] = 1
+    code[match & (cnt == 0)] = 3
+    return code

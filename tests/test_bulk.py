@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import scalar_checks
 from twistedcubic import action as act
 from twistedcubic import bulk, census, cli, pg3, twisted as tw
-from twistedcubic.bulk import CODE, Engine, _pair_blocks, field_ops, sorted_unique
+from twistedcubic.bulk import CODE, Engine, _columns, _pair_blocks, field_ops, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -174,6 +175,23 @@ def test_array_forms_match_scalar_forms(field, engine, q):
     for ln, keys in zip(lines, pencils):
         want = [eng.pack_tuple(pt) for pt in pg3.line_points(f, ln)]
         assert sorted(keys.tolist()) == want
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32))
+def test_chord_code_matches_full_evaluation(field, engine, q):
+    """The filtered chord code equals the full evaluation on every line's
+    Pluecker row and on its polar image (xi != 0), and keeps those codes
+    when each row is scaled by a nonzero element."""
+    f, eng = field(q), engine(q)
+    P = eng._unrank(np.arange(pg3.line_count(q)))
+    rng = np.random.default_rng(q)
+    for R in [P] + ([eng._polar(P)] if f.xi != 0 else []):
+        want = scalar_checks.chord_code(eng, R)
+        assert np.unique(want).tolist() == [0, 1, 2, 3]
+        assert np.array_equal(eng._chord_code(R), want)
+        scale = rng.integers(1, q, len(R)).astype(np.int16)
+        scaled = _columns([eng._mul(scale, R[:, j]) for j in range(6)])
+        assert np.array_equal(eng._chord_code(scaled), want)
 
 
 @pytest.mark.parametrize("q", census.SUPPORTED_Q)
@@ -379,6 +397,30 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         assert eng.stabilizer_abcd(line) == sorted(map(tuple, abcd[fixed].tolist()))
 
 
+@pytest.mark.parametrize("q", (5, 8))
+def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
+    """_lincomb hands back an input column itself when its only nonzero
+    scalar is 1: the sweeps, the stabilizer filter, the partition, the
+    triple images and the plane census leave the group arrays and the
+    points of PG(3,q) as they were."""
+    eng = Engine(field(q))
+    points = eng._proj_points(4)
+    real = eng._proj_points
+    monkeypatch.setattr(eng, "_proj_points", lambda n: points if n == 4 else real(n))
+    arrays = (points, *eng._group_arrays())
+    before = [a.copy() for a in arrays]
+    for rank in (0, pg3.line_count(q) // 2):  # rank 0 joins two unit points
+        line = eng.line_from_rank(rank)
+        eng.orbit_sweep(line)
+        eng.stabilizer_abcd(line)
+    eng.orbit_partition_keys(tw.ENG)
+    eng.triple_images(eng.cubic_points[:3])
+    eng.plane_class_counts()
+    assert all(x is y for x, y in zip(eng._group_arrays(), arrays[1:]))
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+
+
 def test_pool_is_shared_and_has_no_setting(engine, capsys):
     """Repeated verifies and a large sweep reuse one pool of at most two
     threads, and the CLI offers no thread or worker option."""
@@ -404,6 +446,7 @@ def test_integer_headroom(q):
     assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
     assert (q + 1) ** 3 < 2**63  # int64 code of a triple of cubic points
     assert q**4 < 2**31  # int32 free entries of a chunk's lines
+    assert pg3.line_count(q) < 2**31  # int32 line ranks sorted in a sweep
 
 
 def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
