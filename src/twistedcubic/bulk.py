@@ -22,6 +22,13 @@ methods.  The independent oracles stay separate: the monomial null polarity
 on Pluecker vectors (`_polar`) and the root count of the chord quadratic
 (`_root_count`).
 
+The universe passes build each chunk's Pluecker rows from the base-q digits
+of its RREF free entries: the RREF rows are column lists (pg3.rref_rows) in
+which the pivot 1s and the other 0s stay Python ints, and pg3.plucker_forms
+runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
+Every row of a chunk then has l_{c0 c1} = 1 with zeros before it, so the
+polarity pass normalizes a chunk's polar images by one scalar.
+
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
@@ -90,6 +97,25 @@ def field_ops(field):
         return mul, np.bitwise_xor, np.bitwise_xor, _identity
     return (mul, _table_op(field.add_table), _table_op(field.sub_table),
             field.neg_table.take)
+
+
+def _folding(mul, sub, neg):
+    """mul and sub for operands that may be the Python ints 0 and 1 of an
+    RREF row (pg3.rref_rows): a multiply by 0 or 1 and a subtraction of 0
+    fold away, so only the minors of two free entries reach the tables."""
+    def fmul(x, y):
+        for c, col in ((x, y), (y, x)):
+            if isinstance(c, int) and c in (0, 1):
+                return col if c else 0
+        return mul(x, y)
+
+    def fsub(x, y):
+        if isinstance(y, int) and y == 0:
+            return x
+        if isinstance(x, int) and x == 0:
+            return neg(y)
+        return sub(x, y)
+    return fmul, fsub
 
 
 def _columns(cols):
@@ -215,6 +241,7 @@ class Engine:
         self.q = q
         self.INV = field.inv_table
         self._mul, self._add, self._sub, self._neg = field_ops(field)
+        self._digit_ops = _folding(self._mul, self._sub, self._neg)
         self.SQ = field.square_mask
         self.TR = field.trace_table
         self.three = field.of_int(3)
@@ -255,10 +282,14 @@ class Engine:
 
     def _digits(self, values, k):
         """The k base-q int16 digits of each value, least significant first,
-        yielded one at a time so a caller can store each before the next."""
+        yielded one at a time so a caller can store each before the next.
+        The values are nonnegative; the remainder is taken as v - (v // q) * q,
+        since numpy's floor division by a scalar is several times faster
+        than its %."""
         for _ in range(k):
-            yield (values % self.q).astype(np.int16)
-            values = values // self.q
+            high = values // self.q
+            yield (values - high * self.q).astype(np.int16)
+            values = high
 
     def unpack(self, keys):
         """(n, 6) int16 Pluecker rows of packed line keys."""
@@ -320,6 +351,10 @@ class Engine:
 
     # -- elementwise geometry -------------------------------------------------
 
+    def _times(self, c, col):
+        """c * col for a scalar c; col itself, not a copy, when c is 1."""
+        return col if c == 1 else self._mul(int(c), col)
+
     def _lincomb(self, scalars, cols):
         """Sum of s * col over the scalars s and arrays col, skipping zero
         scalars (all zeros when every scalar is zero) and the multiply by a
@@ -329,7 +364,7 @@ class Engine:
         acc = None
         for c, col in zip(scalars, cols):
             if c:
-                term = col if c == 1 else self._mul(int(c), col)
+                term = self._times(c, col)
                 acc = term if acc is None else self._add(acc, term)
         return np.zeros_like(cols[0]) if acc is None else acc
 
@@ -371,9 +406,10 @@ class Engine:
         p0, p1, p2, p3, p4, p5 = P.T
         code = np.zeros(len(P), dtype=np.int8)
 
-        thru_inf = (p3 == 0) & (p4 == 0) & (p5 == 0)
-        code[thru_inf & (p1 == 0) & (p2 == 0)] = 1
-        code[thru_inf & (p2 != 0) & (m(p0, p2) == m(p1, p1))] = 2
+        inf = np.flatnonzero((p3 == 0) & (p4 == 0) & (p5 == 0))
+        i0, i1, i2 = (p.take(inf) for p in (p0, p1, p2))
+        code[inf[(i1 == 0) & (i2 == 0)]] = 1
+        code[inf[(i2 != 0) & (m(i0, i2) == m(i1, i1))]] = 2
 
         rows = np.flatnonzero((p5 != 0) & (m(p0, p5) == m(p3, p3)))
         p0, p1, p2, p3, p4, p5 = (p.take(rows) for p in (p0, p1, p2, p3, p4, p5))
@@ -392,15 +428,28 @@ class Engine:
 
     def _polar(self, P):
         # image of the null polarity on Pluecker vectors: a fixed monomial map
-        # (checked against the two-plane definition in the test suite)
+        # (checked against the two-plane definition in the test suite); its
+        # constants 3 and 9 are 1 in characteristic 2, where it only moves
+        # columns
         if self.field.xi == 0:
             raise ValueError("the null polarity degenerates when q = 0 mod 3")
-        m = self._mul
         t, n = self.three, self.nine
-        return _columns([
-            m(t, P[:, 0]), m(t, P[:, 1]), m(n, P[:, 3]),
-            P[:, 2], m(t, P[:, 4]), m(t, P[:, 5]),
-        ])
+        return _columns([self._times(c, P[:, j])
+                         for c, j in zip((t, t, n, 1, t, t), (0, 1, 3, 2, 4, 5))])
+
+    def _chunk_polar(self, P):
+        """The normalized polar images of the Pluecker rows P of one chunk
+        (xi != 0).  Every row has l_{c0 c1} = 1 and zeros before it, and
+        _polar is monomial, so every image has its first nonzero coordinate
+        in the same place, with the same value (for pivots (0, 3) the Klein
+        relation forces l12 = 0): one scalar normalizes them, in place."""
+        img = self._polar(P)
+        lead = np.flatnonzero(img[0])[0]
+        inv = int(self.INV[img[0, lead]])
+        if inv != 1:  # it is 1 in characteristic 2, where 3 = 9 = 1
+            for col in img.T[lead:]:
+                col[:] = self._mul(inv, col)
+        return img
 
     def _klein(self, P):
         return pg3.klein_form(P.T, self._mul, self._sub, self._add)
@@ -448,11 +497,16 @@ class Engine:
         return tasks
 
     def _task_plucker(self, task):
-        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1."""
+        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1,
+        from the digits of their free RREF entries with the constant 0s and
+        1s folded away: for pivots (0, 1), the rows (1, 0, a, b) and
+        (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
         _ranks, c0, c1, slots, start, stop = task
         # int32 digits take half the time of int64 ones; stop <= q^4
         idx = np.arange(start, stop, dtype=np.int32)
-        return self._plucker(*self._pair_rows(4, c0, c1, slots, idx))
+        u, v = pg3.rref_rows(4, c0, c1, list(self._digits(idx, len(slots)))[::-1])
+        return _columns([np.full(len(idx), x, np.int16) if isinstance(x, int) else x
+                         for x in pg3.plucker_forms(u, v, *self._digit_ops)])
 
     def _over_lines(self, fn):
         """fn(ranks, P) per chunk of all lines, in rank order, with P the
@@ -578,7 +632,7 @@ class Engine:
         hit = np.zeros(len(labels), dtype=bool)
 
         def polarize(ranks, P):
-            img = self._rank(self._normalize_rows(self._polar(P)))
+            img = self._rank(self._chunk_polar(P))
             hit[img] = True  # chunks only ever store True, so none is lost
             return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
                                minlength=m * m)

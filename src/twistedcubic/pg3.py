@@ -151,9 +151,10 @@ def rref_entries(p, c0, c1, neg):
             yield neg(p[PAIR_IDX.index((c1, j))])
 
 
-def _rref_rows(ncols, c0, c1, entries):
+def rref_rows(ncols, c0, c1, entries):
     """The RREF rows (U, V) with pivots c0 < c1 and the given free entries,
-    in rref_slots order."""
+    in rref_slots order; the pivot 1s and the other 0s are Python ints,
+    whatever the entries are (field elements or columns of them)."""
     rows = ([0] * ncols, [0] * ncols)
     rows[0][c0] = rows[1][c1] = 1
     for (row, j), x in zip(rref_slots(c0, c1, ncols), entries):
@@ -165,7 +166,7 @@ def _rref_pair(field, p):
     """The two smallest points of the line with normalized Pluecker vector p:
     its RREF rows (U, V), returned as (V, U)."""
     c0, c1 = PAIR_IDX[next(k for k, x in enumerate(p) if x)]
-    u, v = _rref_rows(4, c0, c1, rref_entries(p, c0, c1, field.neg))
+    u, v = rref_rows(4, c0, c1, rref_entries(p, c0, c1, field.neg))
     return v, u
 
 
@@ -248,7 +249,7 @@ def _rref_pairs(q, ncols):
     for c0 in range(ncols - 1):
         for c1 in range(c0 + 1, ncols):
             for vals in product(range(q), repeat=len(rref_slots(c0, c1, ncols))):
-                yield _rref_rows(ncols, c0, c1, vals)
+                yield rref_rows(ncols, c0, c1, vals)
 
 
 def all_lines(field):

@@ -276,6 +276,57 @@ def test_rank_on_seeded_chunks_at_q64(engine):
         assert eng._rank(P[::-1]).tolist() == (offset + idx[::-1]).tolist()
 
 
+def _assert_task_plucker_matches_pair_rows(eng, task):
+    _ranks, c0, c1, slots, start, stop = task
+    want = eng._plucker(*eng._pair_rows(4, c0, c1, slots, np.arange(start, stop)))
+    got = eng._task_plucker(task)
+    assert got.dtype == want.dtype == np.int16
+    assert np.array_equal(got, want), task
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25))
+def test_task_plucker_matches_pair_rows(field, q):
+    """The chunk rows built from the RREF digits, with the constant 0s and
+    1s folded away, equal the full 2 x 2 minors of the RREF row arrays on
+    every chunk, whole or partial, of an engine with 64-line chunks."""
+    eng = Engine(field(q), chunk=64)
+    tasks = eng._line_tasks()
+    assert len(tasks) > len(_pair_blocks(4, q)) or q == 2  # at q = 2 no block has 64 lines
+    assert any(stop - start < 64 for *_rest, start, stop in tasks)
+    for task in tasks:
+        _assert_task_plucker_matches_pair_rows(eng, task)
+
+
+def test_task_plucker_on_seeded_chunks_at_q64(engine):
+    eng = engine(64)
+    rng = np.random.default_rng(64)
+    for c0, c1, slots, offset, size in _pair_blocks(4, 64):
+        start = int(rng.integers(0, size))
+        stop = min(start + 5000, size)
+        task = (slice(offset + start, offset + stop), c0, c1, slots, start, stop)
+        _assert_task_plucker_matches_pair_rows(eng, task)
+
+
+@pytest.mark.parametrize("q", (2, 4, 5, 7, 8, 16, 25))
+def test_chunk_polar_matches_normalize_rows(field, q):
+    """The polarity pass's one-scalar normalization of a chunk's polar
+    images equals the row-by-row normalization on every chunk of an engine
+    with 64-line chunks, and leaves the chunk's rows as they were; for odd
+    q the scalar is not 1, so the in-place multiply runs."""
+    eng = Engine(field(q), chunk=64)
+    scaled = 0
+    for task in eng._line_tasks():
+        P = eng._task_plucker(task)
+        polar = eng._polar(P)
+        want = eng._normalize_rows(polar)
+        got = eng._chunk_polar(P)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want), task
+        assert np.array_equal(P, eng._task_plucker(task))
+        scaled += not np.array_equal(got, polar)
+    assert (scaled > 0) == (q % 2 == 1)
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
 def test_point_rank_is_the_proj_points_index(engine, q):
     eng = engine(q)
