@@ -3,10 +3,12 @@
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
 (`_pair_blocks(4, q)`), read off its normalized Pluecker vector by `_rank`;
 a point's or plane's rank is its index in `_proj_points(4)`.  The whole-
-universe state is one int8 class code and one int16 global orbit label per
-rank, so locating a line is an index, not a search, and the lines of a class
-are the ranks its code marks.  Packed base-q int64 keys of Pluecker vectors
-remain only as the orbit representatives of the report.
+universe state is one int8 class code and one int16 orbit label per rank, so
+locating a line is an index, not a search, and the lines of a class are the
+ranks its code marks.  A label indexes the engine's list of orbits, in the
+order the sweeps found them, each with its class, the size and stabilizer
+order its sweep measured, and its representative, the one place packed
+base-q int64 keys of Pluecker vectors remain.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -55,7 +57,6 @@ import os
 import threading
 from functools import cache, reduce
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -214,18 +215,11 @@ def _in_order(fn, tasks):
 MEETS, GAMMA, AXIS = 1, 2, 4
 
 
-class OrbitPartition(NamedTuple):
-    """Orbits of one line class: (size, stabilizer_order, representative_key)
-    records sorted by (size, representative), and per record the number of
-    group elements fixing the seed line of its sweep, counted in the sweep."""
-    records: list[tuple[int, int, int]]
-    fixers: list[int]
-
-
 class Engine:
     """Bulk classification and orbit machinery for one field's cubic.
-    Its only arrays with one entry per line, the class codes and the global
-    orbit labels, are built on first use, never for queries.
+    Its only arrays with one entry per line, the class codes (written over
+    the model flags) and the orbit labels (indices into its orbit list), are
+    built on first use, never for queries.
 
     Chunks of `chunk` lines, and large group sweeps, are shared out over
     threads under the module's contract: disjoint rank slices per task,
@@ -262,8 +256,9 @@ class Engine:
         if field.xi == 0:  # the common line of the osculating planes
             self.axis_plucker = pg3.meet_planes(field, *self.gamma_planes[:2]).plucker
         self._codes = self._class_sizes = self._klein_violations = None
-        self.orbit_labels = None  # per rank: global orbit index
-        self.partitions: dict[str, OrbitPartition] = {}
+        # (class, size, stabilizer order, representative key), by label
+        self._orbits: list[tuple[str, int, int, int]] = []
+        self.orbit_labels = None
         self._group = None
 
     # -- packing and ranks ---------------------------------------------------
@@ -518,9 +513,9 @@ class Engine:
         return run(task, self._line_tasks())
 
     def _model_flags(self):
-        """Per line rank: MEETS if the line meets the cubic, GAMMA if it lies
-        in an osculating plane, AXIS for the axis (xi = 0 only)."""
-        flags = np.zeros(pg3.line_count(self.q), np.uint8)
+        """Per line rank, as int8: MEETS if the line meets the cubic, GAMMA
+        if it lies in an osculating plane, AXIS for the axis (xi = 0 only)."""
+        flags = np.zeros(pg3.line_count(self.q), np.int8)
 
         # each cubic point joined to every point of a plane x_j = 0 missing it
         points = self._proj_points(4)
@@ -582,13 +577,13 @@ class Engine:
     def class_codes(self) -> np.ndarray:
         """The class code (index into CLASS_ORDER) of every line, by rank,
         from one chunked pass over the whole universe that also counts the
-        lines of each class and the Klein violations."""
+        lines of each class and the Klein violations.  The codes overwrite
+        the model flags in place: each chunk reads its flags first."""
         if self._codes is None:
-            codes = np.empty(pg3.line_count(self.q), np.int8)
-            flags = self._model_flags()
+            codes = self._model_flags()
 
             def classify(ranks, P):
-                codes[ranks], bad = self._classify_chunk(P, flags[ranks])
+                codes[ranks], bad = self._classify_chunk(P, codes[ranks])
                 return bad, np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
             bad, sizes = zip(*self._over_lines(classify))
             self._codes, self._class_sizes, self._klein_violations = codes, sum(sizes), sum(bad)
@@ -616,9 +611,8 @@ class Engine:
         return np.sort(self.pack(self._normalize_rows(self._polar(self.unpack(keys)))))
 
     def orbits(self) -> list[tuple[str, int]]:
-        """(class, size) of every orbit partitioned so far, by global index."""
-        return [(cls, size) for cls, part in self.partitions.items()
-                for size, _stab, _rep in part.records]
+        """(class, size) of every orbit partitioned so far, by label."""
+        return [(cls, size) for cls, size, _stab, _rep in self._orbits]
 
     def polar_orbit_counts(self):
         """Send every line through the null polarity, chunk by chunk (xi != 0),
@@ -626,7 +620,7 @@ class Engine:
 
         Returns (onto, counts): onto is True iff every line is an image;
         counts[i, j] counts the lines of orbit i with image in orbit j."""
-        if set(self.partitions) != set(twisted.valid_line_classes(self.field)):
+        if {cls for cls, _size in self.orbits()} != set(twisted.valid_line_classes(self.field)):
             raise ValueError("the polarity pass needs every class partitioned")
         labels, m = self.orbit_labels, len(self.orbits())
         hit = np.zeros(len(labels), dtype=bool)
@@ -692,55 +686,42 @@ class Engine:
         row = self.unpack(np.array([key], np.int64))[0]
         return pg3.line_from_plucker(self.field, tuple(row.tolist()))
 
-    def orbit_partition_keys(self, cls) -> OrbitPartition:
-        """Partition the lines of one class into orbits, once per engine.  The
-        class's orbits take the next global indices, in record order, and
-        each line's index is written into orbit_labels at its rank.  An
-        orbit's size counts the distinct ranks of its sweep, its
-        representative is its minimal key; an image outside the class raises
-        ValueError."""
-        if cls in self.partitions:
-            return self.partitions[cls]
-        codes, code = self.class_codes(), CODE[cls]
-        if self.orbit_labels is None:
-            self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
-        labels = self.orbit_labels
-        base = len(self.orbits())
-        records = []
-        fixers = []
-        for lo in range(0, len(codes), self.chunk):
-            hi = min(lo + self.chunk, len(codes))
-            # seed a sweep at each unlabelled line of the class in the window;
-            # the lines before a seed are labelled, so the scan resumes after it
-            while (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
-                seed = lo + int(free.argmax())
-                lo = seed + 1
-                parts = self._images(self.line_from_rank(seed),
-                                     lambda P: (self._rank(P), int(self._pack(P).min())))
-                ranks = np.concatenate([r for r, _key in parts])
-                # sorted as int32 in half the int64 time, since every rank is
-                # below line_count(q) < 2^31 (q <= 81); then intp, which numpy
-                # would otherwise convert to on each gather and scatter below
-                orbit = sorted_unique(ranks.astype(np.int32)).astype(np.intp)
-                if (codes[orbit] != code).any():
-                    raise ValueError(f"the {cls} lines are not closed under the group action")
-                labels[orbit] = base + len(records)
-                size = len(orbit)
-                if self.group_order % size:
-                    raise RuntimeError(f"orbit size {size} does not divide {self.group_order}")
-                records.append((size, self.group_order // size, min(k for _r, k in parts)))
-                fixers.append(int(np.count_nonzero(ranks == seed)))
-        order = sorted(range(len(records)), key=lambda i: (records[i][0], records[i][2]))
-        if order != sorted(order):  # relabel the class's lines in record order
-            relabel = np.empty(len(records), dtype=np.int16)
-            relabel[order] = base + np.arange(len(records))
-            for lo in range(0, len(labels), self.chunk):
-                window = labels[lo:lo + self.chunk]
-                mine = window >= base
-                window[mine] = relabel.take(window[mine] - base)
-        self.partitions[cls] = OrbitPartition(
-            [records[i] for i in order], [fixers[i] for i in order])
-        return self.partitions[cls]
+    def orbit_partition_keys(self, cls) -> list[tuple[int, int, int]]:
+        """The (size, stabilizer_order, representative_key) records of one
+        class's orbits, sorted by (size, representative).  The first call
+        partitions the class: each sweep writes the index its orbit takes in
+        the orbit list into orbit_labels at the orbit's ranks, and the class's
+        orbits join the list once all are found, so a failed call adds none.
+        The size counts the distinct ranks of the sweep, the stabilizer order
+        the group elements that fix its seed line, the representative is the
+        minimal key; an image outside the class raises ValueError."""
+        if cls not in {c for c, _size in self.orbits()}:
+            codes, code = self.class_codes(), CODE[cls]
+            if self.orbit_labels is None:
+                self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
+            labels, found = self.orbit_labels, []
+            for lo in range(0, len(codes), self.chunk):
+                hi = min(lo + self.chunk, len(codes))
+                # seed a sweep at each unlabelled line of the class in the window;
+                # the lines before a seed are labelled, so the scan resumes after it
+                while (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
+                    seed = lo + int(free.argmax())
+                    lo = seed + 1
+                    parts = self._images(self.line_from_rank(seed),
+                                         lambda P: (self._rank(P), int(self._pack(P).min())))
+                    ranks = np.concatenate([r for r, _key in parts])
+                    # sorted as int32 in half the int64 time, since every rank is
+                    # below line_count(q) < 2^31 (q <= 81); then intp, which numpy
+                    # would otherwise convert to on each gather and scatter below
+                    orbit = sorted_unique(ranks.astype(np.int32)).astype(np.intp)
+                    if (codes[orbit] != code).any():
+                        raise ValueError(f"the {cls} lines are not closed under the group action")
+                    labels[orbit] = len(self._orbits) + len(found)
+                    found.append((cls, len(orbit), int(np.count_nonzero(ranks == seed)),
+                                  min(k for _r, k in parts)))
+            self._orbits += found
+        return sorted(((size, stab, rep) for c, size, stab, rep in self._orbits if c == cls),
+                      key=lambda r: (r[0], r[2]))
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
         """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples.

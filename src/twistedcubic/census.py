@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import action, gfq, pg3, twisted
-from .bulk import Engine, OrbitPartition
+from .bulk import Engine
 
 SCHEMA_VERSION = 2
 
@@ -147,9 +147,6 @@ class CensusRun:
         return self.engine.plane_class_counts()
 
     def orbit_records(self, cls: str) -> list[tuple[int, int, int]]:
-        return self.partition(cls).records
-
-    def partition(self, cls: str) -> OrbitPartition:
         return self.engine.orbit_partition_keys(cls)
 
     def all_orbit_records(self) -> dict[str, list[tuple[int, int, int]]]:
@@ -222,11 +219,10 @@ def check_polarity_stabilizer_equality(run):
 
 def check_stabilizers_brute(run):
     """Exhaustive stabilizer order of every orbit representative (counted in
-    its orbit sweep) vs the orbit-stabilizer prediction."""
-    ok = all(
-        fixed == stab
-        for part in map(run.partition, twisted.valid_line_classes(run.field))
-        for (_size, stab, _rep), fixed in zip(part.records, part.fixers))
+    its orbit sweep) vs the orbit-stabilizer prediction (q^3 - q) // size."""
+    n = run.engine.group_order
+    ok = all(stab == n // size for recs in run.all_orbit_records().values()
+             for size, stab, _rep in recs)
     return _check("stabilizer_orders_brute", True, ok)
 
 

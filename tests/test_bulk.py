@@ -72,7 +72,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
         scalar = act.orbit_partition(f, lines, cls)
         bulk = eng.orbit_partition_keys(cls)
         assert [(r.size, r.stabilizer_order, eng.pack_tuple(r.representative.plucker))
-                for r in scalar] == bulk.records
+                for r in scalar] == bulk
 
 
 def test_orbit_partition_rejects_unclosed_keys(field):
@@ -80,6 +80,20 @@ def test_orbit_partition_rejects_unclosed_keys(field):
     eng.class_codes()[eng.class_keys()[tw.UNG][10]] = CODE[tw.ENG]
     with pytest.raises(ValueError):
         eng.orbit_partition_keys(tw.UNG)
+
+
+def test_a_failed_partition_adds_no_orbit(field):
+    """When the second sweep of UnG meets a line coded outside the class, the
+    call raises, the orbit of the first sweep stays out of the orbit list,
+    and a second call raises again instead of returning part of the class."""
+    whole = Engine(field(5))
+    whole.orbit_partition_keys(tw.UNG)
+    eng = Engine(field(5))
+    eng.class_codes()[np.flatnonzero(whole.orbit_labels == 1)[-1]] = CODE[tw.ENG]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            eng.orbit_partition_keys(tw.UNG)
+        assert eng.orbits() == []
 
 
 def test_bulk_stabilizer_matches_scalar(field, engine):
@@ -407,9 +421,25 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
             == {cls: ranks.tolist() for cls, ranks in whole.class_keys().items()})
     assert small.klein_violations() == whole.klein_violations() == 0
     assert got == want
+    assert small.orbits() == whole.orbits()
     assert small.orbit_labels.tolist() == whole.orbit_labels.tolist()
     if polar is not None:
         assert polar == _polar_counts(whole)
+
+
+def test_records_do_not_depend_on_the_class_order(field):
+    """Partitioning UG first, then the other classes in reverse report
+    order, gives every class the records of the report order; only the
+    labels move, each orbit's lines keeping one label between them."""
+    moved, whole = Engine(field(7)), Engine(field(7))
+    classes = tw.valid_line_classes(moved.field)
+    got = {cls: moved.orbit_partition_keys(cls) for cls in (tw.UG, *reversed(classes))}
+    assert got == _partitions(whole)
+    assert moved.orbits() != whole.orbits()
+    pairs = np.unique(np.stack([moved.orbit_labels, whole.orbit_labels]), axis=1)
+    m = len(whole.orbits())
+    assert pairs.shape[1] == len(set(pairs[0])) == len(set(pairs[1])) == m
+    assert [moved.orbits()[i] for i in pairs[0]] == [whole.orbits()[j] for j in pairs[1]]
 
 
 def test_in_order_keeps_task_order_and_stops_after_a_failure():

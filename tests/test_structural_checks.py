@@ -128,15 +128,46 @@ def test_polarity_commutation_covers_the_group_at_every_order(field):
 def test_stabilizer_counts_come_from_the_sweep(run):
     r = run(5)
     for cls in tw.valid_line_classes(r.field):
-        part = r.partition(cls)
-        for (_size, _stab, rep), fixed in zip(part.records, part.fixers):
-            assert fixed == len(r.engine.stabilizer_abcd(r.engine.line_from_key(rep)))
+        for _size, stab, rep in r.orbit_records(cls):
+            assert stab == len(r.engine.stabilizer_abcd(r.engine.line_from_key(rep)))
 
 
 def test_stabilizer_check_fails_on_a_wrong_count():
     run = census.CensusRun(5)
-    run.partition(tw.ENG).fixers[0] += 1
+    run.orbit_records(tw.ENG)
+    orbits = run.engine._orbits
+    first = [c for c, *_rest in orbits].index(tw.ENG)
+    cls, size, stab, rep = orbits[first]
+    orbits[first] = (cls, size, stab + 1, rep)
     assert not census.check_stabilizers_brute(run)["pass"]
+
+
+def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
+    """A sweep that meets every image twice finds the same orbits and twice
+    the fixers: a record's order is that count, not (q^3 - q) // size."""
+    images = Engine._images
+    monkeypatch.setattr(Engine, "_images", lambda eng, line, fn: 2 * images(eng, line, fn))
+    run = census.CensusRun(5)
+    n = run.engine.group_order
+    assert all(stab == 2 * (n // size) for recs in run.all_orbit_records().values()
+               for size, stab, _rep in recs)
+    assert not census.check_stabilizers_brute(run)["pass"]
+
+
+def test_orbit_stabilizer_product_fails_on_a_wrong_stabilizer_order(monkeypatch):
+    """With the stabilizer order of the first EnG record one too large, the
+    three checks that read it fail, and with them the report; the size and
+    the order are both measured, so their product can miss q^3 - q."""
+    partition = Engine.orbit_partition_keys
+
+    def miscounted(eng, cls):
+        (size, stab, rep), *rest = partition(eng, cls)
+        return [(size, stab + 1 if cls == tw.ENG else stab, rep)] + rest
+    monkeypatch.setattr(Engine, "orbit_partition_keys", miscounted)
+    report = census.verify(5)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == {
+        "orbit_stabilizer_product", "stabilizer_orders_brute", f"orbit_pattern:{tw.ENG}"}
+    assert report["pass"] is False
 
 
 # the dropped line moves to EnG, whose polar partner is EnG again
@@ -165,24 +196,30 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
     assert not census.check_polarity_orbit_images(run)["pass"]
 
 
-def test_partition_labels_index_the_records(run):
-    """Labels are global: the orbits of the classes in partition order, each
-    class's in record order, and the class of a line's orbit is its code."""
-    r = run(7)
-    r.all_orbit_records()
+def test_partition_labels_index_the_records():
+    """Labels index orbits(): the orbits of the classes in partition order,
+    each class's in the order its sweeps found them, by the first rank of
+    the orbit; the class of a line's orbit is its code, and each label's
+    lines are one orbit with a record of its size and minimal key."""
+    r = census.CensusRun(7)
+    r.all_orbit_records()  # partitions the classes in report order
     eng = r.engine
     labels = eng.orbit_labels
     assert labels.dtype == np.int16
     orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
     assert labels.min() == 0 and labels.max() == len(orbit_codes) - 1
     assert (orbit_codes[labels] == eng.class_codes()).all()
-    label = 0
-    for part in eng.partitions.values():
-        for size, _stab, rep in part.records:
-            members = np.sort(eng.pack(eng._unrank(np.flatnonzero(labels == label))))
-            assert members.tolist() == eng.orbit_sweep(eng.line_from_key(rep)).tolist()
-            assert len(members) == size and members[0] == rep
-            label += 1
+    classes, order = [c for c, _size in eng.orbits()], tw.valid_line_classes(r.field)
+    assert classes == sorted(classes, key=order.index) and set(classes) == set(order)
+    prev = None
+    for label, (cls, size) in enumerate(eng.orbits()):
+        ranks = np.flatnonzero(labels == label)
+        members = np.sort(eng.pack(eng._unrank(ranks)))
+        assert members.tolist() == eng.orbit_sweep(eng.line_from_key(members[0])).tolist()
+        assert len(members) == size
+        assert (size, members[0]) in [(s, rep) for s, _stab, rep in r.orbit_records(cls)]
+        assert prev is None or prev[0] != cls or prev[1] < ranks[0]
+        prev = cls, ranks[0]
 
 
 def test_axis_pencil_fails_off_the_axis():
