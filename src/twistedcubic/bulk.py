@@ -34,9 +34,10 @@ polarity pass normalizes a chunk's polar images by one scalar.
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
-enumeration (`_line_tasks`) in the class pass and the polarity pass, and
-contiguous slices of the group (`_over_group`) in the stabilizer filter and
-each orbit sweep.  The contract:
+enumeration (`_line_tasks`) in the class pass and the polarity pass, the
+torus slices of about chunk // 8 images of each orbit sweep (`_images`), and
+contiguous slices of the group (`_over_group`) in the stabilizer filter
+(`stabilizer_abcd`).  The contract:
 
 - a task writes only the disjoint rank slice of its own chunk (the
   polarity pass also stores True into its hit mask, which no task reads);
@@ -44,11 +45,12 @@ each orbit sweep.  The contract:
 - a task calls only private Engine helpers and the shared pg3 and twisted
   forms, never a public method or entry point: the traced benchmark
   (perfbench/spans.py) wraps those with a span recorder that is not
-  thread-safe; the group arrays are built before any task is handed out,
-  and no task hands out tasks of its own (a helper would wait forever for
-  itself);
+  thread-safe; the group arrays, with the split tables of the sweeps, are
+  built before any task is handed out, and no task hands out tasks of its
+  own (a helper would wait forever for itself);
 - small work runs inline on the calling thread: a single task, a universe
-  that fits in one chunk, a group of fewer than SPLIT_SWEEP elements.
+  that fits in one chunk, a sweep of one torus slice, a group of fewer than
+  SPLIT_SWEEP elements in the stabilizer filter.
 """
 
 from __future__ import annotations
@@ -164,9 +166,12 @@ def _worker_count():
 
 WORKERS = _worker_count()
 
-# a group sweep is split over the workers only from this many elements on
-# (q >= 41): below it the thread handoffs cost more than the split saves
+# the stabilizer filter is split over the workers only from this many group
+# elements on (q >= 41): below it the thread handoffs cost more than they save
 SPLIT_SWEEP = 60_000
+
+# diag(1, d, d^2, d^3) scales l_ij by d^(i + j): weights that never fall
+_WEIGHT = np.array([i + j for i, j in pg3.PAIR_IDX])
 
 
 @cache
@@ -221,8 +226,9 @@ class Engine:
     the model flags) and the orbit labels (indices into its orbit list), are
     built on first use, never for queries.
 
-    Chunks of `chunk` lines, and large group sweeps, are shared out over
-    threads under the module's contract: disjoint rank slices per task,
+    Chunks of `chunk` lines, the torus slices of large orbit sweeps and
+    the group slices of the stabilizer filter are shared out over threads
+    under the module's contract: disjoint rank slices per task,
     results merged in task order, only private helpers in tasks, small work
     inline.  The results depend only on the field and the cubic, the closed
     forms twisted.cubic_point and twisted.osculating_plane, checked to give
@@ -259,7 +265,7 @@ class Engine:
         # (class, size, stabilizer order, representative key), by label
         self._orbits: list[tuple[str, int, int, int]] = []
         self.orbit_labels = None
-        self._group = None
+        self._group = self._split = None
 
     # -- packing and ranks ---------------------------------------------------
 
@@ -646,20 +652,35 @@ class Engine:
 
             rows = action.lift_rows(self.field, *abcd.T, self._mul, self._add)
             # (N, 4, 4) lifts, stored so that each entry's N values are contiguous
-            mats = np.stack([np.stack(r) for r in rows]).transpose(2, 0, 1)
-            self._group = (abcd, mats)
+            lifts = np.stack([np.stack(r) for r in rows])
+            self._group = (abcd, lifts.transpose(2, 0, 1))
+
+            # the split of _images: the lifts of the r whose rows (a, b) and (c, d)
+            # start with 1, and d^e * x at [((d - 1) * 5 + e) * q + x] for e <= 4
+            q, c, d = self.q, abcd[:, 2], abcd[:, 3]
+            reps = lifts[:, :, (c == 1) | ((c == 0) & (d == 1))].transpose(2, 0, 1)
+            if len(reps) * (q - 1) != self.group_order:
+                raise RuntimeError("the coset representatives do not split the group")
+            units = np.arange(1, q, dtype=np.int16)
+            powers = [np.ones_like(units)]
+            for _ in range(4):  # w(l23) - w(l01)
+                powers.append(self._mul(powers[-1], units))
+            self._split = (reps, self.field.mul_table[np.stack(powers, axis=1)].ravel())
         return self._group
 
     def group_abcd(self):
         return self._group_arrays()[0]
 
+    def _act(self, pt, mats):
+        """Image of one point under each of the (N, 4, 4) lifts mats, as an
+        (N, 4) array."""
+        return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
+
     def _act_all(self, pt, sel=None):
         """Image of one point under every group element, or under the
         elements sel (an index array or a slice), as an (N,4) array."""
         mats = self._group_arrays()[1]
-        if sel is not None:
-            mats = mats[sel]
-        return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
+        return self._act(pt, mats if sel is None else mats[sel])
 
     def _over_group(self, fn):
         """fn(sel) per contiguous slice sel of the group elements, as a list
@@ -672,11 +693,30 @@ class Engine:
         return _in_order(fn, [slice(*c) for c in zip(cuts, cuts[1:])])
 
     def _images(self, line, fn):
-        """fn(P) per slice of _over_group, with P the normalized Pluecker rows
-        of the line's images under the slice's elements."""
+        """fn(P) per torus slice, as a list, with P the normalized Pluecker
+        rows of the line's images under the slice's group elements.  Each
+        element is r * t once, r a coset representative and t = (1, 0, 0, d),
+        with lift M_r diag(1, d, d^2, d^3): only the representatives act on
+        the points, and t scales l_ij by d^(i + j), which keeps the first
+        nonzero coordinate in place, so it maps a normalized row to one
+        normalized by d^(w_j - w_lead), e <= 4: one lookup per coordinate."""
+        self._group_arrays()  # built here, never in a task
+        reps, scale = self._split
         u, v = line.pair
-        return self._over_group(lambda sel: fn(self._normalize_rows(self._plucker(
-            self._act_all(u, sel), self._act_all(v, sel)))))
+        P = self._normalize_rows(self._plucker(self._act(u, reps), self._act(v, reps)))
+        w_lead = _WEIGHT[(P != 0).argmax(axis=1)]
+        # (6, len(reps)) intp offsets e * q + x; the zeros before the lead take e = 0
+        q, at = self.q, np.maximum(_WEIGHT[:, None] - w_lead, 0) * self.q + P.T
+
+        def torus(ts):
+            start = np.arange(ts.start, ts.stop)[:, None] * (5 * q)
+            out = np.empty((6, len(start), len(P)), np.int16)
+            for col, dest in zip(at, out):  # an intp index at a time, not all six
+                scale.take(start + col, out=dest, mode="clip")  # in range: unbuffered
+            return fn(out.reshape(6, -1).T)
+        parts = min(q - 1, -(-self.group_order // max(1, self.chunk // 8)))
+        cuts = [(q - 1) * i // parts for i in range(parts + 1)]
+        return _in_order(torus, [slice(*c) for c in zip(cuts, cuts[1:])])
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line."""

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -408,6 +409,8 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     engine, which classifies these orders inline."""
     small, whole = Engine(field(q), chunk=64), engine(q)
     assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
+    # each sweep, too, runs as one task per torus element
+    assert len(small._images(small.line_from_rank(0), len)) == q - 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -459,8 +462,10 @@ def test_in_order_keeps_task_order_and_stops_after_a_failure():
 
 
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the group is cut into slices; the sweep and the stabilizer
-    equal their one-pass forms over the whole group."""
+    """At q = 49 the stabilizer filter cuts the group into slices and the
+    sweep cuts the torus into slices; the sweep, its image ranks (one per
+    element, so its fixer count is the stabilizer order the partition
+    records) and the stabilizer equal their one-pass forms over the group."""
     eng = engine(49)
     n = eng.group_order
     parts = eng._over_group(lambda sel: (sel.start, sel.stop))
@@ -474,21 +479,54 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         u, v = line.pair
         P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
+        slices = eng._images(line, eng._rank)
+        assert len(slices) > 1
+        ranks = np.concatenate(slices)
+        assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
         fixed = np.flatnonzero(eng._rank(P) == rank)
-        assert eng.stabilizer_abcd(line) == sorted(map(tuple, abcd[fixed].tolist()))
+        stab = eng.stabilizer_abcd(line)
+        assert stab == sorted(map(tuple, abcd[fixed].tolist()))
+        assert np.count_nonzero(ranks == rank) == len(stab)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_torus_split_meets_every_group_element_once(field, q):
+    """The sweeps' split: every lift in R (the coset representatives whose
+    rows (a, b) and (c, d) start with 1) times every lift of the torus
+    (1, 0, 0, d) is, up to a scalar, one group lift, each met once.  The
+    (a, b, c, d) whose columns (a, c) and (b, d) start with 1 are as many,
+    so only the products can tell that they are no transversal (q > 2; at
+    q = 2 the torus is trivial and both sets are the group)."""
+    f = field(q)
+    eng = Engine(f)
+    abcd, mats = eng._group_arrays()
+    reps = eng._split[0]
+    torus = [act.lift_rows(f, 1, 0, 0, d, f.mul, f.add) for d in f.units()]
+    assert len(reps) * len(torus) == eng.group_order
+
+    def met(lifts):
+        return Counter(pg3.normalize(f, tuple(x for r in lift for x in act.mat_vec(f, r, t)))
+                       for lift in lifts.tolist() for t in torus)
+    group = Counter(pg3.normalize(f, tuple(np.ravel(m).tolist())) for m in mats)
+    assert len(group) == eng.group_order
+    assert met(reps) == group
+    a, b, c, d = abcd.T
+    cols = mats[((a == 1) | ((a == 0) & (c == 1))) & ((b == 1) | ((b == 0) & (d == 1)))]
+    assert len(cols) == len(reps)
+    assert (met(cols) == group) == (q == 2)
 
 
 @pytest.mark.parametrize("q", (5, 8))
 def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     """_lincomb hands back an input column itself when its only nonzero
     scalar is 1: the sweeps, the stabilizer filter, the partition, the
-    triple images and the plane census leave the group arrays and the
-    points of PG(3,q) as they were."""
+    triple images and the plane census leave the group arrays, the sweeps'
+    split tables and the points of PG(3,q) as they were."""
     eng = Engine(field(q))
     points = eng._proj_points(4)
     real = eng._proj_points
     monkeypatch.setattr(eng, "_proj_points", lambda n: points if n == 4 else real(n))
-    arrays = (points, *eng._group_arrays())
+    arrays = (points, *eng._group_arrays(), *eng._split)
     before = [a.copy() for a in arrays]
     for rank in (0, pg3.line_count(q) // 2):  # rank 0 joins two unit points
         line = eng.line_from_rank(rank)
@@ -497,7 +535,7 @@ def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     eng.orbit_partition_keys(tw.ENG)
     eng.triple_images(eng.cubic_points[:3])
     eng.plane_class_counts()
-    assert all(x is y for x, y in zip(eng._group_arrays(), arrays[1:]))
+    assert all(x is y for x, y in zip((*eng._group_arrays(), *eng._split), arrays[1:]))
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
 
