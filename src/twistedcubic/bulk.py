@@ -31,26 +31,35 @@ runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
 Every row of a chunk then has l_{c0 c1} = 1 with zeros before it, so the
 polarity pass normalizes a chunk's polar images by one scalar.
 
+An orbit sweep acts on the line's two points only with the coset
+representatives of the diagonal torus (1, 0, 0, d).  The torus keeps each
+image's pivot block and scales each RREF digit of its representative's image
+by a power of d, so the ranks of all images are read off small split tables,
+four gathers per torus slice, with no per-image index or Pluecker row.
+
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
 enumeration (`_line_tasks`) in the class pass and the polarity pass, the
-torus slices of about chunk // 8 images of each orbit sweep (`_images`), and
-contiguous slices of the group (`_over_group`) in the stabilizer filter
+torus slices of about chunk // 8 images of each orbit sweep (`_sweep`,
+`orbit_sweep`), then the tail of a partition sweep in tasks of disjoint
+rank ranges (dedup, class and label checks, label writes), and contiguous
+slices of the group (`_over_group`) in the stabilizer filter
 (`stabilizer_abcd`).  The contract:
 
-- a task writes only the disjoint rank slice of its own chunk (the
-  polarity pass also stores True into its hit mask, which no task reads);
+- a task writes only the disjoint rank slice of its own chunk, or the
+  orbit labels of its own rank range (the polarity pass also stores True
+  into its hit mask, which no task reads);
 - results are merged in task order, so no output depends on scheduling;
-- a task calls only private Engine helpers and the shared pg3 and twisted
-  forms, never a public method or entry point: the traced benchmark
-  (perfbench/spans.py) wraps those with a span recorder that is not
-  thread-safe; the group arrays, with the split tables of the sweeps, are
+- a task calls only private Engine helpers, sorted_unique and the shared
+  pg3 and twisted forms, never a public method or entry point: the traced
+  benchmark (perfbench/spans.py) wraps those with a span recorder that is
+  not thread-safe; the group arrays, with the split tables of the sweeps, are
   built before any task is handed out, and no task hands out tasks of its
   own (a helper would wait forever for itself);
 - small work runs inline on the calling thread: a single task, a universe
-  that fits in one chunk, a sweep of one torus slice, a group of fewer than
-  SPLIT_SWEEP elements in the stabilizer filter.
+  that fits in one chunk, a sweep of one torus slice with its tail, a group
+  of fewer than SPLIT_SWEEP elements in the stabilizer filter.
 """
 
 from __future__ import annotations
@@ -128,14 +137,18 @@ def _columns(cols):
 
 
 def sorted_unique(values):
-    """Ascending distinct values: sort, then mask adjacent duplicates
-    (an order of magnitude faster than np.unique on large int64 arrays)."""
+    """Ascending distinct values: sort, then drop adjacent duplicates (an
+    order of magnitude faster than np.unique on large int64 arrays).  They
+    are dropped by np.compress, which takes the kept positions: a boolean
+    index is several times slower when the duplicates interleave, as in the
+    orbit of a line with a nontrivial stabilizer."""
     out = np.sort(values)
     if len(out) > 1:
         keep = np.empty(len(out), dtype=bool)
         keep[0] = True
         np.not_equal(out[1:], out[:-1], out=keep[1:])
-        out = out[keep]
+        if not keep.all():
+            out = np.compress(keep, out)
     return out
 
 
@@ -172,6 +185,13 @@ SPLIT_SWEEP = 60_000
 
 # diag(1, d, d^2, d^3) scales l_ij by d^(i + j): weights that never fall
 _WEIGHT = np.array([i + j for i, j in pg3.PAIR_IDX])
+
+# per pivot block, in PAIR_IDX order: the coordinate each of four RREF digits
+# (pg3.rref_entries) reads, most significant first, + 6 where it is negated;
+# 12 pads a block of fewer free entries at the front
+_DIGIT_SOURCE = np.array([
+    [12] * (4 - len(pg3.rref_slots(c0, c1, 4)))
+    + list(pg3.rref_entries(range(6), c0, c1, lambda j: j + 6)) for c0, c1 in pg3.PAIR_IDX])
 
 
 @cache
@@ -226,9 +246,10 @@ class Engine:
     the model flags) and the orbit labels (indices into its orbit list), are
     built on first use, never for queries.
 
-    Chunks of `chunk` lines, the torus slices of large orbit sweeps and
+    Chunks of `chunk` lines, the torus slices of large orbit sweeps, whose
+    ranks are read off the split tables, the rank ranges of their tails and
     the group slices of the stabilizer filter are shared out over threads
-    under the module's contract: disjoint rank slices per task,
+    under the module's contract: disjoint rank slices or ranges per task,
     results merged in task order, only private helpers in tasks, small work
     inline.  The results depend only on the field and the cubic, the closed
     forms twisted.cubic_point and twisted.osculating_plane, checked to give
@@ -655,8 +676,10 @@ class Engine:
             lifts = np.stack([np.stack(r) for r in rows])
             self._group = (abcd, lifts.transpose(2, 0, 1))
 
-            # the split of _images: the lifts of the r whose rows (a, b) and (c, d)
-            # start with 1, and d^e * x at [((d - 1) * 5 + e) * q + x] for e <= 4
+            # the split of the sweeps: the lifts of the r whose rows (a, b) and
+            # (c, d) start with 1; d^e * x at [d - 1, e * q + x] for e <= 4, and
+            # that table scaled by q^(3 - k) for the k-th of four RREF digits, as
+            # int32, since every rank is below line_count(q) < 2^31 (q <= 81)
             q, c, d = self.q, abcd[:, 2], abcd[:, 3]
             reps = lifts[:, :, (c == 1) | ((c == 0) & (d == 1))].transpose(2, 0, 1)
             if len(reps) * (q - 1) != self.group_order:
@@ -665,7 +688,9 @@ class Engine:
             powers = [np.ones_like(units)]
             for _ in range(4):  # w(l23) - w(l01)
                 powers.append(self._mul(powers[-1], units))
-            self._split = (reps, self.field.mul_table[np.stack(powers, axis=1)].ravel())
+            scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
+            digit = np.stack([scale.astype(np.int32) * q ** (3 - k) for k in range(4)])
+            self._split = (reps, scale, digit)
         return self._group
 
     def group_abcd(self):
@@ -692,35 +717,74 @@ class Engine:
         cuts = [n * i // parts for i in range(parts + 1)]
         return _in_order(fn, [slice(*c) for c in zip(cuts, cuts[1:])])
 
-    def _images(self, line, fn):
-        """fn(P) per torus slice, as a list, with P the normalized Pluecker
-        rows of the line's images under the slice's group elements.  Each
-        element is r * t once, r a coset representative and t = (1, 0, 0, d),
-        with lift M_r diag(1, d, d^2, d^3): only the representatives act on
-        the points, and t scales l_ij by d^(i + j), which keeps the first
-        nonzero coordinate in place, so it maps a normalized row to one
-        normalized by d^(w_j - w_lead), e <= 4: one lookup per coordinate."""
-        self._group_arrays()  # built here, never in a task
-        reps, scale = self._split
-        u, v = line.pair
-        P = self._normalize_rows(self._plucker(self._act(u, reps), self._act(v, reps)))
-        w_lead = _WEIGHT[(P != 0).argmax(axis=1)]
-        # (6, len(reps)) intp offsets e * q + x; the zeros before the lead take e = 0
-        q, at = self.q, np.maximum(_WEIGHT[:, None] - w_lead, 0) * self.q + P.T
-
-        def torus(ts):
-            start = np.arange(ts.start, ts.stop)[:, None] * (5 * q)
-            out = np.empty((6, len(start), len(P)), np.int16)
-            for col, dest in zip(at, out):  # an intp index at a time, not all six
-                scale.take(start + col, out=dest, mode="clip")  # in range: unbuffered
-            return fn(out.reshape(6, -1).T)
+    def _torus_slices(self):
+        """The slices of the torus units d - 1 that a sweep shares out, of
+        about chunk // 8 images each, and the cuts of [0, line_count) into the
+        rank ranges of its tail tasks: halves when there is more than one
+        slice, else the whole range, for a tail that runs inline."""
+        q, n = self.q, pg3.line_count(self.q)
         parts = min(q - 1, -(-self.group_order // max(1, self.chunk // 8)))
         cuts = [(q - 1) * i // parts for i in range(parts + 1)]
-        return _in_order(torus, [slice(*c) for c in zip(cuts, cuts[1:])])
+        return [slice(*c) for c in zip(cuts, cuts[1:])], [0, n // 2, n] if parts > 1 else [0, n]
+
+    def _rep_images(self, line):
+        """(lead, at) of the line's images under the coset representatives r:
+        each element is r * t once, t = (1, 0, 0, d) with lift M_r diag(1, d,
+        d^2, d^3), and t scales l_ij by d^(i + j), which keeps the first
+        nonzero coordinate, at index lead, in place; so the normalized image
+        under r * t has coordinate j at split[1][d - 1, at[j]], at[j] = e * q
+        + x for the representative's coordinate x and e = w_j - w_lead <= 4
+        (e = 0 for the zeros before the lead)."""
+        self._group_arrays()  # built here, never in a task
+        u, v = line.pair
+        reps = self._split[0]
+        P = self._normalize_rows(self._plucker(self._act(u, reps), self._act(v, reps)))
+        lead = (P != 0).argmax(axis=1)
+        return lead, np.maximum(_WEIGHT[:, None] - _WEIGHT[lead], 0) * self.q + P.T
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line."""
-        return sorted_unique(self.pack(np.concatenate(self._images(line, _identity))))
+        _lead, at = self._rep_images(line)
+        scale = self._split[1]
+        rows = _in_order(lambda ts: np.stack([scale[ts].take(col, axis=1).ravel() for col in at]),
+                         self._torus_slices()[0])
+        return sorted_unique(self.pack(np.concatenate(rows, axis=1).T))
+
+    def _sweep(self, line):
+        """Per torus slice, in order: the ranks of the line's images under the
+        slice's group elements, cut into the rank ranges of the tail tasks,
+        and their minimal key.  The torus keeps each image's pivot block and
+        multiplies each RREF digit (pg3.rref_entries) of its representative's
+        image by a power of d, so a rank is the block offset plus four
+        gathers from the split's digit tables, at e * q + x with x negated
+        where the digit is; the minimal key is packed from the images of the
+        representatives with the most leading zeros."""
+        lead, at = self._rep_images(line)
+        q, (_reps, scale, digit) = self.q, self._split
+        x = at % q
+        # the indices, then those with x negated, then 0s, which read 0
+        signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
+        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(len(lead))]
+        base = np.array([b[3] for b in _pair_blocks(4, q)], np.int32)[lead]
+        last = lead.max()
+        top = at[:, lead == last]
+        slices, cuts = self._torus_slices()
+
+        def torus(ts):
+            ranks = digit[0, ts].take(digits[0], axis=1)
+            ranks += base
+            for k in range(1, 4):
+                ranks += digit[k, ts].take(digits[k], axis=1)
+            ranks = ranks.ravel()
+            # only the images with the least coordinate after the lead are packed
+            after = scale[ts].take(top[min(last + 1, 5)], axis=1).ravel()
+            d, r = np.divmod(np.flatnonzero(after == after.min()), top.shape[1])
+            key = int(self._pack(_columns([scale[ts.start + d, col[r]] for col in top])).min())
+            if len(cuts) == 2:
+                return [ranks], key
+            low = ranks < cuts[1]
+            return [ranks[low], ranks[~low]], key
+        return _in_order(torus, slices)
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]
@@ -730,35 +794,51 @@ class Engine:
         """The (size, stabilizer_order, representative_key) records of one
         class's orbits, sorted by (size, representative).  The first call
         partitions the class: each sweep writes the index its orbit takes in
-        the orbit list into orbit_labels at the orbit's ranks, and the class's
-        orbits join the list once all are found, so a failed call adds none.
-        The size counts the distinct ranks of the sweep, the stabilizer order
-        the group elements that fix its seed line, the representative is the
-        minimal key; an image outside the class raises ValueError."""
+        the orbit list into orbit_labels at the orbit's ranks, one tail task
+        per rank range of _torus_slices, and the class's orbits join the list
+        once all are found, so a failed call adds none and leaves its lines
+        unlabelled.  The size counts the distinct ranks of the sweep, the
+        stabilizer order the group elements that fix its seed line, the
+        representative is the minimal key; an image outside the class or in
+        an orbit already found raises ValueError."""
         if cls not in {c for c, _size in self.orbits()}:
             codes, code = self.class_codes(), CODE[cls]
             if self.orbit_labels is None:
                 self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
-            labels, found = self.orbit_labels, []
-            for lo in range(0, len(codes), self.chunk):
-                hi = min(lo + self.chunk, len(codes))
-                # seed a sweep at each unlabelled line of the class in the window;
-                # the lines before a seed are labelled, so the scan resumes after it
-                while (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
-                    seed = lo + int(free.argmax())
-                    lo = seed + 1
-                    parts = self._images(self.line_from_rank(seed),
-                                         lambda P: (self._rank(P), int(self._pack(P).min())))
-                    ranks = np.concatenate([r for r, _key in parts])
-                    # sorted as int32 in half the int64 time, since every rank is
-                    # below line_count(q) < 2^31 (q <= 81); then intp, which numpy
-                    # would otherwise convert to on each gather and scatter below
-                    orbit = sorted_unique(ranks.astype(np.int32)).astype(np.intp)
-                    if (codes[orbit] != code).any():
-                        raise ValueError(f"the {cls} lines are not closed under the group action")
-                    labels[orbit] = len(self._orbits) + len(found)
-                    found.append((cls, len(orbit), int(np.count_nonzero(ranks == seed)),
-                                  min(k for _r, k in parts)))
+            labels, found, left = self.orbit_labels, [], int(self._class_sizes[code])
+
+            def tail(task):
+                """(distinct ranks, fixers) of a sweep in one rank range, whose
+                lines it labels once they are checked."""
+                pieces, seed, label = task
+                ranks = np.concatenate(pieces)
+                # int32 ranks sort in half the int64 time; then intp, which numpy
+                # would otherwise convert to on each gather and scatter
+                orbit = sorted_unique(ranks).astype(np.intp)
+                if (codes[orbit] != code).any():
+                    raise ValueError(f"the {cls} lines are not closed under the group action")
+                if (labels[orbit] >= 0).any():
+                    raise ValueError(f"a {cls} sweep met a line of an orbit already found")
+                labels[orbit] = label
+                return len(orbit), int(np.count_nonzero(ranks == seed))
+            try:
+                for lo in range(0, len(codes), self.chunk):
+                    hi = min(lo + self.chunk, len(codes))
+                    # seed a sweep at each unlabelled line of the class in the
+                    # window until the orbits found hold the whole class; the
+                    # lines before a seed are labelled, so the scan resumes after it
+                    while left and (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
+                        seed = lo + int(free.argmax())
+                        lo = seed + 1
+                        parts = self._sweep(self.line_from_rank(seed))
+                        label = len(self._orbits) + len(found)
+                        sizes, fixers = zip(*_in_order(tail, [
+                            (pieces, seed, label) for pieces in zip(*(p for p, _key in parts))]))
+                        left -= sum(sizes)
+                        found.append((cls, sum(sizes), sum(fixers), min(k for _p, k in parts)))
+            except BaseException:
+                labels[labels >= len(self._orbits)] = -1  # unlabel the orbits found
+                raise
             self._orbits += found
         return sorted(((size, stab, rep) for c, size, stab, rep in self._orbits if c == cls),
                       key=lambda r: (r[0], r[2]))

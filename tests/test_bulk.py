@@ -143,8 +143,8 @@ def test_plane_counts_reject_an_osculating_plane_with_two_cubic_points(field, mo
 
 def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(0)
-    for n in (0, 1, 2, 1000):
-        vals = rng.integers(0, 50, n).astype(np.int64)
+    cases = [rng.integers(0, 50, n).astype(np.int64) for n in (0, 1, 2, 1000)]
+    for vals in cases + [rng.permutation(1000).astype(np.int32)]:  # and no duplicate
         assert sorted_unique(vals).tolist() == np.unique(vals).tolist()
 
 
@@ -410,7 +410,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     small, whole = Engine(field(q), chunk=64), engine(q)
     assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
     # each sweep, too, runs as one task per torus element
-    assert len(small._images(small.line_from_rank(0), len)) == q - 1
+    assert len(small._sweep(small.line_from_rank(0))) == q - 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -479,9 +479,9 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         u, v = line.pair
         P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
-        slices = eng._images(line, eng._rank)
+        slices = eng._sweep(line)
         assert len(slices) > 1
-        ranks = np.concatenate(slices)
+        ranks = np.concatenate([r for pieces, _key in slices for r in pieces])
         assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
         fixed = np.flatnonzero(eng._rank(P) == rank)
         stab = eng.stabilizer_abcd(line)
@@ -514,6 +514,67 @@ def test_torus_split_meets_every_group_element_once(field, q):
     cols = mats[((a == 1) | ((a == 0) & (c == 1))) & ((b == 1) | ((b == 0) & (d == 1)))]
     assert len(cols) == len(reps)
     assert (met(cols) == group) == (q == 2)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 27))
+def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
+    """The ranks a sweep reads off the split tables are, as a multiset, the
+    ranks of the line's images under every group element, and its minimal
+    key is the least packed image.  The seeds are the first line of each
+    pivot block, which the identity representative keeps, and random lines,
+    so the representative images reach every block."""
+    eng = engine(q)
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    seeds += random.Random(q).sample(range(pg3.line_count(q)), 4)
+    reached = set()
+    for rank in seeds:
+        line = eng.line_from_rank(rank)
+        reached |= set(eng._rep_images(line)[0].tolist())
+        u, v = line.pair
+        P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
+        parts = eng._sweep(line)
+        ranks = np.concatenate([r for pieces, _key in parts for r in pieces])
+        assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
+        assert min(key for _pieces, key in parts) == eng._pack(P).min()
+    assert reached == set(range(len(pg3.PAIR_IDX)))
+
+
+def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
+    """At q = 49 a sweep runs as several torus slices, and each cuts its
+    ranks into the two rank ranges of the tail tasks, which are disjoint and
+    cover [0, line_count).  A sweep patched to meet a line of another class,
+    or a line of an orbit already found, raises ValueError, adds no orbit and
+    leaves every line unlabelled, so the unpatched partition then succeeds."""
+    eng = Engine(field(49))
+    n = pg3.line_count(49)
+    slices, cuts = eng._torus_slices()
+    assert len(slices) > 1 and cuts == [0, n // 2, n]
+    codes = eng.class_codes()
+    members = np.flatnonzero(codes == CODE[tw.UNG])
+    parts = eng._sweep(eng.line_from_rank(members[0]))
+    assert len(parts) == len(slices)
+    for pieces, _key in parts:
+        assert len(pieces) == 2
+        for lo, hi, ranks in zip(cuts, cuts[1:], pieces):
+            assert ((ranks >= lo) & (ranks < hi)).all()
+    sweep = Engine._sweep
+
+    def meeting(rank):
+        def patched(eng, line):
+            (pieces, key), *rest = sweep(eng, line)
+            at = int(rank >= cuts[1])
+            pieces[at] = np.append(pieces[at], np.int32(rank))
+            return [(pieces, key), *rest]
+        return patched
+    other = np.flatnonzero(codes == CODE[tw.RC])[0]
+    for rank, error in ((other, "not closed"), (members[0], "already found")):
+        monkeypatch.setattr(Engine, "_sweep", meeting(rank))
+        with pytest.raises(ValueError, match=error):
+            eng.orbit_partition_keys(tw.UNG)
+        assert eng.orbits() == []
+        assert (eng.orbit_labels == -1).all()
+    monkeypatch.undo()
+    assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [58800, 58800]
 
 
 @pytest.mark.parametrize("q", (5, 8))

@@ -145,8 +145,8 @@ def test_stabilizer_check_fails_on_a_wrong_count():
 def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
     """A sweep that meets every image twice finds the same orbits and twice
     the fixers: a record's order is that count, not (q^3 - q) // size."""
-    images = Engine._images
-    monkeypatch.setattr(Engine, "_images", lambda eng, line, fn: 2 * images(eng, line, fn))
+    sweep = Engine._sweep
+    monkeypatch.setattr(Engine, "_sweep", lambda eng, line: 2 * sweep(eng, line))
     run = census.CensusRun(5)
     n = run.engine.group_order
     assert all(stab == 2 * (n // size) for recs in run.all_orbit_records().values()
