@@ -1,10 +1,10 @@
 """The stabilizer group of the twisted cubic and its action on PG(3,q).
 
-Group elements are classes (a,b,c,d) with ad - bc != 0 modulo scalars,
-normalized so the first nonzero entry is 1; there are q^3 - q of them.  Each
-lifts to a 4x4 matrix acting on points by row-vector times matrix, realizing
-the parameter map t -> (a*t + b)/(c*t + d) on the cubic.  Composition is
-written left to right: compose(g, h) applies g first.
+Group elements are classes (a,b,c,d) with ad - bc != 0 modulo scalars, held
+as the normalized tuples, whose first nonzero entry is 1; there are q^3 - q
+of them.  Each lifts to a 4x4 matrix acting on points by row-vector times
+matrix, realizing the parameter map t -> (a*t + b)/(c*t + d) on the cubic.
+Composition is written left to right: compose(g, h) applies g first.
 """
 
 from __future__ import annotations
@@ -15,40 +15,21 @@ from itertools import product
 from . import pg3, twisted
 
 
-class GroupElement:
-    __slots__ = ("abcd",)
-
-    def __init__(self, abcd):
-        self.abcd = abcd
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.abcd == other.abcd
-
-    def __hash__(self):
-        return hash(self.abcd)
-
-    def __lt__(self, other):
-        return self.abcd < other.abcd
-
-    def __repr__(self):
-        return f"GroupElement{self.abcd}"
-
-
-def group_element(field, a, b, c, d) -> GroupElement:
+def group_element(field, a, b, c, d) -> tuple:
     det = field.sub(field.mul(a, d), field.mul(b, c))
     if det == 0:
         raise ValueError(f"singular tuple {(a, b, c, d)}")
-    return GroupElement(pg3.normalize(field, (a, b, c, d)))
+    return pg3.normalize(field, (a, b, c, d))
 
 
-def identity(field) -> GroupElement:
-    return GroupElement((1, 0, 0, 1))
+def identity(field) -> tuple:
+    return (1, 0, 0, 1)
 
 
-def compose(field, g, h) -> GroupElement:
+def compose(field, g, h) -> tuple:
     """Apply g first, then h."""
-    ga, gb, gc, gd = g.abcd
-    ha, hb, hc, hd = h.abcd
+    ga, gb, gc, gd = g
+    ha, hb, hc, hd = h
     m = field.mul
     ad = field.add
     return group_element(
@@ -60,14 +41,14 @@ def compose(field, g, h) -> GroupElement:
     )
 
 
-def inverse(field, g) -> GroupElement:
-    a, b, c, d = g.abcd
+def inverse(field, g) -> tuple:
+    a, b, c, d = g
     return group_element(field, d, field.neg(b), field.neg(c), a)
 
 
 def lift(field, g):
     """The 4x4 matrix of the element, as a tuple of row tuples."""
-    return lift_rows(field, *g.abcd, field.mul, field.add)
+    return lift_rows(field, *g, field.mul, field.add)
 
 
 def lift_rows(field, a, b, c, d, m, ad):
@@ -142,7 +123,7 @@ def line_fixed_by(field, g, line) -> bool:
     return True
 
 
-def generators(field) -> list[GroupElement]:
+def generators(field) -> list[tuple]:
     """A generating set: t -> t+1, t -> w*t (w primitive), t -> 1/t."""
     gens = [group_element(field, 1, 1, 0, 1), group_element(field, 0, 1, 1, 0)]
     if field.q > 2:
@@ -154,16 +135,16 @@ def group_order(q: int) -> int:
     return q**3 - q
 
 
-def all_elements(field) -> list[GroupElement]:
+def all_elements(field) -> list[tuple]:
     """All q^3 - q elements, ascending by normalized (a,b,c,d)."""
-    out = [GroupElement((a, b, c, d)) for a, b, c, d in pg3._proj_reps(field.q, 4)
+    out = [(a, b, c, d) for a, b, c, d in pg3._proj_reps(field.q, 4)
            if field.sub(field.mul(a, d), field.mul(b, c)) != 0]
     if len(out) != group_order(field.q):
         raise RuntimeError("group enumeration size mismatch")
     return out
 
 
-def closure(field, gens) -> set[GroupElement]:
+def closure(field, gens) -> set[tuple]:
     """Multiplicative closure of a generating set (BFS)."""
     seen = set(gens) | {identity(field)}
     frontier = list(seen)
@@ -232,7 +213,7 @@ def orbit_partition(field, lines, line_class=None) -> list[OrbitRecord]:
     return records
 
 
-def stabilizer(field, line) -> list[GroupElement]:
+def stabilizer(field, line) -> list[tuple]:
     """Exhaustive filter of the whole group; returns a sorted subgroup."""
     return sorted(g for g in all_elements(field) if line_fixed_by(field, g, line))
 
@@ -266,7 +247,7 @@ def family_applicable(field, form) -> bool:
     raise ValueError(f"unknown family {form!r}")
 
 
-def stab_family(field, form) -> list[GroupElement]:
+def stab_family(field, form) -> list[tuple]:
     """Instantiate a parametric stabilizer family over its parameter range."""
     if not family_applicable(field, form):
         raise ValueError(f"family {form} does not apply at q={field.q}")

@@ -3,12 +3,13 @@
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
 (`_pair_blocks(4, q)`), read off its normalized Pluecker vector by `_rank`;
 a point's or plane's rank is its index in `_proj_points(4)`.  The whole-
-universe state is one int8 class code and one int16 orbit label per rank, so
-locating a line is an index, not a search, and the lines of a class are the
-ranks its code marks.  A label indexes the engine's list of orbits, in the
-order the sweeps found them, each with its class, the size and stabilizer
-order its sweep measured, and its representative, the one place packed
-base-q int64 keys of Pluecker vectors remain.
+universe state is one int16 cell per rank: the line's orbit label once its
+class is partitioned, else ~code (-1 - its class code), so locating a line is
+an index, not a search, and the lines of a class are the ranks whose cells
+hold its ~code or the labels of its orbits.  A label indexes the engine's
+list of orbits, in the order the sweeps found them, each with its class, the
+size and stabilizer order its sweep measured, and its representative, the
+one place packed base-q int64 keys of Pluecker vectors remain.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -43,13 +44,13 @@ helpers of one shared pool, started on first use (numpy releases the GIL in
 enumeration (`_line_tasks`) in the class pass and the polarity pass, the
 torus slices of about chunk // 8 images of each orbit sweep (`_sweep`,
 `orbit_sweep`), then the tail of a partition sweep in tasks of disjoint
-rank ranges (dedup, class and label checks, label writes), and contiguous
+rank ranges (dedup, cell check, label writes), and contiguous
 slices of the group (`_over_group`) in the stabilizer filter
 (`stabilizer_abcd`).  The contract:
 
-- a task writes only the disjoint rank slice of its own chunk, or the
-  orbit labels of its own rank range (the polarity pass also stores True
-  into its hit mask, which no task reads);
+- a task writes only the cells of the disjoint rank slice of its own chunk
+  or of its own rank range (the polarity pass also stores True into its hit
+  mask, which no task reads);
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
@@ -242,9 +243,9 @@ MEETS, GAMMA, AXIS = 1, 2, 4
 
 class Engine:
     """Bulk classification and orbit machinery for one field's cubic.
-    Its only arrays with one entry per line, the class codes (written over
-    the model flags) and the orbit labels (indices into its orbit list), are
-    built on first use, never for queries.
+    Its only array with one entry per line, the line cells (class codes
+    written over the model flags, then orbit labels), is built on first use,
+    never for queries.
 
     Chunks of `chunk` lines, the torus slices of large orbit sweeps, whose
     ranks are read off the split tables, the rank ranges of their tails and
@@ -282,10 +283,9 @@ class Engine:
         self.axis_plucker = None
         if field.xi == 0:  # the common line of the osculating planes
             self.axis_plucker = pg3.meet_planes(field, *self.gamma_planes[:2]).plucker
-        self._codes = self._class_sizes = self._klein_violations = None
+        self._cells = self._class_sizes = self._klein_violations = None
         # (class, size, stabilizer order, representative key), by label
         self._orbits: list[tuple[str, int, int, int]] = []
-        self.orbit_labels = None
         self._group = self._split = None
 
     # -- packing and ranks ---------------------------------------------------
@@ -540,9 +540,9 @@ class Engine:
         return run(task, self._line_tasks())
 
     def _model_flags(self):
-        """Per line rank, as int8: MEETS if the line meets the cubic, GAMMA
+        """Per line rank, as int16: MEETS if the line meets the cubic, GAMMA
         if it lies in an osculating plane, AXIS for the axis (xi = 0 only)."""
-        flags = np.zeros(pg3.line_count(self.q), np.int8)
+        flags = np.zeros(pg3.line_count(self.q), np.int16)
 
         # each cubic point joined to every point of a plane x_j = 0 missing it
         points = self._proj_points(4)
@@ -601,36 +601,48 @@ class Engine:
             cls[hits_axis] = CODE[twisted.EA]
         return cls, klein_bad
 
-    def class_codes(self) -> np.ndarray:
-        """The class code (index into CLASS_ORDER) of every line, by rank,
-        from one chunked pass over the whole universe that also counts the
-        lines of each class and the Klein violations.  The codes overwrite
-        the model flags in place: each chunk reads its flags first."""
-        if self._codes is None:
-            codes = self._model_flags()
+    def line_cells(self) -> np.ndarray:
+        """The int16 cell of every line, by rank: the label of its orbit once
+        its class is partitioned, else ~code, for its class code (an index
+        into CLASS_ORDER).  The first call makes one chunked pass over the
+        whole universe that also counts the lines of each class and the
+        Klein violations; each chunk reads its model flags, then writes its
+        ~codes over them."""
+        if self._cells is None:
+            cells = self._model_flags()
 
             def classify(ranks, P):
-                codes[ranks], bad = self._classify_chunk(P, codes[ranks])
-                return bad, np.bincount(codes[ranks], minlength=len(CLASS_ORDER))
+                codes, bad = self._classify_chunk(P, cells[ranks])
+                cells[ranks] = ~codes
+                return bad, np.bincount(codes, minlength=len(CLASS_ORDER))
             bad, sizes = zip(*self._over_lines(classify))
-            self._codes, self._class_sizes, self._klein_violations = codes, sum(sizes), sum(bad)
-        return self._codes
+            self._cells, self._class_sizes, self._klein_violations = cells, sum(sizes), sum(bad)
+        return self._cells
+
+    def _ranks_of(self, classes):
+        """The ascending ranks of the lines of the given classes: the cells
+        that hold their ~codes or the labels of their orbits, found window by
+        window, since a mask of every rank at once would set the peak memory
+        of the census."""
+        cells = self.line_cells()
+        wanted = [~CODE[c] for c in classes] + [
+            label for label, (c, *_rest) in enumerate(self._orbits) if c in classes]
+        return np.concatenate([lo + np.flatnonzero(np.isin(cells[lo:lo + self.chunk], wanted))
+                               for lo in range(0, len(cells), self.chunk)])
 
     def class_counts(self) -> dict[str, int]:
         """The number of lines of each populated class."""
-        self.class_codes()
+        self.line_cells()
         return {cls: int(self._class_sizes[CODE[cls]])
                 for cls in twisted.valid_line_classes(self.field)}
 
     def class_keys(self) -> dict[str, np.ndarray]:
         """The ascending ranks of the lines of each populated class, read off
-        the class codes on each call; the census never calls it."""
-        codes = self.class_codes()
-        return {cls: np.flatnonzero(codes == CODE[cls])
-                for cls in twisted.valid_line_classes(self.field)}
+        the line cells on each call; the census never calls it."""
+        return {cls: self._ranks_of([cls]) for cls in twisted.valid_line_classes(self.field)}
 
     def klein_violations(self) -> int:
-        self.class_codes()
+        self.line_cells()
         return self._klein_violations
 
     def polar_keys(self, keys) -> np.ndarray:
@@ -649,7 +661,7 @@ class Engine:
         counts[i, j] counts the lines of orbit i with image in orbit j."""
         if {cls for cls, _size in self.orbits()} != set(twisted.valid_line_classes(self.field)):
             raise ValueError("the polarity pass needs every class partitioned")
-        labels, m = self.orbit_labels, len(self.orbits())
+        labels, m = self.line_cells(), len(self._orbits)  # every cell is a label
         hit = np.zeros(len(labels), dtype=bool)
 
         def polarize(ranks, P):
@@ -794,18 +806,18 @@ class Engine:
         """The (size, stabilizer_order, representative_key) records of one
         class's orbits, sorted by (size, representative).  The first call
         partitions the class: each sweep writes the index its orbit takes in
-        the orbit list into orbit_labels at the orbit's ranks, one tail task
+        the orbit list into the cells of the orbit's ranks, one tail task
         per rank range of _torus_slices, and the class's orbits join the list
-        once all are found, so a failed call adds none and leaves its lines
-        unlabelled.  The size counts the distinct ranks of the sweep, the
+        once all are found, so a failed call adds none and leaves the cells as
+        they were.  The size counts the distinct ranks of the sweep, the
         stabilizer order the group elements that fix its seed line, the
-        representative is the minimal key; an image outside the class or in
-        an orbit already found raises ValueError."""
+        representative is the minimal key; an image whose cell does not hold
+        the class's ~code, a line of another class or of an orbit already
+        found, raises ValueError naming it."""
         if cls not in {c for c, _size in self.orbits()}:
-            codes, code = self.class_codes(), CODE[cls]
-            if self.orbit_labels is None:
-                self.orbit_labels = np.full(len(codes), -1, dtype=np.int16)
-            labels, found, left = self.orbit_labels, [], int(self._class_sizes[code])
+            # the cell of a line of the class not yet labelled
+            cells, unset = self.line_cells(), ~CODE[cls]
+            found, left = [], int(self._class_sizes[CODE[cls]])
 
             def tail(task):
                 """(distinct ranks, fixers) of a sweep in one rank range, whose
@@ -815,20 +827,22 @@ class Engine:
                 # int32 ranks sort in half the int64 time; then intp, which numpy
                 # would otherwise convert to on each gather and scatter
                 orbit = sorted_unique(ranks).astype(np.intp)
-                if (codes[orbit] != code).any():
-                    raise ValueError(f"the {cls} lines are not closed under the group action")
-                if (labels[orbit] >= 0).any():
-                    raise ValueError(f"a {cls} sweep met a line of an orbit already found")
-                labels[orbit] = label
+                stray = cells[orbit] != unset
+                if stray.any():
+                    rank = orbit[stray.argmax()]
+                    cell = int(cells[rank])
+                    held = f"class {CLASS_ORDER[~cell]}" if cell < 0 else f"orbit {cell}"
+                    raise ValueError(f"a {cls} sweep met line {rank} of {held}")
+                cells[orbit] = label
                 return len(orbit), int(np.count_nonzero(ranks == seed))
             try:
-                for lo in range(0, len(codes), self.chunk):
-                    hi = min(lo + self.chunk, len(codes))
+                for lo in range(0, len(cells), self.chunk):
+                    hi = min(lo + self.chunk, len(cells))
                     # seed a sweep at each unlabelled line of the class in the
                     # window until the orbits found hold the whole class; the
                     # lines before a seed are labelled, so the scan resumes after it
-                    while left and (free := (codes[lo:hi] == code) & (labels[lo:hi] < 0)).any():
-                        seed = lo + int(free.argmax())
+                    while left and (todo := cells[lo:hi] == unset).any():
+                        seed = lo + int(todo.argmax())
                         lo = seed + 1
                         parts = self._sweep(self.line_from_rank(seed))
                         label = len(self._orbits) + len(found)
@@ -837,7 +851,7 @@ class Engine:
                         left -= sum(sizes)
                         found.append((cls, sum(sizes), sum(fixers), min(k for _p, k in parts)))
             except BaseException:
-                labels[labels >= len(self._orbits)] = -1  # unlabel the orbits found
+                cells[cells >= len(self._orbits)] = unset  # unlabel the orbits found
                 raise
             self._orbits += found
         return sorted(((size, stab, rep) for c, size, stab, rep in self._orbits if c == cls),
@@ -873,11 +887,7 @@ class Engine:
         """Whether the points of the lines of the given classes, or with
         dual=True the planes through them, cover every point (plane) of
         PG(3,q) outside the point ranks `excluded` exactly once."""
-        codes, wanted = self.class_codes(), [CODE[c] for c in classes]
-        # window by window: a mask of every rank at once would set the peak
-        # memory of the census
-        ranks = np.concatenate([lo + np.flatnonzero(np.isin(codes[lo:lo + self.chunk], wanted))
-                                for lo in range(0, len(codes), self.chunk)])
+        ranks = self._ranks_of(classes)
         if dual:
             # the planes through a line are the points of the line with the
             # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)

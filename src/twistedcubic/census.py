@@ -235,7 +235,7 @@ def check_families(run):
     for form in action.FAMILY_IDS:
         if not action.family_applicable(f, form):
             continue
-        fam = [g.abcd for g in action.stab_family(f, form)]
+        fam = action.stab_family(f, form)
         results[form] = all(
             eng.stabilizer_abcd(rep) == fam
             for rep in action.family_representatives(f, form))
@@ -317,16 +317,6 @@ def _meta(run, runtime):
         "modulus": list(f.modulus),
         "runtime_seconds": runtime,
     }
-
-
-def classify_all(q: int, modulus=None) -> dict[str, int]:
-    """Per-class line counts for one field."""
-    return CensusRun(q, modulus).class_counts()
-
-
-def classify_planes(q: int, modulus=None) -> dict[str, int]:
-    """Per-class plane counts for one field."""
-    return CensusRun(q, modulus).plane_counts()
 
 
 def orbit_census(q: int, line_class=None, modulus=None) -> dict:

@@ -78,7 +78,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
 
 def test_orbit_partition_rejects_unclosed_keys(field):
     eng = Engine(field(5))
-    eng.class_codes()[eng.class_keys()[tw.UNG][10]] = CODE[tw.ENG]
+    eng.line_cells()[eng.class_keys()[tw.UNG][10]] = ~CODE[tw.ENG]
     with pytest.raises(ValueError):
         eng.orbit_partition_keys(tw.UNG)
 
@@ -90,7 +90,7 @@ def test_a_failed_partition_adds_no_orbit(field):
     whole = Engine(field(5))
     whole.orbit_partition_keys(tw.UNG)
     eng = Engine(field(5))
-    eng.class_codes()[np.flatnonzero(whole.orbit_labels == 1)[-1]] = CODE[tw.ENG]
+    eng.line_cells()[np.flatnonzero(whole.line_cells() == 1)[-1]] = ~CODE[tw.ENG]
     for _ in range(2):
         with pytest.raises(ValueError):
             eng.orbit_partition_keys(tw.UNG)
@@ -107,7 +107,7 @@ def test_bulk_stabilizer_matches_scalar(field, engine):
         pg3.line_through(f, (1, 0, 2, 0), (0, 1, 0, 2)),
     ]
     for line in reps:
-        assert eng.stabilizer_abcd(line) == [g.abcd for g in act.stabilizer(f, line)]
+        assert eng.stabilizer_abcd(line) == act.stabilizer(f, line)
 
 
 def test_plane_counts_closed_forms(engine):
@@ -158,7 +158,7 @@ def test_class_counts_match_closed_forms_larger_q(engine):
 def test_tiny_chunks_split_enumeration_consistently(field, engine):
     eng = Engine(field(5), chunk=100)
     assert eng.class_counts() == engine(5).class_counts()
-    assert eng.class_codes().tolist() == engine(5).class_codes().tolist()
+    assert eng.line_cells().tolist() == Engine(field(5)).line_cells().tolist()
     for cls, keys in eng.class_keys().items():
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
 
@@ -379,16 +379,24 @@ def test_rank_outside_the_universe_is_rejected(engine, rank):
 
 
 @pytest.mark.parametrize("q", (5, 9))
-def test_class_keys_partition_the_ranks_by_code(engine, q):
-    """The codes of every rank take only populated classes, as many of each
-    as the class pass's per-chunk bincounts counted."""
-    eng = engine(q)
-    codes = eng.class_codes()
-    assert codes.dtype == np.int8 and len(codes) == pg3.line_count(q)
+def test_class_keys_partition_the_ranks_by_code(field, q):
+    """The codes the class pass writes, as ~code, into the cell of every rank
+    take only populated classes, as many of each as its per-chunk bincounts
+    counted; the class keys are the ranks of each code, read off the ~codes
+    before the partition and off the orbit labels after it."""
+    eng = Engine(field(q))
+    codes = ~eng.line_cells()
+    assert codes.dtype == np.int16 and len(codes) == pg3.line_count(q)
     got = np.bincount(codes, minlength=len(CODE))
     assert {cls: int(got[CODE[cls]]) for cls in CODE if got[CODE[cls]]} == eng.class_counts()
-    for cls, ranks in eng.class_keys().items():
+    keys = eng.class_keys()
+    for cls, ranks in keys.items():
         assert (np.diff(ranks) > 0).all() and len(ranks) == eng.class_counts()[cls]
+        assert (codes[ranks] == CODE[cls]).all()
+    _partitions(eng)
+    assert (eng.line_cells() >= 0).all()
+    assert {cls: r.tolist() for cls, r in eng.class_keys().items()} == {
+        cls: r.tolist() for cls, r in keys.items()}
 
 
 def _partitions(eng):
@@ -419,13 +427,13 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     finally:
         sys.setswitchinterval(interval)
     want = _partitions(whole)
-    assert small.class_codes().tolist() == whole.class_codes().tolist()
     assert ({cls: ranks.tolist() for cls, ranks in small.class_keys().items()}
             == {cls: ranks.tolist() for cls, ranks in whole.class_keys().items()})
     assert small.klein_violations() == whole.klein_violations() == 0
     assert got == want
     assert small.orbits() == whole.orbits()
-    assert small.orbit_labels.tolist() == whole.orbit_labels.tolist()
+    # with the orbits, equal labels give every line the same class
+    assert small.line_cells().tolist() == whole.line_cells().tolist()
     if polar is not None:
         assert polar == _polar_counts(whole)
 
@@ -439,7 +447,7 @@ def test_records_do_not_depend_on_the_class_order(field):
     got = {cls: moved.orbit_partition_keys(cls) for cls in (tw.UG, *reversed(classes))}
     assert got == _partitions(whole)
     assert moved.orbits() != whole.orbits()
-    pairs = np.unique(np.stack([moved.orbit_labels, whole.orbit_labels]), axis=1)
+    pairs = np.unique(np.stack([moved.line_cells(), whole.line_cells()]), axis=1)
     m = len(whole.orbits())
     assert pairs.shape[1] == len(set(pairs[0])) == len(set(pairs[1])) == m
     assert [moved.orbits()[i] for i in pairs[0]] == [whole.orbits()[j] for j in pairs[1]]
@@ -543,14 +551,15 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
     """At q = 49 a sweep runs as several torus slices, and each cuts its
     ranks into the two rank ranges of the tail tasks, which are disjoint and
     cover [0, line_count).  A sweep patched to meet a line of another class,
-    or a line of an orbit already found, raises ValueError, adds no orbit and
-    leaves every line unlabelled, so the unpatched partition then succeeds."""
+    or a line of an orbit already found, raises a ValueError that names the
+    line and its class or orbit, adds no orbit and leaves every cell as it
+    was, so the unpatched partition then succeeds."""
     eng = Engine(field(49))
     n = pg3.line_count(49)
     slices, cuts = eng._torus_slices()
     assert len(slices) > 1 and cuts == [0, n // 2, n]
-    codes = eng.class_codes()
-    members = np.flatnonzero(codes == CODE[tw.UNG])
+    cells = eng.line_cells()
+    members = np.flatnonzero(cells == ~CODE[tw.UNG])
     parts = eng._sweep(eng.line_from_rank(members[0]))
     assert len(parts) == len(slices)
     for pieces, _key in parts:
@@ -566,13 +575,14 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
             pieces[at] = np.append(pieces[at], np.int32(rank))
             return [(pieces, key), *rest]
         return patched
-    other = np.flatnonzero(codes == CODE[tw.RC])[0]
-    for rank, error in ((other, "not closed"), (members[0], "already found")):
+    other = np.flatnonzero(cells == ~CODE[tw.RC])[0]
+    before = cells.copy()
+    for rank, held in ((other, "class RC"), (members[0], "orbit 0")):
         monkeypatch.setattr(Engine, "_sweep", meeting(rank))
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError, match=f"^a UnG sweep met line {rank} of {held}$"):
             eng.orbit_partition_keys(tw.UNG)
         assert eng.orbits() == []
-        assert (eng.orbit_labels == -1).all()
+        assert eng.line_cells().tolist() == before.tolist()
     monkeypatch.undo()
     assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [58800, 58800]
 

@@ -9,30 +9,30 @@ from twistedcubic.bulk import CODE, Engine
 
 
 def test_classify_all_examples():
-    assert census.classify_all(5) == {
+    assert census.CensusRun(5).class_counts() == {
         "RC": 15, "T": 6, "IC": 10, "RA": 15, "IA": 10,
         "UG": 30, "UnG": 120, "EG": 120, "EnG": 480,
     }
-    assert census.classify_all(9) == {
+    assert census.CensusRun(9).class_counts() == {
         "RC": 45, "T": 10, "IC": 36, "UG": 90, "UnG": 720,
         "EnG": 5760, "A": 1, "EA": 800,
     }
-    assert census.classify_all(8) == {
+    assert census.CensusRun(8).class_counts() == {
         "RC": 36, "T": 9, "IC": 28, "RA": 36, "IA": 28,
         "UG": 72, "UnG": 504, "EG": 504, "EnG": 3528,
     }
 
 
 def test_classify_planes_examples():
-    assert census.classify_planes(5) == {
+    assert census.CensusRun(5).plane_counts() == {
         "gamma": 6, "2C": 30, "3C": 20, "1C": 60, "0C": 40}
-    assert census.classify_planes(7) == {
+    assert census.CensusRun(7).plane_counts() == {
         "gamma": 8, "2C": 56, "3C": 56, "1C": 168, "0C": 112}
 
 
 def test_unsupported_q():
     with pytest.raises(census.UnsupportedQ):
-        census.classify_all(6)
+        census.CensusRun(6)
     with pytest.raises(census.UnsupportedQ):
         census.verify(128)
     with pytest.raises(census.UnsupportedQ):
@@ -253,8 +253,8 @@ def test_census_path_builds_no_scalar_model(monkeypatch, q):
     monkeypatch.setattr(twisted, "build_cubic", refuse)
     assert census.verify(q)["pass"]
     run = census.CensusRun(q)
-    assert census.classify_all(q) == twisted.expected_class_sizes(run.field)
-    assert census.classify_planes(q) == census.expected_plane_class_sizes(q)
+    assert run.class_counts() == twisted.expected_class_sizes(run.field)
+    assert run.plane_counts() == census.expected_plane_class_sizes(q)
     assert len(census.orbit_census(q)["classes"]) == len(
         twisted.valid_line_classes(run.field))
 
@@ -283,24 +283,25 @@ def test_census_reads_no_class_rank_arrays(monkeypatch):
         raise AssertionError("class_keys called on the census path")
     monkeypatch.setattr(Engine, "class_keys", refuse)
     assert census.verify(5)["pass"] and census.verify(9)["pass"]
-    assert census.classify_all(8) == twisted.expected_class_sizes(census.CensusRun(8).field)
+    run = census.CensusRun(8)
+    assert run.class_counts() == twisted.expected_class_sizes(run.field)
     orbits = [orb for e in census.orbit_census(7)["classes"] for orb in e["orbits"]]
     assert len(orbits) == census.expected_total_orbit_count(7, 1)
 
 
 @pytest.mark.parametrize("q", (8, 9))
-def test_per_line_state_is_one_code_and_one_label(monkeypatch, q):
-    """After a verify, the only Engine arrays with one entry per line are the
-    int8 class codes and the int16 orbit labels, and a line's label is the
-    global index of an orbit of its own class."""
+def test_per_line_state_is_one_int16_cell(monkeypatch, q):
+    """After a verify, the only Engine array with one entry per line is the
+    int16 line cells, and each holds the global index of an orbit of the
+    line's own class, as a fresh engine's class pass codes it."""
     made = _engines(monkeypatch)
     assert census.verify(q)["pass"]
     eng, = made
     per_line = {name: value.dtype for name, value in vars(eng).items()
                 if isinstance(value, np.ndarray) and len(value) == pg3.line_count(q)}
-    assert per_line == {"_codes": np.int8, "orbit_labels": np.int16}
+    assert per_line == {"_cells": np.int16}
     orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
-    assert (orbit_codes[eng.orbit_labels] == eng.class_codes()).all()
+    assert (orbit_codes[eng.line_cells()] == ~Engine(eng.field).line_cells()).all()
 
 
 def test_orbits_of_one_class_label_only_its_lines(monkeypatch):
@@ -308,5 +309,7 @@ def test_orbits_of_one_class_label_only_its_lines(monkeypatch):
     census.orbit_census(7, line_class=twisted.UG)
     eng, = made
     assert {c for c, _size in eng.orbits()} == {twisted.UG}
-    labelled = eng.orbit_labels >= 0
-    assert (labelled == (eng.class_codes() == CODE[twisted.UG])).all()
+    cells, codes = eng.line_cells(), ~Engine(eng.field).line_cells()
+    labelled = cells >= 0
+    assert (labelled == (codes == CODE[twisted.UG])).all()
+    assert (cells[~labelled] == ~codes[~labelled]).all()

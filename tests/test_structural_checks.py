@@ -12,20 +12,18 @@ DIFF_Q = (4, 5, 7, 8)
 
 
 def _corrupt(run, cls, mode):
-    """Move one line out of or into a class by rewriting its class code.
+    """Move one line out of or into a class by rewriting its cell.
 
-    drop: re-code the first line of the class to EnG, which no chord or axis
-    check reads; dup: re-code the first EnG line into the class, so some
-    points (planes) are covered by two of the class's lines.  Once the
-    classes are partitioned, a dropped line also takes the label of the
-    first EnG orbit, so that codes and labels agree on its new class."""
+    drop: move the first line of the class to EnG, which no chord or axis
+    check reads; dup: move the first EnG line into the class, so some
+    points (planes) are covered by two of the class's lines.  The moved
+    line's cell takes the ~code of its new class, or, once that class is
+    partitioned, the label of its first orbit."""
     eng = run.engine
-    codes = eng.class_codes()
     src, dst = (cls, tw.ENG) if mode == "drop" else (tw.ENG, cls)
-    moved = np.flatnonzero(codes == CODE[src])[0]
-    codes[moved] = CODE[dst]
-    if mode == "drop" and eng.orbit_labels is not None:
-        eng.orbit_labels[moved] = [c for c, _size in eng.orbits()].index(tw.ENG)
+    moved = eng._ranks_of([src])[0]
+    orbits = [c for c, _size in eng.orbits()]
+    eng.line_cells()[moved] = orbits.index(dst) if dst in orbits else ~CODE[dst]
     return run
 
 
@@ -188,8 +186,8 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
     eng = run.engine
     eng_orbits = [i for i, (c, _size) in enumerate(eng.orbits()) if c == tw.ENG]
     assert len(eng_orbits) > 1
-    first = np.flatnonzero(eng.class_codes() == CODE[tw.ENG])[0]
-    labels = eng.orbit_labels
+    first = eng._ranks_of([tw.ENG])[0]
+    labels = eng.line_cells()
     at = eng_orbits.index(labels[first])
     labels[first] = eng_orbits[(at + 1) % len(eng_orbits)]
     assert census.check_polarity_class_exchange(run)["pass"]
@@ -199,16 +197,17 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
 def test_partition_labels_index_the_records():
     """Labels index orbits(): the orbits of the classes in partition order,
     each class's in the order its sweeps found them, by the first rank of
-    the orbit; the class of a line's orbit is its code, and each label's
-    lines are one orbit with a record of its size and minimal key."""
+    the orbit; the class of a line's orbit is the class pass's code, and
+    each label's lines are one orbit with a record of its size and minimal
+    key."""
     r = census.CensusRun(7)
     r.all_orbit_records()  # partitions the classes in report order
     eng = r.engine
-    labels = eng.orbit_labels
+    labels = eng.line_cells()
     assert labels.dtype == np.int16
     orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
     assert labels.min() == 0 and labels.max() == len(orbit_codes) - 1
-    assert (orbit_codes[labels] == eng.class_codes()).all()
+    assert (orbit_codes[labels] == ~Engine(r.field).line_cells()).all()
     classes, order = [c for c, _size in eng.orbits()], tw.valid_line_classes(r.field)
     assert classes == sorted(classes, key=order.index) and set(classes) == set(order)
     prev = None
