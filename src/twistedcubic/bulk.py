@@ -30,7 +30,9 @@ of its RREF free entries: the RREF rows are column lists (pg3.rref_rows) in
 which the pivot 1s and the other 0s stay Python ints, and pg3.plucker_forms
 runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
 Every row of a chunk then has l_{c0 c1} = 1 with zeros before it, so the
-polarity pass normalizes a chunk's polar images by one scalar.
+polarity pass normalizes a chunk's polar images by one scalar.  It needs
+rows only outside pivot block (0, 1), whose line with RREF digits (a, b, c,
+d) it maps to the one with digits (F[d], b, c, G[a]).
 
 An orbit sweep acts on the line's two points only with the coset
 representatives of the diagonal torus (1, 0, 0, d).  The torus keeps each
@@ -41,16 +43,16 @@ four gathers per torus slice, with no per-image index or Pluecker row.
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
-enumeration (`_line_tasks`) in the class pass and the polarity pass, the
-torus slices of about chunk // 8 images of each orbit sweep (`_sweep`,
-`orbit_sweep`), then the tail of a partition sweep in tasks of disjoint
-rank ranges (dedup, cell check, label writes), and contiguous
-slices of the group (`_over_group`) in the stabilizer filter
-(`stabilizer_abcd`).  The contract:
+enumeration (`_line_tasks`) in the class pass, those outside pivot block
+(0, 1) and slices of that block in the polarity pass, the torus slices of
+about chunk // 8 images of each orbit sweep (`_sweep`, `orbit_sweep`), then
+the tail of a partition sweep in tasks of disjoint rank ranges (dedup, cell
+check, label writes), and contiguous slices of the group (`_over_group`) in
+the stabilizer filter (`stabilizer_abcd`).  The contract:
 
 - a task writes only the cells of the disjoint rank slice of its own chunk
-  or of its own rank range (the polarity pass also stores True into its hit
-  mask, which no task reads);
+  or of its own rank range (the polarity pass writes no cell, only True
+  into a mask over the ranks outside pivot block (0, 1), which no task reads);
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
@@ -59,8 +61,9 @@ slices of the group (`_over_group`) in the stabilizer filter
   built before any task is handed out, and no task hands out tasks of its
   own (a helper would wait forever for itself);
 - small work runs inline on the calling thread: a single task, a universe
-  that fits in one chunk, a sweep of one torus slice with its tail, a group
-  of fewer than SPLIT_SWEEP elements in the stabilizer filter.
+  (in the polarity pass, a pivot block (0, 1)) that fits in one chunk, a
+  sweep of one torus slice with its tail, a group of fewer than SPLIT_SWEEP
+  elements in the stabilizer filter.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _table_op(table):
     """Elementwise table[x, y] for arrays or scalars x, y, as 1-D takes.
 
     Two arrays index the flattened table with x*q + y, computed in the
-    operands' int16 (at most q*q - 1 = 4095 for q <= 64); a scalar operand
+    operands' int16 (below 2^15, as the Engine requires); a scalar operand
     selects a row or a column of q entries instead.  `take` widens its whole
     index to intp, so callers pass one coordinate column at a time.
     """
@@ -257,9 +260,11 @@ class Engine:
     q + 1 distinct points and planes, each plane meeting the cubic once."""
 
     def __init__(self, field, chunk=1 << 19):
+        q = field.q  # the limits of the int16 table indices and int32 sweep ranks
+        if q * q - 1 >= 2**15 or pg3.line_count(q) >= 2**31:
+            raise ValueError(f"q = {q}: the engine needs q^2 - 1 < 2^15 and line_count(q) < 2^31")
         self.field = field
         self.chunk = chunk
-        q = field.q
         self.q = q
         self.INV = field.inv_table
         self._mul, self._add, self._sub, self._neg = field_ops(field)
@@ -653,23 +658,56 @@ class Engine:
         """(class, size) of every orbit partitioned so far, by label."""
         return [(cls, size) for cls, size, _stab, _rep in self._orbits]
 
+    def _block_polar_digits(self):
+        """(F, G): the polarity (xi != 0) maps the line of pivot block (0, 1)
+        with RREF digits (a, b, c, d) to that with (F[d], b, c, G[a]), as
+        _polar is monomial and keeps l01 first.  Read off the lines with one
+        nonzero digit; RuntimeError unless F and G are permutations there."""
+        q = self.q
+        axes = q ** np.arange(3, -1, -1)[:, None] * np.arange(q)  # digit a, b, c, d
+        a, b, c, d = self._rank(self._chunk_polar(self._unrank(axes.ravel()))).reshape(4, q)
+        if not np.array_equal([np.sort(a), b, c, np.sort(d)], axes[[3, 1, 2, 0]]):
+            raise RuntimeError("the polarity does not permute the digits of pivot block (0, 1)")
+        return d // q**3, a
+
     def polar_orbit_counts(self):
-        """Send every line through the null polarity, chunk by chunk (xi != 0),
-        once every populated class is partitioned.
+        """Send every line through the null polarity (xi != 0), once every
+        populated class is partitioned.  The labels of pivot block (0, 1),
+        ranks [0, q^4), as X[a, b q + c, d], pair with X[F[d], b q + c, G[a]]
+        (_block_polar_digits), a slice of b q + c per task; the other lines
+        go chunk by chunk through _chunk_polar and _rank, their images marked
+        in a mask over their own ranks.  A task returns only its nonzero
+        pair counts, since every task's result is held until all are done.
 
         Returns (onto, counts): onto is True iff every line is an image;
         counts[i, j] counts the lines of orbit i with image in orbit j."""
         if {cls for cls, _size in self.orbits()} != set(twisted.valid_line_classes(self.field)):
             raise ValueError("the polarity pass needs every class partitioned")
-        labels, m = self.line_cells(), len(self._orbits)  # every cell is a label
-        hit = np.zeros(len(labels), dtype=bool)
+        labels, m, q = self.line_cells(), len(self._orbits), self.q  # every cell is a label
+        F, G = self._block_polar_digits()
+        n0 = q**4
+        block = labels[:n0].reshape(q, q * q, q)
+        hit = np.zeros(len(labels) - n0, dtype=bool)
 
-        def polarize(ranks, P):
-            img = self._rank(self._chunk_polar(P))
-            hit[img] = True  # chunks only ever store True, so none is lost
-            return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
-                               minlength=m * m)
-        counts = sum(self._over_lines(polarize))
+        def polarize(task):
+            if isinstance(task, slice):
+                src = block[:, task]
+                img = src.take(F, axis=0).take(G, axis=2).transpose(2, 1, 0)
+            else:
+                ranks = self._rank(self._chunk_polar(self._task_plucker(task)))
+                # an image in block (0, 1) leaves a rank of the rest unmarked
+                hit[ranks[ranks >= n0] - n0] = True
+                src, img = labels[task[0]], labels[ranks]
+            counts = np.bincount((src.astype(np.intp) * m + img).ravel(), minlength=m * m)
+            nonzero = np.flatnonzero(counts)
+            return nonzero, counts[nonzero]
+        # the rest first, whose temporaries are the larger, while few results are held
+        tasks = [t for t in self._line_tasks() if t[0].start >= n0]
+        step = max(1, self.chunk // q**2)
+        tasks += [slice(bc, bc + step) for bc in range(0, q * q, step)]
+        counts = np.zeros(m * m, np.int64)
+        for nonzero, found in (_in_order if n0 > self.chunk else map)(polarize, tasks):
+            counts[nonzero] += found
         return bool(hit.all()), counts.reshape(m, m)
 
     # -- group sweeps ------------------------------------------------------------
@@ -691,7 +729,7 @@ class Engine:
             # the split of the sweeps: the lifts of the r whose rows (a, b) and
             # (c, d) start with 1; d^e * x at [d - 1, e * q + x] for e <= 4, and
             # that table scaled by q^(3 - k) for the k-th of four RREF digits, as
-            # int32, since every rank is below line_count(q) < 2^31 (q <= 81)
+            # int32, since every rank is below line_count(q) < 2^31 (see __init__)
             q, c, d = self.q, abcd[:, 2], abcd[:, 3]
             reps = lifts[:, :, (c == 1) | ((c == 0) & (d == 1))].transpose(2, 0, 1)
             if len(reps) * (q - 1) != self.group_order:

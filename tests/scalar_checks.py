@@ -4,7 +4,9 @@ These are the point-by-point loops over `pg3` and `action` that the
 vectorized `Engine` checks replaced.  They are slow (seconds at q = 8), so
 they only serve as an independent oracle in the differential tests.
 `chord_code` is the full-evaluation form of `Engine._chord_code`, kept as
-the reference for its filtered form.
+the reference for its filtered form, and `polar_orbit_counts` the pass that
+ranks every line's polar image, kept as the reference for the Engine's pass,
+which pairs most lines' labels by a digit map.
 """
 
 import numpy as np
@@ -126,3 +128,20 @@ def chord_code(eng, P):
     code[match & (cnt == 1)] = 1
     code[match & (cnt == 0)] = 3
     return code
+
+
+def polar_orbit_counts(eng):
+    """Engine.polar_orbit_counts row by row: every line's Pluecker row goes
+    through Engine._chunk_polar and Engine._rank, chunk by chunk, and its
+    image is marked in a mask over every rank (xi != 0, every class
+    partitioned).  Returns (onto, counts) as the Engine does."""
+    labels, m = eng.line_cells(), len(eng.orbits())  # every cell is a label
+    hit = np.zeros(len(labels), dtype=bool)
+
+    def polarize(ranks, P):
+        img = eng._rank(eng._chunk_polar(P))
+        hit[img] = True  # chunks only ever store True, so none is lost
+        return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
+                           minlength=m * m)
+    counts = sum(eng._over_lines(polarize))
+    return bool(hit.all()), counts.reshape(m, m)

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import scalar_checks
 from twistedcubic import action as act
-from twistedcubic import bulk, census, cli, pg3, twisted as tw
+from twistedcubic import bulk, census, cli, gfq, pg3, twisted as tw
 from twistedcubic.bulk import CODE, Engine, _columns, _pair_blocks, field_ops, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -404,10 +405,62 @@ def _partitions(eng):
             for cls in tw.valid_line_classes(eng.field)}
 
 
-def _polar_counts(eng):
-    """The polarity pass's (onto, counts) over every partitioned class."""
-    onto, counts = eng.polar_orbit_counts()
+def _polar_counts(eng, polarize=Engine.polar_orbit_counts):
+    """The polarity pass's (onto, counts) over every partitioned class, or
+    those of another pass with its signature."""
+    onto, counts = polarize(eng)
     return onto, counts.tolist()
+
+
+@pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32 and q % 3])
+def test_polar_pass_matches_the_row_by_row_pass(field, engine, q):
+    """The pass that pairs the labels of pivot block (0, 1) by their digits
+    gives the (onto, counts) of the pass that ranks every line's polar
+    image, on the default engine and on one with 64-line chunks, which
+    reads the same partition in many more tasks on the pool (one value of
+    b q + c each from q = 7 on)."""
+    whole = engine(q)
+    _partitions(whole)
+    want = _polar_counts(whole, scalar_checks.polar_orbit_counts)
+    assert want[0]
+    small = Engine(field(q), chunk=64)
+    small._cells, small._class_sizes, small._orbits = (
+        whole.line_cells(), whole._class_sizes, whole._orbits)
+    assert _polar_counts(whole) == _polar_counts(small) == want
+
+
+def test_polar_pass_rejects_a_polarity_that_does_not_permute_the_digits(field, monkeypatch):
+    """With a unit other than 3 on l02 in the polar map, the image of a
+    pivot-(0, 1) line no longer keeps its c digit, so the digit map cannot
+    be read off the probes and the pass refuses to pair the block."""
+    eng = Engine(field(5))
+    _partitions(eng)
+    polar = Engine._polar
+
+    def skewed(self, P):
+        img = polar(self, P)
+        img[:, 1] = self._mul(2, img[:, 1])  # 3 * 2 = 1 in GF(5)
+        return img
+    monkeypatch.setattr(Engine, "_polar", skewed)
+    with pytest.raises(RuntimeError, match="digits of pivot block"):
+        eng.polar_orbit_counts()
+
+
+def test_polar_pass_holds_no_per_line_array(field):
+    """At q = 32 the pass allocates less than one byte per line at its
+    peak: it keeps no mask or index over all lines.  The chunks are small
+    (4096 lines), so that their temporaries, on both threads at once, and
+    the results of all tasks stay well below that."""
+    eng = Engine(field(32), chunk=1 << 12)
+    _partitions(eng)
+    tracemalloc.start()
+    try:
+        onto, _counts = eng.polar_orbit_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert onto
+    assert peak < pg3.line_count(32)
 
 
 @pytest.mark.parametrize("q", (8, 9, 13))
@@ -624,6 +677,13 @@ def test_pool_is_shared_and_has_no_setting(engine, capsys):
     text = capsys.readouterr().out.lower()
     assert "--q" in text
     assert "thread" not in text and "worker" not in text
+
+
+def test_engine_refuses_a_field_past_its_integer_limits():
+    """At q = 191, x*q + y reaches 190 * 191 + 190 = 36480, past int16: the
+    Engine refuses the field before building anything, naming q."""
+    with pytest.raises(ValueError, match="q = 191: .*2\\^15"):
+        Engine(gfq.make_field(191))
 
 
 @pytest.mark.parametrize("q", (81, max(census.SUPPORTED_Q)))

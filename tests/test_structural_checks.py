@@ -178,18 +178,36 @@ def test_polarity_class_exchange_fails_on_a_dropped_key(cls):
     assert not census.check_polarity_orbit_images(run)["pass"]
 
 
-def test_polarity_orbit_image_fails_on_a_corrupted_label():
-    """The first EnG line moves to the next EnG orbit: each line keeps the
-    class of its label, but two orbits no longer count their sizes."""
+def _move_to_the_next_eng_orbit(pick):
+    """A q = 5 run whose EnG line pick(EnG ranks) has moved to the next EnG
+    orbit: each line keeps the class of its label, but two orbits no longer
+    count their sizes."""
     run = census.CensusRun(5)
     run.all_orbit_records()
     eng = run.engine
     eng_orbits = [i for i, (c, _size) in enumerate(eng.orbits()) if c == tw.ENG]
     assert len(eng_orbits) > 1
-    first = eng._ranks_of([tw.ENG])[0]
+    moved = pick(eng._ranks_of([tw.ENG]))
     labels = eng.line_cells()
-    at = eng_orbits.index(labels[first])
-    labels[first] = eng_orbits[(at + 1) % len(eng_orbits)]
+    at = eng_orbits.index(labels[moved])
+    labels[moved] = eng_orbits[(at + 1) % len(eng_orbits)]
+    return run
+
+
+def test_polarity_orbit_image_fails_on_a_corrupted_label():
+    """The first EnG line moves to the next EnG orbit."""
+    run = _move_to_the_next_eng_orbit(lambda ranks: ranks[0])
+    assert census.check_polarity_class_exchange(run)["pass"]
+    assert not census.check_polarity_orbit_images(run)["pass"]
+
+
+@pytest.mark.parametrize("inside", (True, False))
+def test_polarity_orbit_image_fails_on_a_corrupted_label_on_either_path(inside):
+    """The last EnG line of pivot block (0, 1), ranks [0, q^4), whose labels
+    the polarity pass pairs by their digits, or the first EnG line after
+    it, whose polar image the pass ranks, moves to the next EnG orbit."""
+    run = _move_to_the_next_eng_orbit(
+        lambda ranks: ranks[ranks < 5**4][-1] if inside else ranks[ranks >= 5**4][0])
     assert census.check_polarity_class_exchange(run)["pass"]
     assert not census.check_polarity_orbit_images(run)["pass"]
 
