@@ -34,21 +34,24 @@ polarity pass normalizes a chunk's polar images by one scalar.  It needs
 rows only outside pivot block (0, 1), whose line with RREF digits (a, b, c,
 d) it maps to the one with digits (F[d], b, c, G[a]).
 
-An orbit sweep acts on the line's two points only with the coset
-representatives of the diagonal torus (1, 0, 0, d).  The torus keeps each
-image's pivot block and scales each RREF digit of its representative's image
-by a power of d, so the ranks of all images are read off small split tables,
-four gathers per torus slice, with no per-image index or Pluecker row.
+The group is stored only as its split: each element is r * t once, r one
+of the q(q + 1) coset representatives of the diagonal torus t = (1, 0, 0,
+d), whose lift diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group
+pass acts on points only with the representatives; their images under a
+torus slice are gathers from a table of scaled digits.  For an orbit sweep
+the torus keeps each image's pivot block and scales each RREF digit of its
+representative's image by a power of d, so the ranks of all images are read
+off split tables, four gathers per torus slice, with no Pluecker row.
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
 enumeration (`_line_tasks`) in the class pass, those outside pivot block
 (0, 1) and slices of that block in the polarity pass, the torus slices of
-about chunk // 8 images of each orbit sweep (`_sweep`, `orbit_sweep`), then
-the tail of a partition sweep in tasks of disjoint rank ranges (dedup, cell
-check, label writes), and contiguous slices of the group (`_over_group`) in
-the stabilizer filter (`stabilizer_abcd`).  The contract:
+about chunk // 8 images (`_torus_slices`) of each orbit sweep (`_sweep`,
+`orbit_sweep`) and of the stabilizer filter (`stabilizer_abcd`), then the
+tail of a partition sweep in tasks of disjoint rank ranges (dedup, cell
+check, label writes).  The contract:
 
 - a task writes only the cells of the disjoint rank slice of its own chunk
   or of its own rank range (the polarity pass writes no cell, only True
@@ -57,13 +60,12 @@ the stabilizer filter (`stabilizer_abcd`).  The contract:
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
   benchmark (perfbench/spans.py) wraps those with a span recorder that is
-  not thread-safe; the group arrays, with the split tables of the sweeps, are
-  built before any task is handed out, and no task hands out tasks of its
-  own (a helper would wait forever for itself);
+  not thread-safe; the group's split is built before any task is handed
+  out, and no task hands out tasks of its own (a helper would wait forever
+  for itself);
 - small work runs inline on the calling thread: a single task, a universe
   (in the polarity pass, a pivot block (0, 1)) that fits in one chunk, a
-  sweep of one torus slice with its tail, a group of fewer than SPLIT_SWEEP
-  elements in the stabilizer filter.
+  group pass of one torus slice, with a sweep's tail.
 """
 
 from __future__ import annotations
@@ -183,10 +185,6 @@ def _worker_count():
 
 WORKERS = _worker_count()
 
-# the stabilizer filter is split over the workers only from this many group
-# elements on (q >= 41): below it the thread handoffs cost more than they save
-SPLIT_SWEEP = 60_000
-
 # diag(1, d, d^2, d^3) scales l_ij by d^(i + j): weights that never fall
 _WEIGHT = np.array([i + j for i, j in pg3.PAIR_IDX])
 
@@ -250,12 +248,11 @@ class Engine:
     written over the model flags, then orbit labels), is built on first use,
     never for queries.
 
-    Chunks of `chunk` lines, the torus slices of large orbit sweeps, whose
-    ranks are read off the split tables, the rank ranges of their tails and
-    the group slices of the stabilizer filter are shared out over threads
-    under the module's contract: disjoint rank slices or ranges per task,
-    results merged in task order, only private helpers in tasks, small work
-    inline.  The results depend only on the field and the cubic, the closed
+    Chunks of `chunk` lines, the torus slices of large orbit sweeps and
+    stabilizer filters, and the rank ranges of the sweeps' tails are shared
+    out over threads under the module's contract: disjoint rank slices or
+    ranges per task, results merged in task order, only private helpers in
+    tasks, small work inline.  The results depend only on the field and the cubic, the closed
     forms twisted.cubic_point and twisted.osculating_plane, checked to give
     q + 1 distinct points and planes, each plane meeting the cubic once."""
 
@@ -291,7 +288,7 @@ class Engine:
         self._cells = self._class_sizes = self._klein_violations = None
         # (class, size, stabilizer order, representative key), by label
         self._orbits: list[tuple[str, int, int, int]] = []
-        self._group = self._split = None
+        self._split = None
 
     # -- packing and ranks ---------------------------------------------------
 
@@ -713,91 +710,77 @@ class Engine:
     # -- group sweeps ------------------------------------------------------------
 
     def _group_arrays(self):
-        if self._group is None:
-            # the normalized (a, b, c, d) with ad - bc != 0, ascending
-            abcd = self._proj_points(4)
-            a, b, c, d = abcd.T
-            abcd = abcd[self._sub(self._mul(a, d), self._mul(b, c)) != 0]
-            if len(abcd) != self.group_order:
-                raise RuntimeError("group enumeration size mismatch")
-
-            rows = action.lift_rows(self.field, *abcd.T, self._mul, self._add)
-            # (N, 4, 4) lifts, stored so that each entry's N values are contiguous
-            lifts = np.stack([np.stack(r) for r in rows])
-            self._group = (abcd, lifts.transpose(2, 0, 1))
-
-            # the split of the sweeps: the lifts of the r whose rows (a, b) and
-            # (c, d) start with 1; d^e * x at [d - 1, e * q + x] for e <= 4, and
-            # that table scaled by q^(3 - k) for the k-th of four RREF digits, as
-            # int32, since every rank is below line_count(q) < 2^31 (see __init__)
-            q, c, d = self.q, abcd[:, 2], abcd[:, 3]
-            reps = lifts[:, :, (c == 1) | ((c == 0) & (d == 1))].transpose(2, 0, 1)
-            if len(reps) * (q - 1) != self.group_order:
-                raise RuntimeError("the coset representatives do not split the group")
+        """The group's split (abcd, lifts, scale, digit), built on first use:
+        the ascending (a, b, c, d) of the R = q(q + 1) representatives, the
+        pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts, entry
+        (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x] for e <= 4;
+        and that table scaled by q^(3 - k) for the k-th of four RREF digits,
+        as int32, since every rank is below line_count(q) < 2^31 (__init__)."""
+        if self._split is None:
+            q, line = self.q, self._proj_points(2)
+            abcd = np.hstack([line[i] for i in np.nonzero(~np.eye(q + 1, dtype=bool))])
+            lifts = np.array(action.lift_rows(self.field, *abcd.T, self._mul, self._add))
             units = np.arange(1, q, dtype=np.int16)
             powers = [np.ones_like(units)]
             for _ in range(4):  # w(l23) - w(l01)
                 powers.append(self._mul(powers[-1], units))
             scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
             digit = np.stack([scale.astype(np.int32) * q ** (3 - k) for k in range(4)])
-            self._split = (reps, scale, digit)
-        return self._group
+            self._split = (abcd, lifts, scale, digit)
+        return self._split
+
+    def _elements(self, index):
+        """The (a, b, c, d) of the elements (d - 1) * R + i: r_i * (1, 0, 0, d)
+        is (a, b, d c, d d) for r_i's (a, b, c, d), still normalized."""
+        abcd, _lifts, scale, _digit = self._group_arrays()
+        units, reps = np.divmod(index, len(abcd))
+        rows = abcd[reps]
+        rows[:, 2:] = scale[units[:, None], self.q + rows[:, 2:]]
+        return rows
 
     def group_abcd(self):
-        return self._group_arrays()[0]
+        """The (a, b, c, d) of every element r * (1, 0, 0, d): d ascending,
+        then r ascending, as the images of a torus slice are ordered."""
+        return self._elements(np.arange(self.group_order))
 
-    def _act(self, pt, mats):
-        """Image of one point under each of the (N, 4, 4) lifts mats, as an
-        (N, 4) array."""
-        return _columns([self._lincomb(pt, mats[:, :, j].T) for j in range(4)])
+    def _point_at(self, pt):
+        """(4, R) indices j * q + x_j, x the point's images under the
+        representatives r: its image under r * t has coordinate j at
+        scale[d - 1, j * q + x_j]."""
+        lifts = self._group_arrays()[1]  # built here, never in a task
+        return np.stack([self._lincomb(pt, lifts[:, j]) + j * self.q for j in range(4)])
 
-    def _act_all(self, pt, sel=None):
-        """Image of one point under every group element, or under the
-        elements sel (an index array or a slice), as an (N,4) array."""
-        mats = self._group_arrays()[1]
-        return self._act(pt, mats if sel is None else mats[sel])
-
-    def _over_group(self, fn):
-        """fn(sel) per contiguous slice sel of the group elements, as a list
-        in group order.  A group of SPLIT_SWEEP elements or more is cut into
-        two slices per thread, so that a thread whose core is busy leaves
-        part of its share to the other."""
-        n = len(self._group_arrays()[0])  # built here, never in a task
-        parts = 2 * WORKERS if WORKERS > 1 and n >= SPLIT_SWEEP else 1
-        cuts = [n * i // parts for i in range(parts + 1)]
-        return _in_order(fn, [slice(*c) for c in zip(cuts, cuts[1:])])
+    def _scaled(self, at, ts):
+        """scale[d - 1, col] per row col of at over the torus slice ts of
+        units d - 1, raveled in the order of group_abcd."""
+        return [self._split[2][ts].take(col, axis=1).ravel() for col in at]
 
     def _torus_slices(self):
-        """The slices of the torus units d - 1 that a sweep shares out, of
-        about chunk // 8 images each, and the cuts of [0, line_count) into the
-        rank ranges of its tail tasks: halves when there is more than one
-        slice, else the whole range, for a tail that runs inline."""
+        """The slices of the torus units d - 1 that a group pass shares out,
+        of about chunk // 8 elements each, and the cuts of [0, line_count)
+        into the rank ranges of a sweep's tail tasks: halves when there is
+        more than one slice, else the whole range, for an inline tail."""
         q, n = self.q, pg3.line_count(self.q)
         parts = min(q - 1, -(-self.group_order // max(1, self.chunk // 8)))
         cuts = [(q - 1) * i // parts for i in range(parts + 1)]
         return [slice(*c) for c in zip(cuts, cuts[1:])], [0, n // 2, n] if parts > 1 else [0, n]
 
     def _rep_images(self, line):
-        """(lead, at) of the line's images under the coset representatives r:
-        each element is r * t once, t = (1, 0, 0, d) with lift M_r diag(1, d,
-        d^2, d^3), and t scales l_ij by d^(i + j), which keeps the first
-        nonzero coordinate, at index lead, in place; so the normalized image
-        under r * t has coordinate j at split[1][d - 1, at[j]], at[j] = e * q
-        + x for the representative's coordinate x and e = w_j - w_lead <= 4
-        (e = 0 for the zeros before the lead)."""
-        self._group_arrays()  # built here, never in a task
-        u, v = line.pair
-        reps = self._split[0]
-        P = self._normalize_rows(self._plucker(self._act(u, reps), self._act(v, reps)))
+        """(lead, at) of the line's images under the representatives r: t = (1,
+        0, 0, d) scales l_ij by d^(i + j), which keeps the first nonzero
+        coordinate, at index lead, in place; so the normalized image under
+        r * t has coordinate j at scale[d - 1, at[j]], at[j] = e * q + x for
+        the representative's coordinate x and e = w_j - w_lead <= 4 (e = 0
+        for the zeros before the lead)."""
+        U, V = (self._point_at(pt).T % self.q for pt in line.pair)
+        P = self._normalize_rows(self._plucker(U, V))
         lead = (P != 0).argmax(axis=1)
         return lead, np.maximum(_WEIGHT[:, None] - _WEIGHT[lead], 0) * self.q + P.T
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line."""
         _lead, at = self._rep_images(line)
-        scale = self._split[1]
-        rows = _in_order(lambda ts: np.stack([scale[ts].take(col, axis=1).ravel() for col in at]),
-                         self._torus_slices()[0])
+        rows = _in_order(lambda ts: np.stack(self._scaled(at, ts)), self._torus_slices()[0])
         return sorted_unique(self.pack(np.concatenate(rows, axis=1).T))
 
     def _sweep(self, line):
@@ -810,7 +793,7 @@ class Engine:
         where the digit is; the minimal key is packed from the images of the
         representatives with the most leading zeros."""
         lead, at = self._rep_images(line)
-        q, (_reps, scale, digit) = self.q, self._split
+        q, (_abcd, _lifts, scale, digit) = self.q, self._split
         x = at % q
         # the indices, then those with x negated, then 0s, which read 0
         signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
@@ -898,19 +881,21 @@ class Engine:
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
         """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples.
 
-        Only the elements that keep the first point on the line act on the
-        second point: about 1/q^2 of the group."""
-        abcd, _ = self._group_arrays()
-        u, v = line.pair
+        Per torus slice, only the elements that keep the first point on the
+        line, about 1/q^2 of the group, act on the second point."""
+        u, v = map(self._point_at, line.pair)
+        scale, n = self._split[2], u.shape[1]
 
-        def keeps_on_line(pt, sel):
-            forms = pg3.incidence_forms(self._act_all(pt, sel).T, line.plucker,
-                                        self._mul, self._sub, self._add)
+        def on_line(X):
+            forms = pg3.incidence_forms(X, line.plucker, self._mul, self._sub, self._add)
             return np.logical_and.reduce([form == 0 for form in forms])
-        sel = np.concatenate(self._over_group(
-            lambda part: part.start + np.flatnonzero(keeps_on_line(u, part))))
-        sel = sel[keeps_on_line(v, sel)]
-        return sorted(map(tuple, abcd[sel].tolist()))
+
+        def fixers(ts):
+            index = ts.start * n + np.flatnonzero(on_line(self._scaled(u, ts)))
+            units, reps = np.divmod(index, n)
+            return index[on_line([scale[units, col[reps]] for col in v])]
+        index = np.concatenate(_in_order(fixers, self._torus_slices()[0]))
+        return sorted(map(tuple, self._elements(index).tolist()))
 
     # -- structural checks ---------------------------------------------------------
 
@@ -943,37 +928,46 @@ class Engine:
         m = len(self.cubic_point_ranks)
         index = np.full(pg3.point_count(self.q), -1, dtype=np.int64)
         index[self.cubic_point_ranks] = np.arange(m)
-        code = np.zeros(self.group_order, dtype=np.int64)
-        on_cubic = np.ones(self.group_order, dtype=bool)
-        for pt in triple:
-            pos = index[self._point_rank(self._normalize_rows(self._act_all(pt)))]
-            on_cubic &= pos >= 0
-            code = code * m + pos
-        return len(sorted_unique(code[on_cubic]))
+        ats = list(map(self._point_at, triple))
+
+        def codes(ts):
+            code, on_cubic = 0, True
+            for at in ats:
+                pos = index[self._point_rank(self._normalize_rows(_columns(self._scaled(at, ts))))]
+                on_cubic &= pos >= 0
+                code = code * m + pos
+            return code[on_cubic]
+        return len(sorted_unique(np.concatenate(list(map(codes, self._torus_slices()[0])))))
 
     def polarity_violations(self) -> int:
         """Number of group elements whose lift M does not preserve the null
         polarity's alternating form w(x, y) = x . twisted.polar_form(y) up
         to a scalar (xi != 0), i.e. does not commute with the polarity.  With
-        K_ik = w(M_i, M_k) over the rows M_i of M, an element passes iff
-        K_03 != 0 and K_ik = K_03 * w(e_i, e_k) for every i < k."""
+        K_ik = w(M_i, M_k) over the rows M_i of M, a lift passes iff K_03 !=
+        0 and K_ik = K_03 * w(e_i, e_k) for every i < k.  The lift M_r D of
+        r * t passes if M_r and D = diag(1, d, d^2, d^3), read off the scale
+        table, both do: the elements counted are those whose M_r or D fails."""
         if self.field.xi == 0:
             raise ValueError("the null polarity degenerates when q = 0 mod 3")
         f = self.field
         # w(e_i, e_k) = polar_form(e_k)[i], as J[k][i]; w(e_0, e_3) = 1
         J = [twisted.polar_form(e, self.three, f.mul, f.neg)
              for e in np.eye(4, dtype=int).tolist()]
-        mats = self._group_arrays()[1]
-        rows = [mats[:, i, :].T for i in range(4)]  # row i of every lift, as columns
-        polars = [twisted.polar_form(r, self.three, self._mul, self._neg) for r in rows]
+        lifts, scale = self._group_arrays()[1:3]
+        torus = np.eye(4, dtype=np.int16)[:, :, None] * scale[:, 1:4 * self.q:self.q].T
 
-        def w(i, k):
-            return reduce(self._add, map(self._mul, rows[i], polars[k]))
-        scale = w(0, 3)
-        ok = scale != 0
-        for i, k in combinations(range(4), 2):
-            ok &= w(i, k) == self._mul(J[k][i], scale)
-        return int(np.count_nonzero(~ok))
+        def passing(mats):
+            # mats[i]: row i of every lift, as columns
+            polars = [twisted.polar_form(r, self.three, self._mul, self._neg) for r in mats]
+
+            def w(i, k):
+                return reduce(self._add, map(self._mul, mats[i], polars[k]))
+            k03 = w(0, 3)
+            ok = k03 != 0
+            for i, k in combinations(range(4), 2):
+                ok &= w(i, k) == self._mul(J[k][i], k03)
+            return int(np.count_nonzero(ok))
+        return self.group_order - passing(lifts) * passing(torus)
 
     # -- plane census ------------------------------------------------------------
 

@@ -6,8 +6,12 @@ they only serve as an independent oracle in the differential tests.
 `chord_code` is the full-evaluation form of `Engine._chord_code`, kept as
 the reference for its filtered form, and `polar_orbit_counts` the pass that
 ranks every line's polar image, kept as the reference for the Engine's pass,
-which pairs most lines' labels by a digit map.
+which pairs most lines' labels by a digit map.  `whole_group` is the group
+as one array of |G| lifts, with the one-pass forms of the group passes over
+it, the reference for the Engine's split into representatives and torus.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -145,3 +149,71 @@ def polar_orbit_counts(eng):
                            minlength=m * m)
     counts = sum(eng._over_lines(polarize))
     return bool(hit.all()), counts.reshape(m, m)
+
+
+def whole_group(eng):
+    """The ascending normalized (a, b, c, d) of every group element, filtered
+    from all projective 4-tuples, and their (N, 4, 4) lifts by
+    action.lift_rows over the Engine's field ops."""
+    abcd = eng._proj_points(4)
+    a, b, c, d = abcd.T
+    abcd = abcd[eng._sub(eng._mul(a, d), eng._mul(b, c)) != 0]
+    assert len(abcd) == eng.group_order
+    rows = action.lift_rows(eng.field, *abcd.T, eng._mul, eng._add)
+    return abcd, np.stack([np.stack(r) for r in rows]).transpose(2, 0, 1)
+
+
+def act(eng, pt, mats):
+    """The (N, 4) images of one point under the (N, 4, 4) lifts mats."""
+    return np.stack([eng._lincomb(pt, mats[:, :, j].T) for j in range(4)], axis=1)
+
+
+def line_images(eng, mats, line):
+    """The normalized Pluecker rows of the line's images under the lifts."""
+    return eng._normalize_rows(eng._plucker(*(act(eng, pt, mats) for pt in line.pair)))
+
+
+def stabilizer_abcd(eng, group, line):
+    """The sorted (a, b, c, d) of the elements of group = whole_group(eng)
+    that keep both points of the line on it."""
+    abcd, mats = group
+    fixed = True
+    for pt in line.pair:
+        forms = pg3.incidence_forms(act(eng, pt, mats).T, line.plucker,
+                                    eng._mul, eng._sub, eng._add)
+        fixed &= np.logical_and.reduce([form == 0 for form in forms])
+    return sorted(map(tuple, abcd[fixed].tolist()))
+
+
+def triple_images(eng, group, triple):
+    """Number of distinct ordered triples of cubic points among the images
+    of the triple of points under every lift of group = whole_group(eng)."""
+    m = len(eng.cubic_point_ranks)
+    index = np.full(pg3.point_count(eng.q), -1, dtype=np.int64)
+    index[eng.cubic_point_ranks] = np.arange(m)
+    code, on_cubic = 0, True
+    for pt in triple:
+        pos = index[eng._point_rank(eng._normalize_rows(act(eng, pt, group[1])))]
+        on_cubic &= pos >= 0
+        code = code * m + pos
+    return len(np.unique(code[on_cubic]))
+
+
+def polarity_violations(eng, group):
+    """Number of lifts M of group = whole_group(eng) with M J M^T != c J for
+    every scalar c, J the Gram matrix of the null polarity's alternating
+    form w(x, y) = x . twisted.polar_form(y) (xi != 0)."""
+    f, mats = eng.field, group[1]
+    J = np.array([twisted.polar_form(e, eng.three, f.mul, f.neg)
+                  for e in np.eye(4, dtype=int).tolist()]).T
+    rows = [mats[:, i, :].T for i in range(4)]
+    polars = [twisted.polar_form(r, eng.three, eng._mul, eng._neg) for r in rows]
+
+    def w(i, k):
+        return reduce(eng._add, map(eng._mul, rows[i], polars[k]))
+    scale = w(0, 3)
+    ok = scale != 0
+    for i in range(4):
+        for k in range(4):
+            ok &= w(i, k) == eng._mul(int(J[i, k]), scale)
+    return int(np.count_nonzero(~ok))

@@ -523,22 +523,16 @@ def test_in_order_keeps_task_order_and_stops_after_a_failure():
 
 
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the stabilizer filter cuts the group into slices and the
-    sweep cuts the torus into slices; the sweep, its image ranks (one per
-    element, so its fixer count is the stabilizer order the partition
-    records) and the stabilizer equal their one-pass forms over the group."""
+    """At q = 49 the sweep cuts the torus into slices; the sweep, its image
+    ranks (one per element, so its fixer count is the stabilizer order the
+    partition records) and the stabilizer equal their one-pass forms over
+    the whole group."""
     eng = engine(49)
-    n = eng.group_order
-    parts = eng._over_group(lambda sel: (sel.start, sel.stop))
-    assert len(parts) == (2 * bulk.WORKERS if bulk.WORKERS > 1 else 1)
-    assert parts[0][0] == 0 and parts[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-    abcd = eng.group_abcd()
+    abcd, mats = scalar_checks.whole_group(eng)
     rng = random.Random(49)
     for rank in rng.sample(range(pg3.line_count(49)), 3):
         line = eng.line_from_rank(rank)
-        u, v = line.pair
-        P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
+        P = scalar_checks.line_images(eng, mats, line)
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
         slices = eng._sweep(line)
         assert len(slices) > 1
@@ -550,30 +544,81 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         assert np.count_nonzero(ranks == rank) == len(stab)
 
 
+@pytest.mark.parametrize("q", AGREE_Q + (49,))
+def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q):
+    """stabilizer_abcd, triple_images and polarity_violations, which gather
+    the images under each torus slice from those under the representatives,
+    equal their one-pass forms over all |G| lifts: on the first line of each
+    pivot block and seeded lines, on triples of cubic points and seeded
+    points, and for the true polarity and one with 3 replaced by another
+    unit.  At q = 49 the group passes run over more than one torus slice."""
+    eng = engine(q)
+    group = scalar_checks.whole_group(eng)
+    assert (len(eng._torus_slices()[0]) > 1) == (q == 49)
+    rng = random.Random(q)
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    for rank in seeds + rng.sample(range(pg3.line_count(q)), 3):
+        line = eng.line_from_rank(rank)
+        assert eng.stabilizer_abcd(line) == scalar_checks.stabilizer_abcd(eng, group, line)
+    points = [tuple(pt) for pt in eng._proj_points(4)[
+        rng.sample(range(pg3.point_count(q)), 3)].tolist()]
+    for triple in (eng.cubic_points[:3], eng.cubic_points[-2:] + points[:1], points):
+        assert eng.triple_images(triple) == scalar_checks.triple_images(eng, group, triple)
+    assert eng.triple_images(eng.cubic_points[:3]) == eng.group_order
+    if eng.field.xi == 0:
+        return
+    assert eng.polarity_violations() == scalar_checks.polarity_violations(eng, group) == 0
+    unit = next(x for x in eng.field.elements() if x != eng.three)
+    form = tw.polar_form
+    monkeypatch.setattr(tw, "polar_form", lambda x, _three, m, neg: form(x, unit, m, neg))
+    assert eng.polarity_violations() == scalar_checks.polarity_violations(eng, group)
+
+
+def test_group_build_holds_no_full_group(field):
+    """The group is built as its q(q + 1) representatives' lifts and the
+    torus tables: at q = 64 the build peaks under 2 MB, where the |G| lifts
+    alone would take 8 MB."""
+    eng = Engine(field(64))
+    tracemalloc.start()
+    try:
+        eng._group_arrays()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_torus_split_meets_every_group_element_once(field, q):
-    """The sweeps' split: every lift in R (the coset representatives whose
-    rows (a, b) and (c, d) start with 1) times every lift of the torus
-    (1, 0, 0, d) is, up to a scalar, one group lift, each met once.  The
-    (a, b, c, d) whose columns (a, c) and (b, d) start with 1 are as many,
-    so only the products can tell that they are no transversal (q > 2; at
-    q = 2 the torus is trivial and both sets are the group)."""
+    """The split: every lift in R (the coset representatives whose rows
+    (a, b) and (c, d) start with 1, ascending) times every lift of the
+    torus (1, 0, 0, d) is, up to a scalar, one group lift, each met once;
+    exactly, it is the lift of its row of group_abcd.  The (a, b, c, d)
+    whose columns (a, c) and (b, d) start with 1 are as many, so only the
+    products can tell that they are no transversal (q > 2; at q = 2 the
+    torus is trivial and both sets are the group)."""
     f = field(q)
     eng = Engine(f)
-    abcd, mats = eng._group_arrays()
-    reps = eng._split[0]
+    abcd, mats = scalar_checks.whole_group(eng)
+    reps, lifts = eng._group_arrays()[:2]
+    lifts = lifts.transpose(2, 0, 1)
     torus = [act.lift_rows(f, 1, 0, 0, d, f.mul, f.add) for d in f.units()]
     assert len(reps) * len(torus) == eng.group_order
+    a, b, c, d = abcd.T
+    assert reps.tolist() == abcd[(c == 1) | ((c == 0) & (d == 1))].tolist()
+
+    def products(lifts):
+        return [tuple(act.mat_vec(f, r, t) for r in lift)
+                for t in torus for lift in lifts.tolist()]
 
     def met(lifts):
-        return Counter(pg3.normalize(f, tuple(x for r in lift for x in act.mat_vec(f, r, t)))
-                       for lift in lifts.tolist() for t in torus)
+        return Counter(pg3.normalize(f, sum(m, ())) for m in products(lifts))
     group = Counter(pg3.normalize(f, tuple(np.ravel(m).tolist())) for m in mats)
     assert len(group) == eng.group_order
-    assert met(reps) == group
-    a, b, c, d = abcd.T
+    assert met(lifts) == group
+    assert products(lifts) == [act.lift(f, g) for g in map(tuple, eng.group_abcd().tolist())]
     cols = mats[((a == 1) | ((a == 0) & (c == 1))) & ((b == 1) | ((b == 0) & (d == 1)))]
-    assert len(cols) == len(reps)
+    assert len(cols) == len(lifts)
     assert (met(cols) == group) == (q == 2)
 
 
@@ -585,14 +630,14 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
     pivot block, which the identity representative keeps, and random lines,
     so the representative images reach every block."""
     eng = engine(q)
+    mats = scalar_checks.whole_group(eng)[1]
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
     seeds += random.Random(q).sample(range(pg3.line_count(q)), 4)
     reached = set()
     for rank in seeds:
         line = eng.line_from_rank(rank)
         reached |= set(eng._rep_images(line)[0].tolist())
-        u, v = line.pair
-        P = eng._normalize_rows(eng._plucker(eng._act_all(u), eng._act_all(v)))
+        P = scalar_checks.line_images(eng, mats, line)
         parts = eng._sweep(line)
         ranks = np.concatenate([r for pieces, _key in parts for r in pieces])
         assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
@@ -644,13 +689,14 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
 def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     """_lincomb hands back an input column itself when its only nonzero
     scalar is 1: the sweeps, the stabilizer filter, the partition, the
-    triple images and the plane census leave the group arrays, the sweeps'
-    split tables and the points of PG(3,q) as they were."""
+    triple images, the polarity identity, group_abcd and the plane census
+    leave the group's split (the representatives' rows and lifts, the torus
+    tables) and the points of PG(3,q) as they were."""
     eng = Engine(field(q))
     points = eng._proj_points(4)
     real = eng._proj_points
     monkeypatch.setattr(eng, "_proj_points", lambda n: points if n == 4 else real(n))
-    arrays = (points, *eng._group_arrays(), *eng._split)
+    arrays = (points, *eng._group_arrays())
     before = [a.copy() for a in arrays]
     for rank in (0, pg3.line_count(q) // 2):  # rank 0 joins two unit points
         line = eng.line_from_rank(rank)
@@ -658,8 +704,10 @@ def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
         eng.stabilizer_abcd(line)
     eng.orbit_partition_keys(tw.ENG)
     eng.triple_images(eng.cubic_points[:3])
+    eng.polarity_violations()
+    eng.group_abcd()
     eng.plane_class_counts()
-    assert all(x is y for x, y in zip((*eng._group_arrays(), *eng._split), arrays[1:]))
+    assert all(x is y for x, y in zip(eng._group_arrays(), arrays[1:]))
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -56,6 +57,22 @@ def test_stabilizer_by_line():
     assert entry["class"] == "RC"
     assert entry["stabilizer_order"] == 8
     assert [1, 0, 0, 1] in entry["elements"]
+
+
+# SHA-256 of the JSON of `stabilizer --q Q --elements`: every orbit
+# representative's stabilizer, element by element
+STABILIZER_ELEMENTS_SHA256 = {
+    5: "921e67218505e1af3600b6c58f6ad45b5f465db117790545ba8a73922e927f16",
+    8: "4849a4a8963a2cd98a6dc25fdc5948e62164d07b55e0fc143ee47d3147ad9abe",
+    9: "41180b833ac34a03da3f573b4143c886ef92136c72b63b3d865f1795824a8769",
+}
+
+
+@pytest.mark.parametrize("q", sorted(STABILIZER_ELEMENTS_SHA256))
+def test_stabilizer_elements_are_byte_stable(capsys, q):
+    assert cli.main(["stabilizer", "--q", str(q), "--elements"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STABILIZER_ELEMENTS_SHA256[q]
 
 
 def test_stabilizer_line_with_class_is_a_usage_error():

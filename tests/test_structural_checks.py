@@ -66,13 +66,15 @@ def test_axis_uniqueness_fails_on_corrupted_axes(cls, mode):
 
 
 def test_triple_transitivity_fails_on_a_repeated_group_element():
+    """A representative's lift repeated in place of the next one repeats
+    every element of its coset, the q - 1 products with the torus."""
     run = census.CensusRun(7)
-    abcd, mats = run.engine._group_arrays()
-    mats = mats.copy()
-    mats[1] = mats[0]
-    run.engine._group = (abcd, mats)
+    abcd, lifts, *tables = run.engine._group_arrays()
+    lifts = lifts.copy()
+    lifts[:, :, 1] = lifts[:, :, 0]
+    run.engine._split = (abcd, lifts, *tables)
     check = census.check_triple_transitivity(run)
-    assert check["actual"] == check["expected"] - 1
+    assert check["actual"] == check["expected"] - (7 - 1)
     assert not check["pass"]
 
 
@@ -102,14 +104,33 @@ def test_polarity_commutation_matches_scalar_oracle_on_a_wrong_polarity(run, mon
 @pytest.mark.parametrize("q", DIFF_Q)
 @pytest.mark.parametrize("where", ("first", "middle", "last"))
 def test_polarity_commutation_fails_on_a_corrupted_lift_entry(q, where):
+    """One wrong entry in a representative's lift fails every element of
+    its coset, the q - 1 products with the torus."""
     run = census.CensusRun(q)
-    abcd, mats = run.engine._group_arrays()
-    mats = mats.copy()
-    g = {"first": 0, "middle": len(abcd) // 2, "last": len(abcd) - 1}[where]
-    mats[g, 1, 2] = (mats[g, 1, 2] + 1) % q
-    run.engine._group = (abcd, mats)
+    abcd, lifts, *tables = run.engine._group_arrays()
+    lifts = lifts.copy()
+    r = {"first": 0, "middle": len(abcd) // 2, "last": len(abcd) - 1}[where]
+    lifts[1, 2, r] = (lifts[1, 2, r] + 1) % q
+    run.engine._split = (abcd, lifts, *tables)
     check = census.check_polarity_commutation(run)
-    assert check["actual"] == 1
+    assert check["actual"] == q - 1
+    assert not check["pass"]
+
+
+@pytest.mark.parametrize("q", DIFF_Q)
+@pytest.mark.parametrize("where", ("first", "last"))
+def test_polarity_commutation_fails_on_a_corrupted_torus_factor(q, where):
+    """A wrong d^2 in the torus table, the entry diag(1, d, d^2, d^3) of
+    the torus lift reads, fails every element r * (1, 0, 0, d), one per
+    representative."""
+    run = census.CensusRun(q)
+    abcd, lifts, scale, digit = run.engine._group_arrays()
+    scale = scale.copy()
+    d = {"first": 0, "last": q - 2}[where]
+    scale[d, 2 * q + 1] = (scale[d, 2 * q + 1] + 1) % q
+    run.engine._split = (abcd, lifts, scale, digit)
+    check = census.check_polarity_commutation(run)
+    assert check["actual"] == q * (q + 1)
     assert not check["pass"]
 
 
