@@ -54,8 +54,8 @@ tail of a partition sweep in tasks of disjoint rank ranges (dedup, cell
 check, label writes).  The contract:
 
 - a task writes only the cells of the disjoint rank slice of its own chunk
-  or of its own rank range (the polarity pass writes no cell, only True
-  into a mask over the ranks outside pivot block (0, 1), which no task reads);
+  or rank range, or of its torus slice's keys in `orbit_sweep` (the polarity
+  pass writes only True into a mask outside pivot block (0, 1));
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
@@ -142,20 +142,15 @@ def _columns(cols):
     return np.stack(cols).T
 
 
-def sorted_unique(values):
-    """Ascending distinct values: sort, then drop adjacent duplicates (an
-    order of magnitude faster than np.unique on large int64 arrays).  They
-    are dropped by np.compress, which takes the kept positions: a boolean
-    index is several times slower when the duplicates interleave, as in the
-    orbit of a line with a nontrivial stabilizer."""
-    out = np.sort(values)
-    if len(out) > 1:
-        keep = np.empty(len(out), dtype=bool)
-        keep[0] = True
-        np.not_equal(out[1:], out[:-1], out=keep[1:])
-        if not keep.all():
-            out = np.compress(keep, out)
-    return out
+def sorted_unique(out):
+    """The array, which the caller gives up, sorted in place, then without
+    adjacent duplicates (an order of magnitude faster than np.unique on large
+    int64 arrays), dropped by np.compress, which takes the kept positions: a
+    boolean index is several times slower when the duplicates interleave, as
+    in the orbit of a line with a nontrivial stabilizer."""
+    out.sort()
+    keep = out[1:] != out[:-1]
+    return out if keep.all() else np.compress(np.r_[True, keep], out)
 
 
 @cache
@@ -757,11 +752,13 @@ class Engine:
 
     def _torus_slices(self):
         """The slices of the torus units d - 1 that a group pass shares out,
-        of about chunk // 8 elements each, and the cuts of [0, line_count)
-        into the rank ranges of a sweep's tail tasks: halves when there is
-        more than one slice, else the whole range, for an inline tail."""
+        of about chunk // 8 elements each, and two per thread at least when
+        there are more, so a busy core leaves part of its share to the others;
+        and the cuts of [0, line_count) into the rank ranges of a sweep's tail
+        tasks: halves when there is more than one slice, else the whole range."""
         q, n = self.q, pg3.line_count(self.q)
-        parts = min(q - 1, -(-self.group_order // max(1, self.chunk // 8)))
+        parts = -(-self.group_order // max(1, self.chunk // 8))
+        parts = min(q - 1, max(parts, 2 * WORKERS) if parts > 1 else 1)
         cuts = [(q - 1) * i // parts for i in range(parts + 1)]
         return [slice(*c) for c in zip(cuts, cuts[1:])], [0, n // 2, n] if parts > 1 else [0, n]
 
@@ -778,10 +775,18 @@ class Engine:
         return lead, np.maximum(_WEIGHT[:, None] - _WEIGHT[lead], 0) * self.q + P.T
 
     def orbit_sweep(self, line) -> np.ndarray:
-        """Sorted unique keys of the full-group orbit of the line."""
+        """Sorted unique keys of the full-group orbit of the line, packed by
+        each torus slice into its own part of one array."""
         _lead, at = self._rep_images(line)
-        rows = _in_order(lambda ts: np.stack(self._scaled(at, ts)), self._torus_slices()[0])
-        return sorted_unique(self.pack(np.concatenate(rows, axis=1).T))
+        keys, n = np.zeros(self.group_order, np.int64), at.shape[1]
+
+        def pack(ts):
+            out = keys[ts.start * n:ts.stop * n]
+            for col in self._scaled(at, ts):
+                out *= self.q
+                out += col
+        _in_order(pack, self._torus_slices()[0])
+        return sorted_unique(keys)
 
     def _sweep(self, line):
         """Per torus slice, in order: the ranks of the line's images under the

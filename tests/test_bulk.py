@@ -146,7 +146,9 @@ def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(0)
     cases = [rng.integers(0, 50, n).astype(np.int64) for n in (0, 1, 2, 1000)]
     for vals in cases + [rng.permutation(1000).astype(np.int32)]:  # and no duplicate
-        assert sorted_unique(vals).tolist() == np.unique(vals).tolist()
+        assert sorted_unique(vals.copy()).tolist() == np.unique(vals).tolist()
+    vals = rng.permutation(1000)
+    assert sorted_unique(vals) is vals and (np.diff(vals) == 1).all()  # sorted in place
 
 
 def test_class_counts_match_closed_forms_larger_q(engine):
@@ -572,6 +574,37 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     form = tw.polar_form
     monkeypatch.setattr(tw, "polar_form", lambda x, _three, m, neg: form(x, unit, m, neg))
     assert eng.polarity_violations() == scalar_checks.polarity_violations(eng, group)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_torus_slices_give_each_thread_two(field, monkeypatch, workers):
+    """A group pass cuts the torus only past chunk // 8 elements, then into
+    two slices per thread at least, so that a thread whose core is busy
+    leaves part of its share to the others; the slices cover the units d - 1
+    once, in order."""
+    monkeypatch.setattr(bulk, "WORKERS", workers)
+    for q in (8, 49, 64):
+        slices, _cuts = Engine(field(q))._torus_slices()
+        assert len(slices) == 1 if q == 8 else len(slices) >= 2 * workers
+        assert [0] + [s.stop for s in slices] == [s.start for s in slices] + [q - 1]
+
+
+def test_orbit_sweep_holds_one_group_sized_array(engine):
+    """An orbit sweep packs each torus slice's keys into its own part of one
+    |G|-word array and sorts it in place: at q = 49 its tracemalloc peak stays
+    under 3 |G| words (5.2 when the images were stacked, then packed), on
+    seeded lines and on line 0, whose orbit has q + 1 lines."""
+    eng = engine(49)
+    lines = [eng.line_from_rank(r) for r in random.Random(49).sample(range(pg3.line_count(49)), 4)]
+    for line in lines + [eng.line_from_rank(0)]:
+        eng.orbit_sweep(line)  # the split and the pool are built before tracing
+        tracemalloc.start()
+        try:
+            eng.orbit_sweep(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * eng.group_order
 
 
 def test_group_build_holds_no_full_group(field):
