@@ -49,13 +49,13 @@ helpers of one shared pool, started on first use (numpy releases the GIL in
 enumeration (`_line_tasks`) in the class pass, those outside pivot block
 (0, 1) and slices of that block in the polarity pass, the torus slices of
 about chunk // 8 images (`_torus_slices`) of each orbit sweep (`_sweep`,
-`orbit_sweep`) and of the stabilizer filter (`stabilizer_abcd`), then the
-tail of a partition sweep in tasks of disjoint rank ranges (dedup, cell
-check, label writes).  The contract:
+`orbit_sweep`) and of the stabilizer filter (`stabilizer_abcd`), then a
+partition sweep's tail, as two tasks that each compress one half of the line
+ranks out of its array (dedup, cell check, label writes).  The contract:
 
 - a task writes only the cells of the disjoint rank slice of its own chunk
-  or rank range, or of its torus slice's keys in `orbit_sweep` (the polarity
-  pass writes only True into a mask outside pivot block (0, 1));
+  or half of the line ranks, or its torus slice's part of a sweep's array
+  (the polarity pass writes only True into a mask outside pivot block (0, 1));
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
@@ -243,13 +243,12 @@ class Engine:
     written over the model flags, then orbit labels), is built on first use,
     never for queries.
 
-    Chunks of `chunk` lines, the torus slices of large orbit sweeps and
-    stabilizer filters, and the rank ranges of the sweeps' tails are shared
-    out over threads under the module's contract: disjoint rank slices or
-    ranges per task, results merged in task order, only private helpers in
-    tasks, small work inline.  The results depend only on the field and the cubic, the closed
-    forms twisted.cubic_point and twisted.osculating_plane, checked to give
-    q + 1 distinct points and planes, each plane meeting the cubic once."""
+    Chunks of `chunk` lines, the torus slices of large group passes and the
+    halves of the line ranks in a sweep's tail are shared out over threads
+    under the module's contract.  The results depend only on the field and
+    the cubic's closed forms twisted.cubic_point and twisted.osculating_plane,
+    checked to give q + 1 distinct points and planes, each plane meeting the
+    cubic once."""
 
     def __init__(self, field, chunk=1 << 19):
         q = field.q  # the limits of the int16 table indices and int32 sweep ranks
@@ -753,14 +752,11 @@ class Engine:
     def _torus_slices(self):
         """The slices of the torus units d - 1 that a group pass shares out,
         of about chunk // 8 elements each, and two per thread at least when
-        there are more, so a busy core leaves part of its share to the others;
-        and the cuts of [0, line_count) into the rank ranges of a sweep's tail
-        tasks: halves when there is more than one slice, else the whole range."""
-        q, n = self.q, pg3.line_count(self.q)
+        there are more, so a busy core leaves part of its share to the others."""
+        q = self.q
         parts = -(-self.group_order // max(1, self.chunk // 8))
         parts = min(q - 1, max(parts, 2 * WORKERS) if parts > 1 else 1)
-        cuts = [(q - 1) * i // parts for i in range(parts + 1)]
-        return [slice(*c) for c in zip(cuts, cuts[1:])], [0, n // 2, n] if parts > 1 else [0, n]
+        return [slice((q - 1) * i // parts, (q - 1) * (i + 1) // parts) for i in range(parts)]
 
     def _rep_images(self, line):
         """(lead, at) of the line's images under the representatives r: t = (1,
@@ -785,44 +781,40 @@ class Engine:
             for col in self._scaled(at, ts):
                 out *= self.q
                 out += col
-        _in_order(pack, self._torus_slices()[0])
+        _in_order(pack, self._torus_slices())
         return sorted_unique(keys)
 
     def _sweep(self, line):
-        """Per torus slice, in order: the ranks of the line's images under the
-        slice's group elements, cut into the rank ranges of the tail tasks,
-        and their minimal key.  The torus keeps each image's pivot block and
-        multiplies each RREF digit (pg3.rref_entries) of its representative's
-        image by a power of d, so a rank is the block offset plus four
-        gathers from the split's digit tables, at e * q + x with x negated
-        where the digit is; the minimal key is packed from the images of the
-        representatives with the most leading zeros."""
+        """(ranks, key): the int32 ranks of the line's images under the group
+        elements, one per element in the order of group_abcd, each torus
+        slice writing its own part of the array, and their minimal key.  The
+        torus keeps each image's pivot block and multiplies each RREF digit
+        (pg3.rref_entries) of its representative's image by a power of d, so
+        a rank is the block offset plus four gathers from the split's digit
+        tables, at e * q + x with x negated where the digit is; the minimal
+        key is packed from the images of the representatives with the most
+        leading zeros."""
         lead, at = self._rep_images(line)
         q, (_abcd, _lifts, scale, digit) = self.q, self._split
         x = at % q
         # the indices, then those with x negated, then 0s, which read 0
         signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
-        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(len(lead))]
+        last, n = lead.max(), len(lead)
+        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(n)]
         base = np.array([b[3] for b in _pair_blocks(4, q)], np.int32)[lead]
-        last = lead.max()
         top = at[:, lead == last]
-        slices, cuts = self._torus_slices()
+        ranks = np.empty(self.group_order, np.int32)
 
         def torus(ts):
-            ranks = digit[0, ts].take(digits[0], axis=1)
-            ranks += base
-            for k in range(1, 4):
-                ranks += digit[k, ts].take(digits[k], axis=1)
-            ranks = ranks.ravel()
+            out = ranks[ts.start * n:ts.stop * n].reshape(-1, n)
+            out[:] = base
+            for k in range(4):
+                out += digit[k, ts].take(digits[k], axis=1)
             # only the images with the least coordinate after the lead are packed
             after = scale[ts].take(top[min(last + 1, 5)], axis=1).ravel()
             d, r = np.divmod(np.flatnonzero(after == after.min()), top.shape[1])
-            key = int(self._pack(_columns([scale[ts.start + d, col[r]] for col in top])).min())
-            if len(cuts) == 2:
-                return [ranks], key
-            low = ranks < cuts[1]
-            return [ranks[low], ranks[~low]], key
-        return _in_order(torus, slices)
+            return int(self._pack(_columns([scale[ts.start + d, col[r]] for col in top])).min())
+        return ranks, min(_in_order(torus, self._torus_slices()))
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]
@@ -832,35 +824,39 @@ class Engine:
         """The (size, stabilizer_order, representative_key) records of one
         class's orbits, sorted by (size, representative).  The first call
         partitions the class: each sweep writes the index its orbit takes in
-        the orbit list into the cells of the orbit's ranks, one tail task
-        per rank range of _torus_slices, and the class's orbits join the list
-        once all are found, so a failed call adds none and leaves the cells as
-        they were.  The size counts the distinct ranks of the sweep, the
-        stabilizer order the group elements that fix its seed line, the
-        representative is the minimal key; an image whose cell does not hold
-        the class's ~code, a line of another class or of an orbit already
-        found, raises ValueError naming it."""
+        the orbit list into the cells of the orbit's ranks, in one tail task
+        per half of the line ranks when the sweep had several torus slices,
+        and the class's orbits join the list once all are found, so a failed
+        call adds none and leaves the cells as they were.  The size counts
+        the distinct ranks of the sweep, the stabilizer order the elements
+        that fix its seed line, the representative is the minimal key; an
+        image whose cell does not hold the class's ~code, a line of another
+        class or of an orbit already found, is a fault of the census:
+        RuntimeError naming it."""
         if cls not in {c for c, _size in self.orbits()}:
             # the cell of a line of the class not yet labelled
             cells, unset = self.line_cells(), ~CODE[cls]
             found, left = [], int(self._class_sizes[CODE[cls]])
+            half = len(cells) // 2
+            halves = (True, False) if len(self._torus_slices()) > 1 else (None,)
 
-            def tail(task):
-                """(distinct ranks, fixers) of a sweep in one rank range, whose
-                lines it labels once they are checked."""
-                pieces, seed, label = task
-                ranks = np.concatenate(pieces)
+            def tail(low):
+                """The number of distinct ranks of the sweep (`ranks`) below half
+                the line count (low True), from it on (False) or in all (None),
+                whose lines it labels `label` once they are checked."""
+                part = ranks if low is None else np.compress(
+                    ranks < half if low else ranks >= half, ranks)
                 # int32 ranks sort in half the int64 time; then intp, which numpy
                 # would otherwise convert to on each gather and scatter
-                orbit = sorted_unique(ranks).astype(np.intp)
+                orbit = sorted_unique(part).astype(np.intp)
                 stray = cells[orbit] != unset
                 if stray.any():
                     rank = orbit[stray.argmax()]
                     cell = int(cells[rank])
                     held = f"class {CLASS_ORDER[~cell]}" if cell < 0 else f"orbit {cell}"
-                    raise ValueError(f"a {cls} sweep met line {rank} of {held}")
+                    raise RuntimeError(f"a {cls} sweep met line {rank} of {held}")
                 cells[orbit] = label
-                return len(orbit), int(np.count_nonzero(ranks == seed))
+                return len(orbit)
             try:
                 for lo in range(0, len(cells), self.chunk):
                     hi = min(lo + self.chunk, len(cells))
@@ -870,12 +866,13 @@ class Engine:
                     while left and (todo := cells[lo:hi] == unset).any():
                         seed = lo + int(todo.argmax())
                         lo = seed + 1
-                        parts = self._sweep(self.line_from_rank(seed))
+                        ranks, key = self._sweep(self.line_from_rank(seed))
+                        # counted first: a tail of the whole sweep sorts it in place
+                        stab = int(np.count_nonzero(ranks == seed))
                         label = len(self._orbits) + len(found)
-                        sizes, fixers = zip(*_in_order(tail, [
-                            (pieces, seed, label) for pieces in zip(*(p for p, _key in parts))]))
-                        left -= sum(sizes)
-                        found.append((cls, sum(sizes), sum(fixers), min(k for _p, k in parts)))
+                        size = sum(_in_order(tail, halves))
+                        left -= size
+                        found.append((cls, size, stab, key))
             except BaseException:
                 cells[cells >= len(self._orbits)] = unset  # unlabel the orbits found
                 raise
@@ -899,7 +896,7 @@ class Engine:
             index = ts.start * n + np.flatnonzero(on_line(self._scaled(u, ts)))
             units, reps = np.divmod(index, n)
             return index[on_line([scale[units, col[reps]] for col in v])]
-        index = np.concatenate(_in_order(fixers, self._torus_slices()[0]))
+        index = np.concatenate(_in_order(fixers, self._torus_slices()))
         return sorted(map(tuple, self._elements(index).tolist()))
 
     # -- structural checks ---------------------------------------------------------
@@ -942,7 +939,7 @@ class Engine:
                 on_cubic &= pos >= 0
                 code = code * m + pos
             return code[on_cubic]
-        return len(sorted_unique(np.concatenate(list(map(codes, self._torus_slices()[0])))))
+        return len(sorted_unique(np.concatenate(list(map(codes, self._torus_slices())))))
 
     def polarity_violations(self) -> int:
         """Number of group elements whose lift M does not preserve the null

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Verbs: classify, orbits, stabilizer, verify, census.  Exit codes: 0 all
-checks pass, 1 check failure, 2 usage error / unsupported q / unwritable
---out.  Every check is exhaustive, so a report depends only on
-(q, modulus); pass --timing to include wall-clock runtime in the meta block
-(off by default so default output is byte-stable).  --out is written
+checks pass, 1 check failure or a fault of the census (RuntimeError), 2 usage
+error / unsupported q / unwritable --out; an error is one stderr line.  Every
+check is exhaustive, so a report depends only on (q, modulus); pass --timing
+to include wall-clock runtime in the meta block (off by default so default
+output is byte-stable).  --out is written
 atomically: a temporary file in the target directory, then a rename over the
 target.
 """
@@ -202,9 +203,9 @@ def main(argv=None) -> int:
             return _verify_report(args, print_checks=True)
         if args.verb == "census":
             return _verify_report(args, print_checks=False)
-    except (census.UnsupportedQ, ValueError) as exc:
+    except (census.UnsupportedQ, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        return 1 if isinstance(exc, RuntimeError) else USAGE_EXIT
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_EXIT

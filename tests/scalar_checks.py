@@ -153,14 +153,19 @@ def polar_orbit_counts(eng):
 
 def whole_group(eng):
     """The ascending normalized (a, b, c, d) of every group element, filtered
-    from all projective 4-tuples, and their (N, 4, 4) lifts by
-    action.lift_rows over the Engine's field ops."""
+    from all projective 4-tuples, and their (N, 4, 4) lifts."""
     abcd = eng._proj_points(4)
     a, b, c, d = abcd.T
     abcd = abcd[eng._sub(eng._mul(a, d), eng._mul(b, c)) != 0]
     assert len(abcd) == eng.group_order
+    return abcd, lifts(eng, abcd)
+
+
+def lifts(eng, abcd):
+    """The (N, 4, 4) lifts of the (a, b, c, d) rows by action.lift_rows over
+    the Engine's field ops."""
     rows = action.lift_rows(eng.field, *abcd.T, eng._mul, eng._add)
-    return abcd, np.stack([np.stack(r) for r in rows]).transpose(2, 0, 1)
+    return np.stack([np.stack(r) for r in rows]).transpose(2, 0, 1)
 
 
 def act(eng, pt, mats):

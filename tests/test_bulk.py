@@ -80,7 +80,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
 def test_orbit_partition_rejects_unclosed_keys(field):
     eng = Engine(field(5))
     eng.line_cells()[eng.class_keys()[tw.UNG][10]] = ~CODE[tw.ENG]
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         eng.orbit_partition_keys(tw.UNG)
 
 
@@ -93,7 +93,7 @@ def test_a_failed_partition_adds_no_orbit(field):
     eng = Engine(field(5))
     eng.line_cells()[np.flatnonzero(whole.line_cells() == 1)[-1]] = ~CODE[tw.ENG]
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             eng.orbit_partition_keys(tw.UNG)
         assert eng.orbits() == []
 
@@ -473,7 +473,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     small, whole = Engine(field(q), chunk=64), engine(q)
     assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
     # each sweep, too, runs as one task per torus element
-    assert len(small._sweep(small.line_from_rank(0))) == q - 1
+    assert len(small._torus_slices()) == q - 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -525,20 +525,19 @@ def test_in_order_keeps_task_order_and_stops_after_a_failure():
 
 
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the sweep cuts the torus into slices; the sweep, its image
-    ranks (one per element, so its fixer count is the stabilizer order the
-    partition records) and the stabilizer equal their one-pass forms over
-    the whole group."""
+    """At q = 49 the sweep runs over several torus slices; the sweep, its
+    image ranks (one per element, so its fixer count is the stabilizer order
+    the partition records) and the stabilizer equal their one-pass forms
+    over the whole group."""
     eng = engine(49)
+    assert len(eng._torus_slices()) > 1
     abcd, mats = scalar_checks.whole_group(eng)
     rng = random.Random(49)
     for rank in rng.sample(range(pg3.line_count(49)), 3):
         line = eng.line_from_rank(rank)
         P = scalar_checks.line_images(eng, mats, line)
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
-        slices = eng._sweep(line)
-        assert len(slices) > 1
-        ranks = np.concatenate([r for pieces, _key in slices for r in pieces])
+        ranks, _key = eng._sweep(line)
         assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
         fixed = np.flatnonzero(eng._rank(P) == rank)
         stab = eng.stabilizer_abcd(line)
@@ -556,7 +555,7 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     unit.  At q = 49 the group passes run over more than one torus slice."""
     eng = engine(q)
     group = scalar_checks.whole_group(eng)
-    assert (len(eng._torus_slices()[0]) > 1) == (q == 49)
+    assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
     for rank in seeds + rng.sample(range(pg3.line_count(q)), 3):
@@ -584,7 +583,7 @@ def test_torus_slices_give_each_thread_two(field, monkeypatch, workers):
     once, in order."""
     monkeypatch.setattr(bulk, "WORKERS", workers)
     for q in (8, 49, 64):
-        slices, _cuts = Engine(field(q))._torus_slices()
+        slices = Engine(field(q))._torus_slices()
         assert len(slices) == 1 if q == 8 else len(slices) >= 2 * workers
         assert [0] + [s.stop for s in slices] == [s.start for s in slices] + [q - 1]
 
@@ -671,51 +670,80 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
         line = eng.line_from_rank(rank)
         reached |= set(eng._rep_images(line)[0].tolist())
         P = scalar_checks.line_images(eng, mats, line)
-        parts = eng._sweep(line)
-        ranks = np.concatenate([r for pieces, _key in parts for r in pieces])
+        ranks, key = eng._sweep(line)
         assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
-        assert min(key for _pieces, key in parts) == eng._pack(P).min()
+        assert key == eng._pack(P).min()
     assert reached == set(range(len(pg3.PAIR_IDX)))
 
 
+@pytest.mark.parametrize("q", (5, 8, 9, 49))
+def test_sweep_ranks_are_indexed_by_group_element(engine, q):
+    """A sweep's ranks are one int32 array of |G| entries, the ranks of the
+    line's images under the lifts of group_abcd(), in that order, so the
+    elements at the positions that hold the seed's rank are its stabilizer.
+    The seeds are the first line of each pivot block (line 0 has a
+    stabilizer of order q(q - 1)) and seeded lines; at q = 49 the sweep
+    runs over more than one torus slice."""
+    eng = engine(q)
+    assert (len(eng._torus_slices()) > 1) == (q == 49)
+    mats = scalar_checks.lifts(eng, eng.group_abcd())
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
+        line = eng.line_from_rank(rank)
+        ranks, _key = eng._sweep(line)
+        assert ranks.dtype == np.int32 and ranks.shape == (eng.group_order,)
+        assert ranks.tolist() == eng._rank(scalar_checks.line_images(eng, mats, line)).tolist()
+        fixers = eng._elements(np.flatnonzero(ranks == rank))
+        assert sorted(map(tuple, fixers.tolist())) == eng.stabilizer_abcd(line)
+
+
 def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
-    """At q = 49 a sweep runs as several torus slices, and each cuts its
-    ranks into the two rank ranges of the tail tasks, which are disjoint and
-    cover [0, line_count).  A sweep patched to meet a line of another class,
-    or a line of an orbit already found, raises a ValueError that names the
+    """At q = 49 a sweep runs as several torus slices, and its tail as two
+    tasks, each compressing one half of the line ranks out of the sweep's
+    array: the halves are disjoint and hold every rank of the sweep.  A
+    sweep patched to meet a line of another class, or a line of an orbit
+    already found, in either half, raises a RuntimeError that names the
     line and its class or orbit, adds no orbit and leaves every cell as it
     was, so the unpatched partition then succeeds."""
     eng = Engine(field(49))
-    n = pg3.line_count(49)
-    slices, cuts = eng._torus_slices()
-    assert len(slices) > 1 and cuts == [0, n // 2, n]
+    half = pg3.line_count(49) // 2
+    assert len(eng._torus_slices()) > 1
     cells = eng.line_cells()
     members = np.flatnonzero(cells == ~CODE[tw.UNG])
-    parts = eng._sweep(eng.line_from_rank(members[0]))
-    assert len(parts) == len(slices)
-    for pieces, _key in parts:
-        assert len(pieces) == 2
-        for lo, hi, ranks in zip(cuts, cuts[1:], pieces):
-            assert ((ranks >= lo) & (ranks < hi)).all()
-    sweep = Engine._sweep
+    first, _key = eng._sweep(eng.line_from_rank(members[0]))
+    others = np.flatnonzero(cells == ~CODE[tw.RC])
+    strays = ((others[0], "class RC"), (others[-1], "class RC"),
+              (members[0], "orbit 0"), (first.max(), "orbit 0"))
+    assert [rank < half for rank, _held in strays] == [True, False, True, False]
+    sweep, unique = Engine._sweep, bulk.sorted_unique
 
     def meeting(rank):
         def patched(eng, line):
-            (pieces, key), *rest = sweep(eng, line)
-            at = int(rank >= cuts[1])
-            pieces[at] = np.append(pieces[at], np.int32(rank))
-            return [(pieces, key), *rest]
+            ranks, key = sweep(eng, line)
+            ranks[-1] = rank  # every UnG image is met twice, so no line is lost
+            return ranks, key
         return patched
-    other = np.flatnonzero(cells == ~CODE[tw.RC])[0]
     before = cells.copy()
-    for rank, held in ((other, "class RC"), (members[0], "orbit 0")):
+    for rank, held in strays:
         monkeypatch.setattr(Engine, "_sweep", meeting(rank))
-        with pytest.raises(ValueError, match=f"^a UnG sweep met line {rank} of {held}$"):
+        with pytest.raises(RuntimeError, match=f"^a UnG sweep met line {rank} of {held}$"):
             eng.orbit_partition_keys(tw.UNG)
         assert eng.orbits() == []
         assert eng.line_cells().tolist() == before.tolist()
-    monkeypatch.undo()
+    swept, tails = [], []
+
+    def recording(eng, line):
+        ranks, key = sweep(eng, line)
+        swept.append(ranks.copy())
+        return ranks, key
+    monkeypatch.setattr(Engine, "_sweep", recording)
+    monkeypatch.setattr(bulk, "sorted_unique", lambda out: tails.append(out.copy()) or unique(out))
     assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [58800, 58800]
+    assert len(swept) == 2 and len(tails) == 4
+    for ranks, pair in zip(swept, (tails[:2], tails[2:])):
+        low, high = sorted(pair, key=lambda t: bool((t >= half).any()))
+        assert (low < half).all() and (high >= half).all()
+        assert np.sort(np.concatenate(pair)).tolist() == np.sort(ranks).tolist()
 
 
 @pytest.mark.parametrize("q", (5, 8))

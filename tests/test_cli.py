@@ -11,9 +11,10 @@ import sys
 
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
-from twistedcubic import cli, pg3
+from twistedcubic import bulk, cli, pg3
 from twistedcubic.gfq import make_field
 
 
@@ -238,6 +239,23 @@ _token = st.integers(min_value=-3, max_value=12).map(str)
 ))
 def test_malformed_line_exit_two(tokens):
     assert exit_code(["stabilizer", "--q", "5", "--line=" + ",".join(tokens)]) == 2
+
+
+def test_a_fault_of_the_census_exits_one_with_one_line(monkeypatch, capsys):
+    """A sweep that meets a line of another class is a fault of the census,
+    not bad input: verify prints one error line, no traceback, and exits 1."""
+    sweep = bulk.Engine._sweep
+
+    def meeting(eng, line):
+        ranks, key = sweep(eng, line)
+        cells = eng.line_cells()
+        ranks[-1] = np.flatnonzero(cells != cells[ranks[0]])[0]
+        return ranks, key
+    monkeypatch.setattr(bulk.Engine, "_sweep", meeting)
+    assert exit_code(["verify", "--q", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: a \w+ sweep met line \d+ of (class|orbit) \w+\n", err)
 
 
 def test_classify_has_the_long_run_gate():

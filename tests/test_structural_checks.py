@@ -165,7 +165,11 @@ def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
     """A sweep that meets every image twice finds the same orbits and twice
     the fixers: a record's order is that count, not (q^3 - q) // size."""
     sweep = Engine._sweep
-    monkeypatch.setattr(Engine, "_sweep", lambda eng, line: 2 * sweep(eng, line))
+
+    def twice(eng, line):
+        ranks, key = sweep(eng, line)
+        return np.concatenate([ranks, ranks]), key
+    monkeypatch.setattr(Engine, "_sweep", twice)
     run = census.CensusRun(5)
     n = run.engine.group_order
     assert all(stab == 2 * (n // size) for recs in run.all_orbit_records().values()
