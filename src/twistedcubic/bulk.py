@@ -49,7 +49,7 @@ helpers of one shared pool, started on first use (numpy releases the GIL in
 enumeration (`_line_tasks`) in the class pass, those outside pivot block
 (0, 1) and slices of that block in the polarity pass, the torus slices of
 about chunk // 8 images (`_torus_slices`) of each orbit sweep (`_sweep`,
-`orbit_sweep`) and of the stabilizer filter (`stabilizer_abcd`), then a
+which the partition and `stabilizer_abcd` read, and `orbit_sweep`), then a
 partition sweep's tail, as two tasks that each compress one half of the line
 ranks out of its array (dedup, cell check, label writes).  The contract:
 
@@ -881,23 +881,14 @@ class Engine:
                       key=lambda r: (r[0], r[2]))
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
-        """Exhaustive stabilizer filter; returns sorted (a,b,c,d) tuples.
-
-        Per torus slice, only the elements that keep the first point on the
-        line, about 1/q^2 of the group, act on the second point."""
-        u, v = map(self._point_at, line.pair)
-        scale, n = self._split[2], u.shape[1]
-
-        def on_line(X):
-            forms = pg3.incidence_forms(X, line.plucker, self._mul, self._sub, self._add)
-            return np.logical_and.reduce([form == 0 for form in forms])
-
-        def fixers(ts):
-            index = ts.start * n + np.flatnonzero(on_line(self._scaled(u, ts)))
-            units, reps = np.divmod(index, n)
-            return index[on_line([scale[units, col[reps]] for col in v])]
-        index = np.concatenate(_in_order(fixers, self._torus_slices()))
-        return sorted(map(tuple, self._elements(index).tolist()))
+        """The sorted (a, b, c, d) of the elements that fix the line: those
+        whose entries of its sweep hold its own rank, as the partition counts
+        them."""
+        ranks, _key = self._sweep(line)
+        # the identity (1, 0, 0, 1) is representative q (the points of PG(1,q)
+        # run (0, 1), (1, 0), (1, 1), ...) at d = 1: element q of group_abcd()
+        own = ranks[self.q]
+        return sorted(map(tuple, self._elements(np.flatnonzero(ranks == own)).tolist()))
 
     # -- structural checks ---------------------------------------------------------
 

@@ -72,9 +72,12 @@ def triple_transitivity(run):
 
 
 def stabilizers_brute(run):
+    """Whether every record's stabilizer order is the number of elements of
+    the whole group that keep its representative's points on it."""
     eng = run.engine
+    group = whole_group(eng)
     return all(
-        len(eng.stabilizer_abcd(eng.line_from_key(rep))) == stab
+        len(stabilizer_abcd(eng, group, eng.line_from_key(rep))) == stab
         for records in run.all_orbit_records().values()
         for _size, stab, rep in records)
 

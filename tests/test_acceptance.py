@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import scalar_checks
 from twistedcubic import census, twisted as tw
 
 CORE_Q = (5, 7, 8, 9, 11, 13)
@@ -101,10 +102,12 @@ def test_criterion_4_stabilizer_orders(run):
                 continue
             got = sorted(st for _s, st, _r in records[cls])
             assert got == _expected_stab_orders(q, cls), (q, cls)
-        # exhaustive filter confirms every record's order
+        # an incidence filter over the whole group confirms every record's order
+        group = scalar_checks.whole_group(r.engine)
         for cls, recs in records.items():
             for _size, stab, rep in recs:
-                brute = len(r.engine.stabilizer_abcd(r.engine.line_from_key(rep)))
+                line = r.engine.line_from_key(rep)
+                brute = len(scalar_checks.stabilizer_abcd(r.engine, group, line))
                 assert brute == stab, (q, cls)
     print("PASS criterion-4 stabilizer orders (exhaustive) for q in", CORE_Q)
 

@@ -3,7 +3,8 @@
 perfbench's own tests run outside this suite, and a traced benchmark run
 fails when an entry point its span recorder wraps is missing.  These tests
 load perfbench/spans.py and perfbench/worker.py as they are and run them on
-the program at q = 5.
+the program at q = 5, and the query loop also at q = 49, whose group passes
+run over several torus slices.
 """
 
 import importlib.util
@@ -31,7 +32,8 @@ def test_the_span_recorder_finds_every_entry_point():
 
 
 def test_the_workloads_run_and_pass_their_output_checks(tmp_path):
-    queries = worker.run_queries(5, 1, 0.3)
-    assert queries["attempted"] > 0 and queries["failed"] == 0, queries["errors"]
+    for q in (5, 49):
+        queries = worker.run_queries(q, 1, 0.3)
+        assert queries["attempted"] > 0 and queries["failed"] == 0, (q, queries["errors"])
     verify = worker.run_verify([5], 0.05, tmp_path, worker.load_digests())
     assert verify["attempted"] > 0 and verify["failed"] == 0, verify["errors"]

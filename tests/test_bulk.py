@@ -547,10 +547,12 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
 
 @pytest.mark.parametrize("q", AGREE_Q + (49,))
 def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q):
-    """stabilizer_abcd, triple_images and polarity_violations, which gather
-    the images under each torus slice from those under the representatives,
-    equal their one-pass forms over all |G| lifts: on the first line of each
-    pivot block and seeded lines, on triples of cubic points and seeded
+    """stabilizer_abcd, read off the sweep, and triple_images and
+    polarity_violations, which gather the images under each torus slice
+    from those under the representatives, equal their one-pass forms over
+    all |G| lifts: on the first line of each pivot block and seeded lines
+    (with, at q = 9, the axis, fixed by all of G, and at q = 8 a
+    representative of each orbit), on triples of cubic points and seeded
     points, and for the true polarity and one with 3 replaced by another
     unit.  At q = 49 the group passes run over more than one torus slice."""
     eng = engine(q)
@@ -558,8 +560,16 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
-    for rank in seeds + rng.sample(range(pg3.line_count(q)), 3):
-        line = eng.line_from_rank(rank)
+    lines = [eng.line_from_rank(rank) for rank in seeds + rng.sample(range(pg3.line_count(q)), 3)]
+    if q == 9:
+        axis = pg3.line_from_plucker(eng.field, eng.axis_plucker)
+        assert len(eng.stabilizer_abcd(axis)) == eng.group_order
+        lines.append(axis)
+    if q == 8:
+        part = Engine(eng.field)
+        lines += [part.line_from_key(rep) for cls in tw.valid_line_classes(eng.field)
+                  for _size, _stab, rep in part.orbit_partition_keys(cls)]
+    for line in lines:
         assert eng.stabilizer_abcd(line) == scalar_checks.stabilizer_abcd(eng, group, line)
     points = [tuple(pt) for pt in eng._proj_points(4)[
         rng.sample(range(pg3.point_count(q)), 3)].tolist()]
@@ -680,21 +690,23 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
 def test_sweep_ranks_are_indexed_by_group_element(engine, q):
     """A sweep's ranks are one int32 array of |G| entries, the ranks of the
     line's images under the lifts of group_abcd(), in that order, so the
-    elements at the positions that hold the seed's rank are its stabilizer.
-    The seeds are the first line of each pivot block (line 0 has a
-    stabilizer of order q(q - 1)) and seeded lines; at q = 49 the sweep
-    runs over more than one torus slice."""
+    elements at the positions that hold the seed's rank are its stabilizer,
+    as the incidence filter over the whole group finds it.  The seeds are
+    the first line of each pivot block (line 0 has a stabilizer of order
+    q(q - 1)) and seeded lines; at q = 49 the sweep runs over more than one
+    torus slice."""
     eng = engine(q)
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     mats = scalar_checks.lifts(eng, eng.group_abcd())
+    group = scalar_checks.whole_group(eng)
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
     for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
         line = eng.line_from_rank(rank)
         ranks, _key = eng._sweep(line)
         assert ranks.dtype == np.int32 and ranks.shape == (eng.group_order,)
         assert ranks.tolist() == eng._rank(scalar_checks.line_images(eng, mats, line)).tolist()
-        fixers = eng._elements(np.flatnonzero(ranks == rank))
-        assert sorted(map(tuple, fixers.tolist())) == eng.stabilizer_abcd(line)
+        fixers = sorted(map(tuple, eng._elements(np.flatnonzero(ranks == rank)).tolist()))
+        assert fixers == scalar_checks.stabilizer_abcd(eng, group, line)
 
 
 def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
@@ -749,10 +761,10 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
 @pytest.mark.parametrize("q", (5, 8))
 def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     """_lincomb hands back an input column itself when its only nonzero
-    scalar is 1: the sweeps, the stabilizer filter, the partition, the
-    triple images, the polarity identity, group_abcd and the plane census
-    leave the group's split (the representatives' rows and lifts, the torus
-    tables) and the points of PG(3,q) as they were."""
+    scalar is 1: the sweeps, the stabilizers read off them, the partition,
+    the triple images, the polarity identity, group_abcd and the plane
+    census leave the group's split (the representatives' rows and lifts,
+    the torus tables) and the points of PG(3,q) as they were."""
     eng = Engine(field(q))
     points = eng._proj_points(4)
     real = eng._proj_points

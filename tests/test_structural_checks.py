@@ -145,10 +145,15 @@ def test_polarity_commutation_covers_the_group_at_every_order(field):
 
 
 def test_stabilizer_counts_come_from_the_sweep(run):
+    """Every record's stabilizer order, and the stabilizer the engine reads
+    off its representative's sweep, match the scalar filter of the group."""
     r = run(5)
     for cls in tw.valid_line_classes(r.field):
         for _size, stab, rep in r.orbit_records(cls):
-            assert stab == len(r.engine.stabilizer_abcd(r.engine.line_from_key(rep)))
+            line = r.engine.line_from_key(rep)
+            brute = act.stabilizer(r.field, line)
+            assert stab == len(brute)
+            assert r.engine.stabilizer_abcd(line) == brute
 
 
 def test_stabilizer_check_fails_on_a_wrong_count():
