@@ -38,18 +38,20 @@ The group is stored only as its split: each element is r * t once, r one
 of the q(q + 1) coset representatives of the diagonal torus t = (1, 0, 0,
 d), whose lift diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group
 pass acts on points only with the representatives; their images under a
-torus slice are gathers from a table of scaled digits.  For an orbit sweep
-the torus keeps each image's pivot block and scales each RREF digit of its
-representative's image by a power of d, so the ranks of all images are read
-off split tables, four gathers per torus slice, with no Pluecker row.
+torus slice are gathers from a table of scaled digits.  Each orbit sweep
+fills its array of one entry per element with one kernel, `_over_torus`,
+summing gathers from split tables: six for the keys of `orbit_sweep`, four
+for the ranks of `_sweep`, as the torus keeps each image's pivot block and
+scales each RREF digit of its representative's image by a power of d.
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
 enumeration (`_line_tasks`) in the class pass, those outside pivot block
 (0, 1) and slices of that block in the polarity pass, the torus slices of
-about chunk // 8 images (`_torus_slices`) of each orbit sweep (`_sweep`,
-which the partition and `stabilizer_abcd` read, and `orbit_sweep`), then a
+about chunk // 8 images (`_torus_slices`) of each orbit sweep, which only
+fill their parts of its array (the partition reads the least key off the
+representatives' images, `_least_key`, on the calling thread), then a
 partition sweep's tail, as two tasks that each compress one half of the line
 ranks out of its array (dedup, cell check, label writes).  The contract:
 
@@ -704,12 +706,12 @@ class Engine:
     # -- group sweeps ------------------------------------------------------------
 
     def _group_arrays(self):
-        """The group's split (abcd, lifts, scale, digit), built on first use:
-        the ascending (a, b, c, d) of the R = q(q + 1) representatives, the
-        pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts, entry
-        (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x] for e <= 4;
-        and that table scaled by q^(3 - k) for the k-th of four RREF digits,
-        as int32, since every rank is below line_count(q) < 2^31 (__init__)."""
+        """The group's split (abcd, lifts, scale, keyed, digit), built on first
+        use: the ascending (a, b, c, d) of the R = q(q + 1) representatives,
+        the pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts,
+        entry (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x], e <= 4;
+        that table times q^(5 - k) for coordinate k of a key, as int64; and
+        its last four as int32, since ranks are below 2^31 (__init__)."""
         if self._split is None:
             q, line = self.q, self._proj_points(2)
             abcd = np.hstack([line[i] for i in np.nonzero(~np.eye(q + 1, dtype=bool))])
@@ -719,14 +721,16 @@ class Engine:
             for _ in range(4):  # w(l23) - w(l01)
                 powers.append(self._mul(powers[-1], units))
             scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
-            digit = np.stack([scale.astype(np.int32) * q ** (3 - k) for k in range(4)])
-            self._split = (abcd, lifts, scale, digit)
+            keyed = np.empty((6, *scale.shape), np.int64)
+            for k, table in enumerate(keyed):
+                np.multiply(scale, q ** (5 - k), out=table, dtype=np.int64)
+            self._split = (abcd, lifts, scale, keyed, keyed[2:].astype(np.int32))
         return self._split
 
     def _elements(self, index):
         """The (a, b, c, d) of the elements (d - 1) * R + i: r_i * (1, 0, 0, d)
         is (a, b, d c, d d) for r_i's (a, b, c, d), still normalized."""
-        abcd, _lifts, scale, _digit = self._group_arrays()
+        abcd, _lifts, scale = self._group_arrays()[:3]
         units, reps = np.divmod(index, len(abcd))
         rows = abcd[reps]
         rows[:, 2:] = scale[units[:, None], self.q + rows[:, 2:]]
@@ -743,11 +747,6 @@ class Engine:
         scale[d - 1, j * q + x_j]."""
         lifts = self._group_arrays()[1]  # built here, never in a task
         return np.stack([self._lincomb(pt, lifts[:, j]) + j * self.q for j in range(4)])
-
-    def _scaled(self, at, ts):
-        """scale[d - 1, col] per row col of at over the torus slice ts of
-        units d - 1, raveled in the order of group_abcd."""
-        return [self._split[2][ts].take(col, axis=1).ravel() for col in at]
 
     def _torus_slices(self):
         """The slices of the torus units d - 1 that a group pass shares out,
@@ -770,51 +769,51 @@ class Engine:
         lead = (P != 0).argmax(axis=1)
         return lead, np.maximum(_WEIGHT[:, None] - _WEIGHT[lead], 0) * self.q + P.T
 
+    def _over_torus(self, tables, cols, base=0):
+        """One entry per group element, in the order of group_abcd, of the
+        tables' dtype: entry (d - 1) * R + i is base (or base[i]) plus the sum
+        over k of tables[k][d - 1, cols[k][i]]; a torus slice fills its part."""
+        n = cols.shape[1]
+        out = np.empty(self.group_order, tables.dtype)
+
+        def fill(ts):
+            part = out[ts.start * n:ts.stop * n].reshape(-1, n)
+            part[:] = base
+            for table, col in zip(tables, cols):
+                part += table[ts].take(col, axis=1)
+        _in_order(fill, self._torus_slices())
+        return out
+
     def orbit_sweep(self, line) -> np.ndarray:
-        """Sorted unique keys of the full-group orbit of the line, packed by
-        each torus slice into its own part of one array."""
-        _lead, at = self._rep_images(line)
-        keys, n = np.zeros(self.group_order, np.int64), at.shape[1]
+        """Sorted unique keys of the full-group orbit of the line, summed from
+        gathers of the split's keyed tables."""
+        _lead, at = self._rep_images(line)  # builds the split
+        return sorted_unique(self._over_torus(self._split[3], at))
 
-        def pack(ts):
-            out = keys[ts.start * n:ts.stop * n]
-            for col in self._scaled(at, ts):
-                out *= self.q
-                out += col
-        _in_order(pack, self._torus_slices())
-        return sorted_unique(keys)
-
-    def _sweep(self, line):
-        """(ranks, key): the int32 ranks of the line's images under the group
-        elements, one per element in the order of group_abcd, each torus
-        slice writing its own part of the array, and their minimal key.  The
-        torus keeps each image's pivot block and multiplies each RREF digit
-        (pg3.rref_entries) of its representative's image by a power of d, so
-        a rank is the block offset plus four gathers from the split's digit
-        tables, at e * q + x with x negated where the digit is; the minimal
-        key is packed from the images of the representatives with the most
-        leading zeros."""
-        lead, at = self._rep_images(line)
-        q, (_abcd, _lifts, scale, digit) = self.q, self._split
-        x = at % q
+    def _sweep(self, images):
+        """The int32 ranks of a line's images under the group elements, in the
+        order of group_abcd, from its images (lead, at) under the
+        representatives (_rep_images): the torus multiplies each RREF digit
+        (pg3.rref_entries) of a representative's image by a power of d, so a
+        rank is its block offset plus four gathers from the split's digit
+        tables, at e * q + x with x negated where the digit is."""
+        lead, at = images
+        x = at % self.q
         # the indices, then those with x negated, then 0s, which read 0
         signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
-        last, n = lead.max(), len(lead)
-        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(n)]
-        base = np.array([b[3] for b in _pair_blocks(4, q)], np.int32)[lead]
-        top = at[:, lead == last]
-        ranks = np.empty(self.group_order, np.int32)
+        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(len(lead))]
+        offsets = np.array([b[3] for b in _pair_blocks(4, self.q)], np.int32)
+        return self._over_torus(self._split[4], digits, offsets[lead])
 
-        def torus(ts):
-            out = ranks[ts.start * n:ts.stop * n].reshape(-1, n)
-            out[:] = base
-            for k in range(4):
-                out += digit[k, ts].take(digits[k], axis=1)
-            # only the images with the least coordinate after the lead are packed
-            after = scale[ts].take(top[min(last + 1, 5)], axis=1).ravel()
-            d, r = np.divmod(np.flatnonzero(after == after.min()), top.shape[1])
-            return int(self._pack(_columns([scale[ts.start + d, col[r]] for col in top])).min())
-        return ranks, min(_in_order(torus, self._torus_slices()))
+    def _least_key(self, lead, at):
+        """The least packed key of the line's images, read off its images
+        (lead, at) under the representatives (_rep_images): only those with
+        the most leading zeros, then the least coordinate after, are packed."""
+        scale, last = self._split[2], lead.max()
+        top = at[:, lead == last]
+        after = scale.take(top[min(last + 1, 5)], axis=1).ravel()
+        d, r = np.divmod(np.flatnonzero(after == after.min()), top.shape[1])
+        return int(self._pack(_columns([scale[d, col[r]] for col in top])).min())
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]
@@ -866,13 +865,14 @@ class Engine:
                     while left and (todo := cells[lo:hi] == unset).any():
                         seed = lo + int(todo.argmax())
                         lo = seed + 1
-                        ranks, key = self._sweep(self.line_from_rank(seed))
+                        images = self._rep_images(self.line_from_rank(seed))
+                        ranks = self._sweep(images)
                         # counted first: a tail of the whole sweep sorts it in place
                         stab = int(np.count_nonzero(ranks == seed))
                         label = len(self._orbits) + len(found)
                         size = sum(_in_order(tail, halves))
                         left -= size
-                        found.append((cls, size, stab, key))
+                        found.append((cls, size, stab, self._least_key(*images)))
             except BaseException:
                 cells[cells >= len(self._orbits)] = unset  # unlabel the orbits found
                 raise
@@ -884,7 +884,7 @@ class Engine:
         """The sorted (a, b, c, d) of the elements that fix the line: those
         whose entries of its sweep hold its own rank, as the partition counts
         them."""
-        ranks, _key = self._sweep(line)
+        ranks = self._sweep(self._rep_images(line))
         # the identity (1, 0, 0, 1) is representative q (the points of PG(1,q)
         # run (0, 1), (1, 0), (1, 1), ...) at d = 1: element q of group_abcd()
         own = ranks[self.q]
@@ -926,7 +926,8 @@ class Engine:
         def codes(ts):
             code, on_cubic = 0, True
             for at in ats:
-                pos = index[self._point_rank(self._normalize_rows(_columns(self._scaled(at, ts))))]
+                pts = _columns([self._split[2][ts].take(col, axis=1).ravel() for col in at])
+                pos = index[self._point_rank(self._normalize_rows(pts))]
                 on_cubic &= pos >= 0
                 code = code * m + pos
             return code[on_cubic]

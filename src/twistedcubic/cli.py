@@ -22,19 +22,18 @@ from . import census, pg3, twisted
 USAGE_EXIT = 2
 
 
-def _parse_modulus(text):
+def _parse_integers(text):
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"modulus must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _parse_line(text):
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("a line needs 6 comma-separated coordinates")
-    return tuple(int(c) for c in parts)
+    line = _parse_integers(text)
+    if len(line) != 6:
+        raise argparse.ArgumentTypeError(f"a line needs 6 coordinates, got {text!r}")
+    return line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_class=False):
         p.add_argument("--q", type=int, required=True, help="field order (prime power <= 64)")
-        p.add_argument("--modulus", type=_parse_modulus, default=None,
+        p.add_argument("--modulus", type=_parse_integers, default=None,
                        help="irreducible modulus, little-endian coefficients, e.g. 1,1,0,1")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -3,8 +3,9 @@
 perfbench's own tests run outside this suite, and a traced benchmark run
 fails when an entry point its span recorder wraps is missing.  These tests
 load perfbench/spans.py and perfbench/worker.py as they are and run them on
-the program at q = 5, and the query loop also at q = 49, whose group passes
-run over several torus slices.
+the program at q = 5, the census also at the q = 7 and 8 of verify_small,
+and the query loop also at q = 49, whose group passes run over several
+torus slices.
 """
 
 import importlib.util
@@ -35,5 +36,5 @@ def test_the_workloads_run_and_pass_their_output_checks(tmp_path):
     for q in (5, 49):
         queries = worker.run_queries(q, 1, 0.3)
         assert queries["attempted"] > 0 and queries["failed"] == 0, (q, queries["errors"])
-    verify = worker.run_verify([5], 0.05, tmp_path, worker.load_digests())
+    verify = worker.run_verify([5, 7, 8], 0.05, tmp_path, worker.load_digests())
     assert verify["attempted"] > 0 and verify["failed"] == 0, verify["errors"]

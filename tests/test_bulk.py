@@ -527,8 +527,8 @@ def test_in_order_keeps_task_order_and_stops_after_a_failure():
 def test_split_sweeps_match_one_pass_over_the_group(engine):
     """At q = 49 the sweep runs over several torus slices; the sweep, its
     image ranks (one per element, so its fixer count is the stabilizer order
-    the partition records) and the stabilizer equal their one-pass forms
-    over the whole group."""
+    the partition records), the least key over all torus slices and the
+    stabilizer equal their one-pass forms over the whole group."""
     eng = engine(49)
     assert len(eng._torus_slices()) > 1
     abcd, mats = scalar_checks.whole_group(eng)
@@ -537,8 +537,10 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         line = eng.line_from_rank(rank)
         P = scalar_checks.line_images(eng, mats, line)
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
-        ranks, _key = eng._sweep(line)
+        images = eng._rep_images(line)
+        ranks = eng._sweep(images)
         assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
+        assert eng._least_key(*images) == eng._pack(P).min()
         fixed = np.flatnonzero(eng._rank(P) == rank)
         stab = eng.stabilizer_abcd(line)
         assert stab == sorted(map(tuple, abcd[fixed].tolist()))
@@ -667,10 +669,11 @@ def test_torus_split_meets_every_group_element_once(field, q):
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 27))
 def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
     """The ranks a sweep reads off the split tables are, as a multiset, the
-    ranks of the line's images under every group element, and its minimal
-    key is the least packed image.  The seeds are the first line of each
-    pivot block, which the identity representative keeps, and random lines,
-    so the representative images reach every block."""
+    ranks of the line's images under every group element, and the key
+    _least_key reads off the representatives' images is the least packed
+    image.  The seeds are the first line of each pivot block, which the
+    identity representative keeps, and random lines, so the representative
+    images reach every block."""
     eng = engine(q)
     mats = scalar_checks.whole_group(eng)[1]
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
@@ -678,11 +681,11 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
     reached = set()
     for rank in seeds:
         line = eng.line_from_rank(rank)
-        reached |= set(eng._rep_images(line)[0].tolist())
+        images = eng._rep_images(line)
+        reached |= set(images[0].tolist())
         P = scalar_checks.line_images(eng, mats, line)
-        ranks, key = eng._sweep(line)
-        assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
-        assert key == eng._pack(P).min()
+        assert np.sort(eng._sweep(images)).tolist() == np.sort(eng._rank(P)).tolist()
+        assert eng._least_key(*images) == eng._pack(P).min()
     assert reached == set(range(len(pg3.PAIR_IDX)))
 
 
@@ -702,7 +705,7 @@ def test_sweep_ranks_are_indexed_by_group_element(engine, q):
     seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
     for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
         line = eng.line_from_rank(rank)
-        ranks, _key = eng._sweep(line)
+        ranks = eng._sweep(eng._rep_images(line))
         assert ranks.dtype == np.int32 and ranks.shape == (eng.group_order,)
         assert ranks.tolist() == eng._rank(scalar_checks.line_images(eng, mats, line)).tolist()
         fixers = sorted(map(tuple, eng._elements(np.flatnonzero(ranks == rank)).tolist()))
@@ -722,7 +725,7 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
     assert len(eng._torus_slices()) > 1
     cells = eng.line_cells()
     members = np.flatnonzero(cells == ~CODE[tw.UNG])
-    first, _key = eng._sweep(eng.line_from_rank(members[0]))
+    first = eng._sweep(eng._rep_images(eng.line_from_rank(members[0])))
     others = np.flatnonzero(cells == ~CODE[tw.RC])
     strays = ((others[0], "class RC"), (others[-1], "class RC"),
               (members[0], "orbit 0"), (first.max(), "orbit 0"))
@@ -730,10 +733,10 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
     sweep, unique = Engine._sweep, bulk.sorted_unique
 
     def meeting(rank):
-        def patched(eng, line):
-            ranks, key = sweep(eng, line)
+        def patched(eng, images):
+            ranks = sweep(eng, images)
             ranks[-1] = rank  # every UnG image is met twice, so no line is lost
-            return ranks, key
+            return ranks
         return patched
     before = cells.copy()
     for rank, held in strays:
@@ -744,10 +747,10 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
         assert eng.line_cells().tolist() == before.tolist()
     swept, tails = [], []
 
-    def recording(eng, line):
-        ranks, key = sweep(eng, line)
+    def recording(eng, images):
+        ranks = sweep(eng, images)
         swept.append(ranks.copy())
-        return ranks, key
+        return ranks
     monkeypatch.setattr(Engine, "_sweep", recording)
     monkeypatch.setattr(bulk, "sorted_unique", lambda out: tails.append(out.copy()) or unique(out))
     assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [58800, 58800]

@@ -238,7 +238,12 @@ _token = st.integers(min_value=-3, max_value=12).map(str)
     ).map(lambda t: [str(c) for c in t]),                               # not a line
 ))
 def test_malformed_line_exit_two(tokens):
-    assert exit_code(["stabilizer", "--q", "5", "--line=" + ",".join(tokens)]) == 2
+    text = ",".join(tokens)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert exit_code(["stabilizer", "--q", "5", "--line=" + text]) == 2
+    if len(tokens) == 6 and not all(c.lstrip("-").isdigit() for c in tokens):
+        assert err.getvalue().endswith(
+            f"error: argument --line: expected comma-separated integers, got {text!r}\n")
 
 
 def test_a_fault_of_the_census_exits_one_with_one_line(monkeypatch, capsys):
@@ -246,11 +251,11 @@ def test_a_fault_of_the_census_exits_one_with_one_line(monkeypatch, capsys):
     not bad input: verify prints one error line, no traceback, and exits 1."""
     sweep = bulk.Engine._sweep
 
-    def meeting(eng, line):
-        ranks, key = sweep(eng, line)
+    def meeting(eng, images):
+        ranks = sweep(eng, images)
         cells = eng.line_cells()
         ranks[-1] = np.flatnonzero(cells != cells[ranks[0]])[0]
-        return ranks, key
+        return ranks
     monkeypatch.setattr(bulk.Engine, "_sweep", meeting)
     assert exit_code(["verify", "--q", "5"]) == 1
     out, err = capsys.readouterr()

@@ -124,11 +124,11 @@ def test_polarity_commutation_fails_on_a_corrupted_torus_factor(q, where):
     the torus lift reads, fails every element r * (1, 0, 0, d), one per
     representative."""
     run = census.CensusRun(q)
-    abcd, lifts, scale, digit = run.engine._group_arrays()
+    abcd, lifts, scale, *tables = run.engine._group_arrays()
     scale = scale.copy()
     d = {"first": 0, "last": q - 2}[where]
     scale[d, 2 * q + 1] = (scale[d, 2 * q + 1] + 1) % q
-    run.engine._split = (abcd, lifts, scale, digit)
+    run.engine._split = (abcd, lifts, scale, *tables)
     check = census.check_polarity_commutation(run)
     assert check["actual"] == q * (q + 1)
     assert not check["pass"]
@@ -171,9 +171,9 @@ def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
     the fixers: a record's order is that count, not (q^3 - q) // size."""
     sweep = Engine._sweep
 
-    def twice(eng, line):
-        ranks, key = sweep(eng, line)
-        return np.concatenate([ranks, ranks]), key
+    def twice(eng, images):
+        ranks = sweep(eng, images)
+        return np.concatenate([ranks, ranks])
     monkeypatch.setattr(Engine, "_sweep", twice)
     run = census.CensusRun(5)
     n = run.engine.group_order
