@@ -29,27 +29,27 @@ The universe passes build each chunk's Pluecker rows from the base-q digits
 of its RREF free entries: the RREF rows are column lists (pg3.rref_rows) in
 which the pivot 1s and the other 0s stay Python ints, and pg3.plucker_forms
 runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
-Every row of a chunk then has l_{c0 c1} = 1 with zeros before it, so the
-polarity pass normalizes a chunk's polar images by one scalar.  It needs
-rows only outside pivot block (0, 1), whose line with RREF digits (a, b, c,
-d) it maps to the one with digits (F[d], b, c, G[a]).
+Every row of a chunk then has l_{c0 c1} = 1 with zeros before it.  The
+polarity pass needs rows only outside pivot block (0, 1), whose line with
+RREF digits (a, b, c, d) it maps to the one with digits (F[d], b, c, G[a]).
 
 The group is stored only as its split: each element is r * t once, r one
 of the q(q + 1) coset representatives of the diagonal torus t = (1, 0, 0,
 d), whose lift diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group
 pass acts on points only with the representatives; their images under a
-torus slice are gathers from a table of scaled digits.  Each orbit sweep
-fills its array of one entry per element with one kernel, `_over_torus`,
-summing gathers from split tables: six for the keys of `orbit_sweep`, four
-for the ranks of `_sweep`, as the torus keeps each image's pivot block and
-scales each RREF digit of its representative's image by a power of d.
+torus slice are gathers from a table of scaled digits.  Every group pass
+with one entry per element, triple images included, fills its array with
+one kernel, `_over_torus`, summing gathers from split tables: six for the
+keys of `orbit_sweep`, four for the line ranks of `_sweep` and the point
+ranks of `triple_images`, as the torus keeps the lead of each normalized
+image and scales its other coordinates by powers of d (`_torus_columns`).
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
 `take`, the ufuncs and the sorts).  They share out the chunks of the line
 enumeration (`_line_tasks`) in the class pass, those outside pivot block
 (0, 1) and slices of that block in the polarity pass, the torus slices of
-about chunk // 8 images (`_torus_slices`) of each orbit sweep, which only
+about chunk // 8 images (`_torus_slices`) of each group pass, which only
 fill their parts of its array (the partition reads the least key off the
 representatives' images, `_least_key`, on the calling thread), then a
 partition sweep's tail, as two tasks that each compress one half of the line
@@ -457,20 +457,6 @@ class Engine:
         return _columns([self._times(c, P[:, j])
                          for c, j in zip((t, t, n, 1, t, t), (0, 1, 3, 2, 4, 5))])
 
-    def _chunk_polar(self, P):
-        """The normalized polar images of the Pluecker rows P of one chunk
-        (xi != 0).  Every row has l_{c0 c1} = 1 and zeros before it, and
-        _polar is monomial, so every image has its first nonzero coordinate
-        in the same place, with the same value (for pivots (0, 3) the Klein
-        relation forces l12 = 0): one scalar normalizes them, in place."""
-        img = self._polar(P)
-        lead = np.flatnonzero(img[0])[0]
-        inv = int(self.INV[img[0, lead]])
-        if inv != 1:  # it is 1 in characteristic 2, where 3 = 9 = 1
-            for col in img.T[lead:]:
-                col[:] = self._mul(inv, col)
-        return img
-
     def _klein(self, P):
         return pg3.klein_form(P.T, self._mul, self._sub, self._add)
 
@@ -658,7 +644,8 @@ class Engine:
         nonzero digit; RuntimeError unless F and G are permutations there."""
         q = self.q
         axes = q ** np.arange(3, -1, -1)[:, None] * np.arange(q)  # digit a, b, c, d
-        a, b, c, d = self._rank(self._chunk_polar(self._unrank(axes.ravel()))).reshape(4, q)
+        P = self._normalize_rows(self._polar(self._unrank(axes.ravel())))
+        a, b, c, d = self._rank(P).reshape(4, q)
         if not np.array_equal([np.sort(a), b, c, np.sort(d)], axes[[3, 1, 2, 0]]):
             raise RuntimeError("the polarity does not permute the digits of pivot block (0, 1)")
         return d // q**3, a
@@ -667,10 +654,10 @@ class Engine:
         """Send every line through the null polarity (xi != 0), once every
         populated class is partitioned.  The labels of pivot block (0, 1),
         ranks [0, q^4), as X[a, b q + c, d], pair with X[F[d], b q + c, G[a]]
-        (_block_polar_digits), a slice of b q + c per task; the other lines
-        go chunk by chunk through _chunk_polar and _rank, their images marked
-        in a mask over their own ranks.  A task returns only its nonzero
-        pair counts, since every task's result is held until all are done.
+        (_block_polar_digits), a slice of b q + c per task; the other lines'
+        normalized polar images are ranked chunk by chunk and marked in a
+        mask over their own ranks.  A task returns only its nonzero pair
+        counts, since every task's result is held until all are done.
 
         Returns (onto, counts): onto is True iff every line is an image;
         counts[i, j] counts the lines of orbit i with image in orbit j."""
@@ -687,7 +674,7 @@ class Engine:
                 src = block[:, task]
                 img = src.take(F, axis=0).take(G, axis=2).transpose(2, 1, 0)
             else:
-                ranks = self._rank(self._chunk_polar(self._task_plucker(task)))
+                ranks = self._rank(self._normalize_rows(self._polar(self._task_plucker(task))))
                 # an image in block (0, 1) leaves a rank of the rest unmarked
                 hit[ranks[ranks >= n0] - n0] = True
                 src, img = labels[task[0]], labels[ranks]
@@ -742,11 +729,11 @@ class Engine:
         return self._elements(np.arange(self.group_order))
 
     def _point_at(self, pt):
-        """(4, R) indices j * q + x_j, x the point's images under the
-        representatives r: its image under r * t has coordinate j at
-        scale[d - 1, j * q + x_j]."""
+        """The (R, 4) images x M_r of the point under the representatives r;
+        points act as row vectors, so its image under r * t is x M_r D, with
+        D = diag(1, d, d^2, d^3) scaling coordinate j by d^j."""
         lifts = self._group_arrays()[1]  # built here, never in a task
-        return np.stack([self._lincomb(pt, lifts[:, j]) + j * self.q for j in range(4)])
+        return _columns([self._lincomb(pt, lifts[:, j]) for j in range(4)])
 
     def _torus_slices(self):
         """The slices of the torus units d - 1 that a group pass shares out,
@@ -757,17 +744,20 @@ class Engine:
         parts = min(q - 1, max(parts, 2 * WORKERS) if parts > 1 else 1)
         return [slice((q - 1) * i // parts, (q - 1) * (i + 1) // parts) for i in range(parts)]
 
+    def _torus_columns(self, X, weight):
+        """(lead, at) of the rows X, images under the representatives r: the
+        torus t = (1, 0, 0, d) scales coordinate j by d^weight[j], weights that
+        never fall, so it keeps each row's lead (first nonzero coordinate) and
+        the normalized image under r * t has coordinate j at scale[d - 1, at[j]],
+        at[j] = max(weight[j] - weight[lead], 0) * q + x_j, x the row normalized."""
+        X = self._normalize_rows(X)
+        lead = (X != 0).argmax(axis=1)
+        return lead, np.maximum(weight[:, None] - weight[lead], 0) * self.q + X.T
+
     def _rep_images(self, line):
-        """(lead, at) of the line's images under the representatives r: t = (1,
-        0, 0, d) scales l_ij by d^(i + j), which keeps the first nonzero
-        coordinate, at index lead, in place; so the normalized image under
-        r * t has coordinate j at scale[d - 1, at[j]], at[j] = e * q + x for
-        the representative's coordinate x and e = w_j - w_lead <= 4 (e = 0
-        for the zeros before the lead)."""
-        U, V = (self._point_at(pt).T % self.q for pt in line.pair)
-        P = self._normalize_rows(self._plucker(U, V))
-        lead = (P != 0).argmax(axis=1)
-        return lead, np.maximum(_WEIGHT[:, None] - _WEIGHT[lead], 0) * self.q + P.T
+        """(lead, at) of the line's images under the representatives
+        (_torus_columns): t scales l_ij by d^(i + j)."""
+        return self._torus_columns(self._plucker(*map(self._point_at, line.pair)), _WEIGHT)
 
     def _over_torus(self, tables, cols, base=0):
         """One entry per group element, in the order of group_abcd, of the
@@ -917,21 +907,21 @@ class Engine:
 
     def triple_images(self, triple) -> int:
         """Number of distinct ordered triples of cubic points among the
-        images of the given triple of points under every group element."""
-        m = len(self.cubic_point_ranks)
-        index = np.full(pg3.point_count(self.q), -1, dtype=np.int64)
+        images of the given triple of points under every group element.  A
+        point's image ranks (_point_rank) pack its _torus_columns under the
+        weights j by the digit tables, plus the block start less the q^k
+        (k = 3 - lead) that the leading 1 packs to; codes < (q + 1)^3."""
+        q, m = self.q, len(self.cubic_point_ranks)
+        index = np.full(pg3.point_count(q), -1, dtype=np.int32)
         index[self.cubic_point_ranks] = np.arange(m)
-        ats = list(map(self._point_at, triple))
-
-        def codes(ts):
-            code, on_cubic = 0, True
-            for at in ats:
-                pts = _columns([self._split[2][ts].take(col, axis=1).ravel() for col in at])
-                pos = index[self._point_rank(self._normalize_rows(pts))]
-                on_cubic &= pos >= 0
-                code = code * m + pos
-            return code[on_cubic]
-        return len(sorted_unique(np.concatenate(list(map(codes, self._torus_slices())))))
+        code, on_cubic = 0, True
+        for pt in triple:
+            lead, at = self._torus_columns(self._point_at(pt), np.arange(4))
+            qk = q ** (3 - lead)
+            pos = index[self._over_torus(self._split[4], at, (qk - 1) // (q - 1) - qk)]
+            on_cubic &= pos >= 0
+            code = code * m + pos
+        return len(sorted_unique(code[on_cubic]))
 
     def polarity_violations(self) -> int:
         """Number of group elements whose lift M does not preserve the null

@@ -139,14 +139,14 @@ def chord_code(eng, P):
 
 def polar_orbit_counts(eng):
     """Engine.polar_orbit_counts row by row: every line's Pluecker row goes
-    through Engine._chunk_polar and Engine._rank, chunk by chunk, and its
-    image is marked in a mask over every rank (xi != 0, every class
-    partitioned).  Returns (onto, counts) as the Engine does."""
+    through Engine._polar, Engine._normalize_rows and Engine._rank, chunk by
+    chunk, and its image is marked in a mask over every rank (xi != 0, every
+    class partitioned).  Returns (onto, counts) as the Engine does."""
     labels, m = eng.line_cells(), len(eng.orbits())  # every cell is a label
     hit = np.zeros(len(labels), dtype=bool)
 
     def polarize(ranks, P):
-        img = eng._rank(eng._chunk_polar(P))
+        img = eng._rank(eng._normalize_rows(eng._polar(P)))
         hit[img] = True  # chunks only ever store True, so none is lost
         return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
                            minlength=m * m)

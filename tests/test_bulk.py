@@ -325,26 +325,6 @@ def test_task_plucker_on_seeded_chunks_at_q64(engine):
         _assert_task_plucker_matches_pair_rows(eng, task)
 
 
-@pytest.mark.parametrize("q", (2, 4, 5, 7, 8, 16, 25))
-def test_chunk_polar_matches_normalize_rows(field, q):
-    """The polarity pass's one-scalar normalization of a chunk's polar
-    images equals the row-by-row normalization on every chunk of an engine
-    with 64-line chunks, and leaves the chunk's rows as they were; for odd
-    q the scalar is not 1, so the in-place multiply runs."""
-    eng = Engine(field(q), chunk=64)
-    scaled = 0
-    for task in eng._line_tasks():
-        P = eng._task_plucker(task)
-        polar = eng._polar(P)
-        want = eng._normalize_rows(polar)
-        got = eng._chunk_polar(P)
-        assert got.dtype == np.int16
-        assert np.array_equal(got, want), task
-        assert np.array_equal(P, eng._task_plucker(task))
-        scaled += not np.array_equal(got, polar)
-    assert (scaled > 0) == (q % 2 == 1)
-
-
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
 def test_point_rank_is_the_proj_points_index(engine, q):
     eng = engine(q)
@@ -618,6 +598,26 @@ def test_orbit_sweep_holds_one_group_sized_array(engine):
         assert peak < 3 * 8 * eng.group_order
 
 
+def test_triple_images_holds_few_group_sized_arrays(engine):
+    """triple_images fills one int32 |G| array of point ranks per point
+    through the torus kernel and gathers its cubic indices: at q = 49 its
+    tracemalloc peak stays under 3.25 |G| words (3.9 when each torus slice's
+    images were gathered, then normalized and ranked), on the cubic triple
+    and on seeded points."""
+    eng = engine(49)
+    points = [tuple(pt) for pt in eng._proj_points(4)[
+        random.Random(49).sample(range(pg3.point_count(49)), 3)].tolist()]
+    for triple in (eng.cubic_points[:3], points):
+        eng.triple_images(triple)  # the split and the pool are built before tracing
+        tracemalloc.start()
+        try:
+            eng.triple_images(triple)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 8 * eng.group_order
+
+
 def test_group_build_holds_no_full_group(field):
     """The group is built as its q(q + 1) representatives' lifts and the
     torus tables: at q = 64 the build peaks under 2 MB, where the |G| lifts
@@ -818,7 +818,7 @@ def test_integer_headroom(q):
     assert (q - 1) * q + (q - 1) < 2**15  # int16 index into a flat field table
     assert q**6 < 2**63  # int64 packed key of a Pluecker vector
     assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
-    assert (q + 1) ** 3 < 2**63  # int64 code of a triple of cubic points
+    assert (q + 1) ** 3 < 2**31  # int32 code of a triple of cubic points
     assert q**4 < 2**31  # int32 free entries of a chunk's lines
     assert pg3.line_count(q) < 2**31  # int32 line ranks sorted in a sweep
 

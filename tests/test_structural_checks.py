@@ -166,6 +166,15 @@ def test_stabilizer_check_fails_on_a_wrong_count():
     assert not census.check_stabilizers_brute(run)["pass"]
 
 
+def test_polarity_stabilizer_equality_fails_on_a_wrong_polar_line(monkeypatch):
+    """With every polar line replaced by the tangent at t = 0, whose
+    stabilizer differs from those of the chord and the UnG line, the check
+    reads false."""
+    monkeypatch.setattr(tw, "null_polarity_line", lambda f, _line: pg3.line_through(
+        f, (0, 0, 0, 1), (0, 0, 1, 0)))
+    assert census.check_polarity_stabilizer_equality(census.CensusRun(7))["pass"] is False
+
+
 def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
     """A sweep that meets every image twice finds the same orbits and twice
     the fixers: a record's order is that count, not (q^3 - q) // size."""
