@@ -27,11 +27,15 @@ on Pluecker vectors (`_polar`) and the root count of the chord quadratic
 
 The universe passes build each chunk's Pluecker rows from the base-q digits
 of its RREF free entries: the RREF rows are column lists (pg3.rref_rows) in
-which the pivot 1s and the other 0s stay Python ints, and pg3.plucker_forms
-runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
-Every row of a chunk then has l_{c0 c1} = 1 with zeros before it.  The
-polarity pass needs rows only outside pivot block (0, 1), whose line with
-RREF digits (a, b, c, d) it maps to the one with digits (F[d], b, c, G[a]).
+which the pivot 1s, the other 0s and a fixed digit 0 or 1 stay Python ints,
+and pg3.plucker_forms runs with ops that fold away a multiply by 0 or 1 and
+a subtraction of 0.  Every row of a chunk then has l_{c0 c1} = 1 with zeros
+before it.  Neither pass builds the rows of all of pivot block (0, 1), whose
+lines are named by their RREF digits (a, b, c, d).  The polarity maps the
+line (a, b, c, d) to (F[d], b, c, G[a]).  The torus element (1, 0, 0, s)
+maps it to (s^2 a, s^3 b, s c, s^2 d), which keeps its class, so the class
+pass classifies only the slabs c = 1 and c = 0 and gathers every other slab
+from slab 1 (`line_cells`).
 
 The group is stored only as its split: each element is r * t once, r one
 of the q(q + 1) coset representatives of the diagonal torus t = (1, 0, 0,
@@ -46,17 +50,18 @@ image and scales its other coordinates by powers of d (`_torus_columns`).
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
-`take`, the ufuncs and the sorts).  They share out the chunks of the line
-enumeration (`_line_tasks`) in the class pass, those outside pivot block
-(0, 1) and slices of that block in the polarity pass, the torus slices of
+`take`, the ufuncs and the sorts).  They share out, in the class pass, the
+chunks of the slabs c = 1 and c = 0 and of the lines outside pivot block
+(0, 1) (`_line_tasks`), then one task per slab it fills; in the polarity
+pass those outside the block and slices of it; the torus slices of
 about chunk // 8 images (`_torus_slices`) of each group pass, which only
 fill their parts of its array (the partition reads the least key off the
 representatives' images, `_least_key`, on the calling thread), then a
 partition sweep's tail, as two tasks that each compress one half of the line
 ranks out of its array (dedup, cell check, label writes).  The contract:
 
-- a task writes only the cells of the disjoint rank slice of its own chunk
-  or half of the line ranks, or its torus slice's part of a sweep's array
+- a task writes only the cells of its own chunk, filled slab or half of
+  the line ranks, or its torus slice's part of a sweep's array
   (the polarity pass writes only True into a mask outside pivot block (0, 1));
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
@@ -245,9 +250,9 @@ class Engine:
     written over the model flags, then orbit labels), is built on first use,
     never for queries.
 
-    Chunks of `chunk` lines, the torus slices of large group passes and the
-    halves of the line ranks in a sweep's tail are shared out over threads
-    under the module's contract.  The results depend only on the field and
+    Chunks of `chunk` lines, the slabs the class pass fills, the torus
+    slices of large group passes and the halves of the line ranks in a
+    sweep's tail are shared out over threads under the module's contract.  The results depend only on the field and
     the cubic's closed forms twisted.cubic_point and twisted.osculating_plane,
     checked to give q + 1 distinct points and planes, each plane meeting the
     cubic once."""
@@ -489,11 +494,11 @@ class Engine:
 
     def _line_tasks(self):
         """Chunk descriptors (ranks, c0, c1, slots, start, stop) covering the
-        line ranks in order: the lines of the rank slice `ranks` are the RREF
-        matrices with pivots c0, c1 whose free entries, read base q, run
-        from start to stop."""
+        line ranks outside pivot block (0, 1), [q^4, line_count(q)), in order:
+        the lines of the rank slice `ranks` are the RREF matrices with pivots
+        c0, c1 whose free entries, read base q, run from start to stop."""
         tasks = []
-        for c0, c1, slots, offset, size in _pair_blocks(4, self.q):
+        for c0, c1, slots, offset, size in _pair_blocks(4, self.q)[1:]:
             for start in range(0, size, self.chunk):
                 stop = min(start + self.chunk, size)
                 tasks.append((slice(offset + start, offset + stop), c0, c1, slots, start, stop))
@@ -504,24 +509,17 @@ class Engine:
 
     def _task_plucker(self, task):
         """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1,
-        from the digits of their free RREF entries with the constant 0s and
-        1s folded away: for pivots (0, 1), the rows (1, 0, a, b) and
-        (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
+        from the digits of their free RREF entries, read base q from start
+        to stop, in the order of `slots`, where a Python int 0 or 1 is a
+        fixed entry; the constant 0s and 1s fold away: for pivots (0, 1),
+        the rows (1, 0, a, b) and (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
         _ranks, c0, c1, slots, start, stop = task
         # int32 digits take half the time of int64 ones; stop <= q^4
         idx = np.arange(start, stop, dtype=np.int32)
-        u, v = pg3.rref_rows(4, c0, c1, list(self._digits(idx, len(slots)))[::-1])
+        cols = list(self._digits(idx, sum(isinstance(x, tuple) for x in slots)))
+        u, v = pg3.rref_rows(4, c0, c1, [x if isinstance(x, int) else cols.pop() for x in slots])
         return _columns([np.full(len(idx), x, np.int16) if isinstance(x, int) else x
                          for x in pg3.plucker_forms(u, v, *self._digit_ops)])
-
-    def _over_lines(self, fn):
-        """fn(ranks, P) per chunk of all lines, in rank order, with P the
-        normalized Pluecker rows of the rank slice `ranks`.  The chunks are
-        shared out over the threads only when the lines fill more than one."""
-        def task(t):
-            return fn(t[0], self._task_plucker(t))
-        run = map if pg3.line_count(self.q) <= self.chunk else _in_order
-        return run(task, self._line_tasks())
 
     def _model_flags(self):
         """Per line rank, as int16: MEETS if the line meets the cubic, GAMMA
@@ -588,18 +586,44 @@ class Engine:
     def line_cells(self) -> np.ndarray:
         """The int16 cell of every line, by rank: the label of its orbit once
         its class is partitioned, else ~code, for its class code (an index
-        into CLASS_ORDER).  The first call makes one chunked pass over the
-        whole universe that also counts the lines of each class and the
-        Klein violations; each chunk reads its model flags, then writes its
-        ~codes over them."""
+        into CLASS_ORDER).  The first call classifies about 3q^3 lines in
+        chunks, each reading its model flags, then writing its ~codes over
+        them: the slabs c = 1 and c = 0 of the lines (a, b, c, d) of pivot
+        block (0, 1), named by their RREF digits, then the other blocks.  The
+        torus element (1, 0, 0, s) maps (a, b, 1, d) to (s^2 a, s^3 b, s, s^2 d),
+        keeping its class and its Klein form up to a unit, so each other slab
+        c = s is slab 1 gathered at (s^-2 a, s^-3 b, s^-2 d), and slab 1 counts
+        q - 1 times in the class sizes and the Klein violations."""
         if self._cells is None:
+            q, slots = self.q, pg3.rref_slots(0, 1, 4)
             cells = self._model_flags()
+            # (1, 0, 0, s) scales the digit in column j of RREF row i by s^(j - i)
+            exps = [j - i for i, j in slots]
+            ax = exps.index(1)  # c's: slab[c] holds the lines (a, b, c, d) by (a, b, d)
+            slab = np.moveaxis(cells[:q**4].reshape((q,) * 4), ax, 0)
+            step = max(1, self.chunk // q**2)
 
-            def classify(ranks, P):
-                codes, bad = self._classify_chunk(P, cells[ranks])
-                cells[ranks] = ~codes
-                return bad, np.bincount(codes, minlength=len(CLASS_ORDER))
-            bad, sizes = zip(*self._over_lines(classify))
+            def classify(task):
+                # a slab's chunk carries its view, the others their rank slice
+                view = cells[task[0]] if isinstance(task[0], slice) else task[0]
+                codes, bad = self._classify_chunk(self._task_plucker(task), view.ravel())
+                view.flat = ~codes
+                # a chunk of slab 1 (its fixed entry 1) stands for the q - 1 slabs c != 0
+                w = q - 1 if 1 in task[3] else 1
+                return w * bad, w * np.bincount(codes, minlength=len(CLASS_ORDER))
+
+            def fill(s):
+                src = slab[1]
+                # one take per axis, of the map x -> s^-e x for its exponent e
+                for k, e in enumerate(np.delete(exps, ax)):
+                    src = src.take(self.field.mul_table[reduce(self._mul, [self.INV[s]] * e)], k)
+                slab[s] = src
+            run = map if pg3.line_count(q) <= self.chunk else _in_order
+            bad, sizes = zip(*run(classify, [
+                (slab[c, a:a + step], 0, 1, slots[:ax] + (c,) + slots[ax + 1:],
+                 a * q * q, min(a + step, q) * q * q) for c in (1, 0) for a in range(0, q, step)
+            ] + self._line_tasks()))
+            list(run(fill, range(2, q)))
             self._cells, self._class_sizes, self._klein_violations = cells, sum(sizes), sum(bad)
         return self._cells
 
@@ -682,9 +706,8 @@ class Engine:
             nonzero = np.flatnonzero(counts)
             return nonzero, counts[nonzero]
         # the rest first, whose temporaries are the larger, while few results are held
-        tasks = [t for t in self._line_tasks() if t[0].start >= n0]
         step = max(1, self.chunk // q**2)
-        tasks += [slice(bc, bc + step) for bc in range(0, q * q, step)]
+        tasks = self._line_tasks() + [slice(bc, bc + step) for bc in range(0, q * q, step)]
         counts = np.zeros(m * m, np.int64)
         for nonzero, found in (_in_order if n0 > self.chunk else map)(polarize, tasks):
             counts[nonzero] += found

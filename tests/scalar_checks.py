@@ -6,7 +6,10 @@ they only serve as an independent oracle in the differential tests.
 `chord_code` is the full-evaluation form of `Engine._chord_code`, kept as
 the reference for its filtered form, and `polar_orbit_counts` the pass that
 ranks every line's polar image, kept as the reference for the Engine's pass,
-which pairs most lines' labels by a digit map.  `whole_group` is the group
+which pairs most lines' labels by a digit map.  `line_cells` classifies every
+line, chunk by chunk (`line_tasks`), the reference for the Engine's class
+pass, which fills most of pivot block (0, 1) by the torus digit map.
+`whole_group` is the group
 as one array of |G| lifts, with the one-pass forms of the group passes over
 it, the reference for the Engine's split into representatives and torus.
 """
@@ -15,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from twistedcubic import action, pg3, twisted
+from twistedcubic import action, bulk, pg3, twisted
 
 
 def chord_uniqueness(run):
@@ -150,8 +153,36 @@ def polar_orbit_counts(eng):
         hit[img] = True  # chunks only ever store True, so none is lost
         return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
                            minlength=m * m)
-    counts = sum(eng._over_lines(polarize))
+    counts = sum(over_lines(eng, polarize))
     return bool(hit.all()), counts.reshape(m, m)
+
+
+def line_tasks(eng):
+    """Every chunk of the line enumeration, in rank order: pivot block
+    (0, 1) cut into chunks of eng.chunk lines, then Engine._line_tasks."""
+    _c0, _c1, slots, _offset, size = bulk._pair_blocks(4, eng.q)[0]
+    return [(slice(start, min(start + eng.chunk, size)), 0, 1, slots,
+             start, min(start + eng.chunk, size))
+            for start in range(0, size, eng.chunk)] + eng._line_tasks()
+
+
+def over_lines(eng, fn):
+    """fn(ranks, P) per chunk of all lines, in rank order, with P the
+    normalized Pluecker rows of the rank slice `ranks`."""
+    return [fn(t[0], eng._task_plucker(t)) for t in line_tasks(eng)]
+
+
+def line_cells(eng):
+    """Engine.line_cells line by line: every chunk of all lines classified
+    over the model flags.  Returns (cells, class sizes, Klein violations)."""
+    cells = eng._model_flags()
+
+    def classify(ranks, P):
+        codes, bad = eng._classify_chunk(P, cells[ranks])
+        cells[ranks] = ~codes
+        return bad, np.bincount(codes, minlength=len(bulk.CLASS_ORDER))
+    bad, sizes = zip(*over_lines(eng, classify))
+    return cells, sum(sizes), sum(bad)
 
 
 def whole_group(eng):

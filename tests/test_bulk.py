@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tokenize
 import tracemalloc
 from collections import Counter
 
@@ -166,6 +167,61 @@ def test_tiny_chunks_split_enumeration_consistently(field, engine):
         assert keys.tolist() == engine(5).class_keys()[cls].tolist()
 
 
+def _assert_cells_match_the_per_line_pass(eng):
+    cells, sizes, bad = scalar_checks.line_cells(Engine(eng.field))
+    assert np.array_equal(eng.line_cells(), cells)
+    assert eng._class_sizes.tolist() == sizes.tolist()
+    assert eng.class_counts() == {cls: int(sizes[CODE[cls]])
+                                  for cls in tw.valid_line_classes(eng.field)}
+    assert eng.klein_violations() == bad == 0
+
+
+@pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32] + [49, 64])
+def test_line_cells_match_the_per_line_pass(field, q):
+    """The class pass, which classifies the slabs c = 1 and c = 0 of pivot
+    block (0, 1) and the lines outside it and fills the other slabs by the
+    torus digit map, gives the cells, class sizes and Klein count of the
+    pass that classifies every line."""
+    _assert_cells_match_the_per_line_pass(Engine(field(q)))
+
+
+@pytest.mark.parametrize("q", (7, 8, 9, 13))
+def test_class_pass_shares_out_only_small_chunks(field, monkeypatch, q):
+    """A universe that fits in one chunk is classified inline, with no pool;
+    with 64-line chunks, one task per value of a in each slab and one per
+    filled slab run on the pool, and the cells still match."""
+    calls = []
+    in_order = bulk._in_order
+
+    def counting(fn, tasks):
+        calls.append(len(tasks))
+        return in_order(fn, tasks)
+    monkeypatch.setattr(bulk, "_in_order", counting)
+    Engine(field(q)).line_cells()
+    assert calls == []
+    small = Engine(field(q), chunk=64)
+    _assert_cells_match_the_per_line_pass(small)
+    assert calls == [2 * q + len(small._line_tasks()), q - 2]
+
+
+@pytest.mark.parametrize("q", (7, 8, 9))
+def test_klein_count_covers_every_line(field, monkeypatch, q):
+    """With a Klein form that no line satisfies, every line counts as a
+    violation, the lines of the filled slabs through slab 1's weight."""
+    monkeypatch.setattr(Engine, "_klein", lambda self, P: np.ones(len(P), np.int16))
+    assert Engine(field(q)).klein_violations() == pg3.line_count(q)
+
+
+def test_bulk_source_stays_below_the_parser_token_step():
+    """CPython's parser doubles its token array past 8,192 tokens, raising
+    the peak of compiling bulk.py, which every process that compiles the
+    package from source pays at import."""
+    with open(bulk.__file__, "rb") as src:
+        tokens = [tok for tok in tokenize.tokenize(src.readline)
+                  if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
+    assert len(tokens) < 8192
+
+
 @pytest.mark.parametrize("q", (3, 4, 5))
 def test_array_forms_match_scalar_forms(field, engine, q):
     """The shared line formulas give the same values on coordinate arrays
@@ -272,7 +328,7 @@ def test_rank_is_the_enumeration_index(engine, q):
     Pluecker vectors come out normalized; unranking inverts it."""
     eng = engine(q)
     lo = 0
-    for task in eng._line_tasks():
+    for task in scalar_checks.line_tasks(eng):
         P = eng._task_plucker(task)
         assert eng._normalize_rows(P).tolist() == P.tolist()
         ranks = eng._rank(P)
@@ -306,13 +362,22 @@ def _assert_task_plucker_matches_pair_rows(eng, task):
 def test_task_plucker_matches_pair_rows(field, q):
     """The chunk rows built from the RREF digits, with the constant 0s and
     1s folded away, equal the full 2 x 2 minors of the RREF row arrays on
-    every chunk, whole or partial, of an engine with 64-line chunks."""
+    every chunk, whole or partial, of an engine with 64-line chunks, and on
+    the slabs c = 0 and c = 1 of pivot block (0, 1), whose c is a fixed
+    Python int."""
     eng = Engine(field(q), chunk=64)
-    tasks = eng._line_tasks()
+    tasks = scalar_checks.line_tasks(eng)
     assert len(tasks) > len(_pair_blocks(4, q)) or q == 2  # at q = 2 no block has 64 lines
     assert any(stop - start < 64 for *_rest, start, stop in tasks)
     for task in tasks:
         _assert_task_plucker_matches_pair_rows(eng, task)
+    # the slabs of the class pass: the digit c of pivot block (0, 1) fixed
+    slots = pg3.rref_slots(0, 1, 4)
+    idx = np.arange(q**3)  # a q^2 + b q + d
+    for c in (0, 1):
+        got = eng._task_plucker((None, 0, 1, slots[:2] + (c,) + slots[3:], 0, q**3))
+        ranks = idx // q * q * q + c * q + idx % q
+        assert np.array_equal(got, eng._plucker(*eng._pair_rows(4, 0, 1, slots, ranks)))
 
 
 def test_task_plucker_on_seeded_chunks_at_q64(engine):
@@ -451,7 +516,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     the pool at once and the threads switch often, agrees with the default
     engine, which classifies these orders inline."""
     small, whole = Engine(field(q), chunk=64), engine(q)
-    assert len(small._line_tasks()) > 10 * len(whole._line_tasks())
+    assert len(small._line_tasks()) > 2 * len(whole._line_tasks())
     # each sweep, too, runs as one task per torus element
     assert len(small._torus_slices()) == q - 1
     interval = sys.getswitchinterval()
