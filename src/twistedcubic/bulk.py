@@ -1,7 +1,7 @@
 """Vectorized line engine over rank-indexed lines.
 
 A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
-(`_pair_blocks(4, q)`), read off its normalized Pluecker vector by `_rank`;
+(`_pair_blocks(q)`), read off its normalized Pluecker vector by `_rank`;
 a point's or plane's rank is its index in `_proj_points(4)`.  The whole-
 universe state is one int16 cell per rank: the line's orbit label once its
 class is partitioned, else ~code (-1 - its class code), so locating a line is
@@ -161,17 +161,16 @@ def sorted_unique(out):
 
 
 @cache
-def _pair_blocks(ncols, q):
+def _pair_blocks(q):
     """(c0, c1, slots, offset, size) per pivot pattern c0 < c1 of the rank-2
-    RREF 2 x ncols matrices, in enumeration order; slots are the free
+    RREF 2 x 4 matrices, in enumeration order; slots are the free
     (row, column) entries, most significant digit first."""
     blocks = []
     offset = 0
-    for c0 in range(ncols - 1):
-        for c1 in range(c0 + 1, ncols):
-            slots = pg3.rref_slots(c0, c1, ncols)
-            blocks.append((c0, c1, slots, offset, q ** len(slots)))
-            offset += q ** len(slots)
+    for c0, c1 in pg3.PAIR_IDX:
+        slots = pg3.rref_slots(c0, c1, 4)
+        blocks.append((c0, c1, slots, offset, q ** len(slots)))
+        offset += q ** len(slots)
     return tuple(blocks)  # cached: shared by every caller
 
 
@@ -240,8 +239,10 @@ def _in_order(fn, tasks):
     return results
 
 
-# bits of the per-rank model flags built by Engine._model_flags
-MEETS, GAMMA, AXIS = 1, 2, 4
+# bits of the per-rank model flags built by Engine._model_flags: the line
+# meets the cubic (it is the dual of a line in the plane whose coordinates
+# are a cubic point) or lies in an osculating plane
+MEETS, GAMMA = 1, 2
 
 
 class Engine:
@@ -322,14 +323,14 @@ class Engine:
 
     def _rank(self, P):
         """Index of each normalized Pluecker row in the enumeration of the
-        rank-2 RREF 2 x 4 matrices (_pair_blocks(4, q)): the offset of its
+        rank-2 RREF 2 x 4 matrices (_pair_blocks(q)): the offset of its
         pivot pattern (c0, c1), the position of its first nonzero coordinate,
         plus its free RREF entries (pg3.rref_entries) read base q.  Every row
         is first ranked as if its pivot were (0, 1), as all but about 1/q of
         them are, then the rest."""
         out = np.empty(len(P), np.int64)
         rows, sub = slice(None), P
-        for c0, c1, _slots, offset, _size in _pair_blocks(4, self.q):
+        for c0, c1, _slots, offset, _size in _pair_blocks(self.q):
             if not len(sub):
                 break
             rank = np.zeros(len(sub), np.int64)
@@ -349,10 +350,10 @@ class Engine:
         if len(bad):
             raise ValueError(f"line rank {bad[0]} is outside [0, {n})")
         U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
-        for c0, c1, slots, offset, size in _pair_blocks(4, self.q):
+        for c0, c1, slots, offset, size in _pair_blocks(self.q):
             sel = (ranks >= offset) & (ranks < offset + size)
             if sel.any():
-                U[sel], V[sel] = self._pair_rows(4, c0, c1, slots, ranks[sel] - offset)
+                U[sel], V[sel] = self._pair_rows(c0, c1, slots, ranks[sel] - offset)
         return U, V
 
     def _unrank(self, ranks):
@@ -364,15 +365,16 @@ class Engine:
         U, V = self._pairs_of(np.array([rank], np.int64))
         return pg3.line_through(self.field, tuple(U[0].tolist()), tuple(V[0].tolist()))
 
+    def _point_base(self, k):
+        """What a point with k coordinates after its leading 1 adds to its
+        packed key to give its rank: its block of _proj_points starts at
+        1 + q + ... + q^(k-1), and its leading 1 packs to q^k."""
+        qk = self.q ** k
+        return (qk - 1) // (self.q - 1) - qk
+
     def _point_rank(self, X):
-        """Index of each normalized row of X in _proj_points(X.shape[1]): a row
-        with k coordinates after its leading 1 packs to q^k plus its digits,
-        and its block starts at 1 + q + ... + q^(k-1)."""
-        n = X.shape[1]
-        qk = self.q ** np.arange(n, dtype=np.int64)
-        start = (qk - 1) // (self.q - 1)
-        k = n - 1 - (X != 0).argmax(axis=1)
-        return self.pack(X) - qk[k] + start[k]
+        """Index of each normalized row of X in _proj_points(X.shape[1])."""
+        return self.pack(X) + self._point_base(X.shape[1] - 1 - (X != 0).argmax(axis=1))
 
     # -- elementwise geometry -------------------------------------------------
 
@@ -481,11 +483,10 @@ class Engine:
             blocks.append(_columns(lead + list(self._digits(np.arange(size), k))[::-1]))
         return np.concatenate(blocks)
 
-    def _pair_rows(self, ncols, c0, c1, slots, idx):
-        """The row pairs (U, V) of the RREF matrices with pivots c0, c1 whose
-        free entries, read base q in slot order, are idx."""
-        U = np.zeros((len(idx), ncols), np.int16, order="F")
-        V = np.zeros((len(idx), ncols), np.int16, order="F")
+    def _pair_rows(self, c0, c1, slots, idx):
+        """The row pairs (U, V) of the RREF 2 x 4 matrices with pivots c0, c1
+        whose free entries, read base q in slot order, are idx."""
+        U, V = (np.zeros((len(idx), 4), np.int16, order="F") for _ in range(2))
         U[:, c0] = 1
         V[:, c1] = 1
         for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
@@ -498,7 +499,7 @@ class Engine:
         the lines of the rank slice `ranks` are the RREF matrices with pivots
         c0, c1 whose free entries, read base q, run from start to stop."""
         tasks = []
-        for c0, c1, slots, offset, size in _pair_blocks(4, self.q)[1:]:
+        for c0, c1, slots, offset, size in _pair_blocks(self.q)[1:]:
             for start in range(0, size, self.chunk):
                 stop = min(start + self.chunk, size)
                 tasks.append((slice(offset + start, offset + stop), c0, c1, slots, start, stop))
@@ -521,30 +522,31 @@ class Engine:
         return _columns([np.full(len(idx), x, np.int16) if isinstance(x, int) else x
                          for x in pg3.plucker_forms(u, v, *self._digit_ops)])
 
+    def _dual(self, P):
+        """The dual Pluecker rows (l23, -l13, l12, l03, -l02, l01): the points
+        of a line's dual are the planes through it, and dualizing twice gives
+        the line back."""
+        neg = self._neg
+        return _columns([P[:, 5], neg(P[:, 4]), P[:, 3], P[:, 2], neg(P[:, 1]), P[:, 0]])
+
     def _model_flags(self):
         """Per line rank, as int16: MEETS if the line meets the cubic, GAMMA
-        if it lies in an osculating plane, AXIS for the axis (xi = 0 only)."""
+        if it lies in an osculating plane.  A plane with basis rows b0, b1, b2
+        (pg3.plane_basis) holds the lines sum x_ij P(b_i, b_j), P the
+        Pluecker vector (pg3.plucker_forms), one per point x = (x01, x02, x12)
+        of PG(2,q): x is the vector of 2 x 2 minors of the two rows that span
+        the line in the plane's coordinates (the second compound).  The lines
+        through a point y are the duals (_dual) of the lines of the plane
+        whose coordinates are y."""
         flags = np.zeros(pg3.line_count(self.q), np.int16)
-
-        # each cubic point joined to every point of a plane x_j = 0 missing it
-        points = self._proj_points(4)
-        for pt in self.cubic_points:
-            V = points[points[:, next(i for i in range(4) if pt[i])] == 0]
-            U = np.tile(np.asarray(pt, np.int16), (len(V), 1))
-            flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= MEETS
-
-        # all lines in each osculating plane
-        r0, r1 = (np.concatenate(rows).T for rows in zip(*(
-            self._pair_rows(3, c0, c1, slots, np.arange(size))
-            for c0, c1, slots, _offset, size in _pair_blocks(3, self.q))))
-        for plane in self.gamma_planes:
-            basis = list(zip(*pg3.plane_basis(self.field, plane)))  # its 4 columns
-            U = _columns([self._lincomb(col, r0) for col in basis])
-            V = _columns([self._lincomb(col, r1) for col in basis])
-            flags[self._rank(self._normalize_rows(self._plucker(U, V)))] |= GAMMA
-
-        if self.axis_plucker is not None:
-            flags[self._rank(np.array([self.axis_plucker], np.int16))] |= AXIS
+        f, x = self.field, self._proj_points(3).T
+        for bit, planes, image in ((MEETS, self.cubic_points, self._dual),
+                                   (GAMMA, self.gamma_planes, _identity)):
+            for plane in planes:
+                forms = [pg3.plucker_forms(u, v, f.mul, f.sub)
+                         for u, v in combinations(pg3.plane_basis(f, plane), 2)]
+                P = _columns([self._lincomb(col, x) for col in zip(*forms)])
+                flags[self._rank(self._normalize_rows(image(P)))] |= bit
         return flags
 
     # -- classification ----------------------------------------------------------
@@ -577,7 +579,7 @@ class Engine:
             ext = m0 & (pc == 0)
             cls[ext & in_gamma] = CODE[twisted.EG]
         else:
-            is_axis = m0 & (flags & AXIS != 0)
+            is_axis = m0 & (P == self.axis_plucker).all(axis=1)
             cls[is_axis] = CODE[twisted.A]
             hits_axis = m0 & ~is_axis & (self._pairing_with(P, self.axis_plucker) == 0)
             cls[hits_axis] = CODE[twisted.EA]
@@ -815,7 +817,7 @@ class Engine:
         # the indices, then those with x negated, then 0s, which read 0
         signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
         digits = signed[_DIGIT_SOURCE[lead].T, np.arange(len(lead))]
-        offsets = np.array([b[3] for b in _pair_blocks(4, self.q)], np.int32)
+        offsets = np.array([b[3] for b in _pair_blocks(self.q)], np.int32)
         return self._over_torus(self._split[4], digits, offsets[lead])
 
     def _least_key(self, lead, at):
@@ -918,11 +920,7 @@ class Engine:
         PG(3,q) outside the point ranks `excluded` exactly once."""
         ranks = self._ranks_of(classes)
         if dual:
-            # the planes through a line are the points of the line with the
-            # dual Pluecker vector (l23, -l13, l12, l03, -l02, l01)
-            P, neg = self._unrank(ranks), self._neg
-            ranks = self._rank(self._normalize_rows(_columns([
-                P[:, 5], neg(P[:, 4]), P[:, 3], P[:, 2], neg(P[:, 1]), P[:, 0]])))
+            ranks = self._rank(self._normalize_rows(self._dual(self._unrank(ranks))))
         hits = np.bincount(self._point_rank(self._line_points(ranks)),
                            minlength=pg3.point_count(self.q))
         hits[excluded] = 1
@@ -932,16 +930,15 @@ class Engine:
         """Number of distinct ordered triples of cubic points among the
         images of the given triple of points under every group element.  A
         point's image ranks (_point_rank) pack its _torus_columns under the
-        weights j by the digit tables, plus the block start less the q^k
-        (k = 3 - lead) that the leading 1 packs to; codes < (q + 1)^3."""
-        q, m = self.q, len(self.cubic_point_ranks)
-        index = np.full(pg3.point_count(q), -1, dtype=np.int32)
+        weights j by the digit tables, plus _point_base(3 - lead); codes
+        < (q + 1)^3."""
+        m = len(self.cubic_point_ranks)
+        index = np.full(pg3.point_count(self.q), -1, dtype=np.int32)
         index[self.cubic_point_ranks] = np.arange(m)
         code, on_cubic = 0, True
         for pt in triple:
             lead, at = self._torus_columns(self._point_at(pt), np.arange(4))
-            qk = q ** (3 - lead)
-            pos = index[self._over_torus(self._split[4], at, (qk - 1) // (q - 1) - qk)]
+            pos = index[self._over_torus(self._split[4], at, self._point_base(3 - lead))]
             on_cubic &= pos >= 0
             code = code * m + pos
         return len(sorted_unique(code[on_cubic]))

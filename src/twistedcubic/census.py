@@ -319,19 +319,25 @@ def _meta(run, runtime):
     }
 
 
+def selected_classes(field, line_class=None):
+    """The populated classes at the field's order, or only line_class;
+    UnsupportedQ if line_class is not populated there."""
+    classes = twisted.valid_line_classes(field)
+    if line_class is None:
+        return classes
+    if line_class not in classes:
+        raise UnsupportedQ(
+            f"class {line_class!r} is not populated at q={field.q}; one of {classes}")
+    return (line_class,)
+
+
 def orbit_census(q: int, line_class=None, modulus=None) -> dict:
     """Class and orbit records (no checks) for one field."""
     run = CensusRun(q, modulus)
-    classes = twisted.valid_line_classes(run.field)
-    if line_class is not None:
-        if line_class not in classes:
-            raise UnsupportedQ(
-                f"class {line_class!r} is not populated at q={q}; one of {classes}")
-        classes = (line_class,)
     return {
         "schema_version": SCHEMA_VERSION,
         "meta": _meta(run, None),
-        "classes": _class_entries(run, classes),
+        "classes": _class_entries(run, selected_classes(run.field, line_class)),
     }
 
 

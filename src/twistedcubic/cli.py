@@ -139,14 +139,8 @@ def _stabilizer_report(args):
     if args.line is not None:
         lines = [(None, pg3.line_from_plucker(f, args.line))]
     else:
-        valid = twisted.valid_line_classes(f)
-        if args.line_class is not None and args.line_class not in valid:
-            raise census.UnsupportedQ(
-                f"class {args.line_class!r} is not populated at q={args.q}; "
-                f"one of {valid}")
-        classes = (args.line_class,) if args.line_class else valid
         lines = [(cls, run.engine.line_from_key(rep))
-                 for cls in classes
+                 for cls in census.selected_classes(f, args.line_class)
                  for _size, _stab, rep in run.orbit_records(cls)]
     for cls, line in lines:
         elements = run.engine.stabilizer_abcd(line)

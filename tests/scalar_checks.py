@@ -9,6 +9,9 @@ ranks every line's polar image, kept as the reference for the Engine's pass,
 which pairs most lines' labels by a digit map.  `line_cells` classifies every
 line, chunk by chunk (`line_tasks`), the reference for the Engine's class
 pass, which fills most of pivot block (0, 1) by the torus digit map.
+`model_flags` builds the flags by joining each cubic point to the points of
+a coordinate plane and by mapping every RREF 2 x 3 matrix into each
+osculating plane, the reference for the Engine's one plane construction.
 `whole_group` is the group
 as one array of |G| lifts, with the one-pass forms of the group passes over
 it, the reference for the Engine's split into representatives and torus.
@@ -160,7 +163,7 @@ def polar_orbit_counts(eng):
 def line_tasks(eng):
     """Every chunk of the line enumeration, in rank order: pivot block
     (0, 1) cut into chunks of eng.chunk lines, then Engine._line_tasks."""
-    _c0, _c1, slots, _offset, size = bulk._pair_blocks(4, eng.q)[0]
+    _c0, _c1, slots, _offset, size = bulk._pair_blocks(eng.q)[0]
     return [(slice(start, min(start + eng.chunk, size)), 0, 1, slots,
              start, min(start + eng.chunk, size))
             for start in range(0, size, eng.chunk)] + eng._line_tasks()
@@ -170,6 +173,27 @@ def over_lines(eng, fn):
     """fn(ranks, P) per chunk of all lines, in rank order, with P the
     normalized Pluecker rows of the rank slice `ranks`."""
     return [fn(t[0], eng._task_plucker(t)) for t in line_tasks(eng)]
+
+
+def model_flags(eng):
+    """Engine._model_flags by two constructions: MEETS on the lines that join
+    each cubic point to every point of a plane x_j = 0 that misses it, GAMMA
+    on the lines of each osculating plane, whose basis maps the row pairs of
+    every rank-2 RREF 2 x 3 matrix to the plane's points."""
+    flags = np.zeros(pg3.line_count(eng.q), np.int16)
+
+    def mark(U, V, bit):
+        flags[eng._rank(eng._normalize_rows(eng._plucker(U, V)))] |= bit
+    points = eng._proj_points(4)
+    for pt in eng.cubic_points:
+        V = points[points[:, next(i for i in range(4) if pt[i])] == 0]
+        mark(np.tile(np.asarray(pt, np.int16), (len(V), 1)), V, bulk.MEETS)
+    r0, r1 = (np.array(rows, np.int16).T for rows in zip(*pg3._rref_pairs(eng.q, 3)))
+    for plane in eng.gamma_planes:
+        basis = list(zip(*pg3.plane_basis(eng.field, plane)))  # its 4 columns
+        mark(*(bulk._columns([eng._lincomb(col, r) for col in basis]) for r in (r0, r1)),
+             bulk.GAMMA)
+    return flags
 
 
 def line_cells(eng):

@@ -212,6 +212,25 @@ def test_klein_count_covers_every_line(field, monkeypatch, q):
     assert Engine(field(q)).klein_violations() == pg3.line_count(q)
 
 
+@pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32] + [49, 64])
+def test_model_flags_match_the_star_and_pair_reference(field, q):
+    """The flags from one plane construction and its dual equal those from
+    the joins of each cubic point and the RREF 2 x 3 matrices mapped into
+    each osculating plane, bit for bit."""
+    eng = Engine(field(q))
+    assert np.array_equal(eng._model_flags(), scalar_checks.model_flags(eng))
+
+
+@pytest.mark.parametrize("q", (3, 9, 27))
+def test_the_a_cell_is_the_axis(field, q):
+    """With no AXIS flag, the class pass finds class A by comparing each
+    normalized row with the axis: its one cell is the axis's rank."""
+    eng = Engine(field(q))
+    axis = eng._rank(np.array([eng.axis_plucker], np.int16))
+    assert np.flatnonzero(eng.line_cells() == ~CODE[tw.A]).tolist() == axis.tolist()
+    assert eng.class_counts()[tw.A] == 1
+
+
 def test_bulk_source_stays_below_the_parser_token_step():
     """CPython's parser doubles its token array past 8,192 tokens, raising
     the peak of compiling bulk.py, which every process that compiles the
@@ -342,17 +361,17 @@ def test_rank_is_the_enumeration_index(engine, q):
 def test_rank_on_seeded_chunks_at_q64(engine):
     eng = engine(64)
     rng = np.random.default_rng(64)
-    for c0, c1, slots, offset, size in _pair_blocks(4, 64):
+    for c0, c1, slots, offset, size in _pair_blocks(64):
         start = int(rng.integers(0, size))
         idx = np.arange(start, min(start + 5000, size), dtype=np.int64)
-        P = eng._plucker(*eng._pair_rows(4, c0, c1, slots, idx))
+        P = eng._plucker(*eng._pair_rows(c0, c1, slots, idx))
         assert eng._rank(P).tolist() == (offset + idx).tolist()
         assert eng._rank(P[::-1]).tolist() == (offset + idx[::-1]).tolist()
 
 
 def _assert_task_plucker_matches_pair_rows(eng, task):
     _ranks, c0, c1, slots, start, stop = task
-    want = eng._plucker(*eng._pair_rows(4, c0, c1, slots, np.arange(start, stop)))
+    want = eng._plucker(*eng._pair_rows(c0, c1, slots, np.arange(start, stop)))
     got = eng._task_plucker(task)
     assert got.dtype == want.dtype == np.int16
     assert np.array_equal(got, want), task
@@ -367,7 +386,7 @@ def test_task_plucker_matches_pair_rows(field, q):
     Python int."""
     eng = Engine(field(q), chunk=64)
     tasks = scalar_checks.line_tasks(eng)
-    assert len(tasks) > len(_pair_blocks(4, q)) or q == 2  # at q = 2 no block has 64 lines
+    assert len(tasks) > len(_pair_blocks(q)) or q == 2  # at q = 2 no block has 64 lines
     assert any(stop - start < 64 for *_rest, start, stop in tasks)
     for task in tasks:
         _assert_task_plucker_matches_pair_rows(eng, task)
@@ -377,13 +396,13 @@ def test_task_plucker_matches_pair_rows(field, q):
     for c in (0, 1):
         got = eng._task_plucker((None, 0, 1, slots[:2] + (c,) + slots[3:], 0, q**3))
         ranks = idx // q * q * q + c * q + idx % q
-        assert np.array_equal(got, eng._plucker(*eng._pair_rows(4, 0, 1, slots, ranks)))
+        assert np.array_equal(got, eng._plucker(*eng._pair_rows(0, 1, slots, ranks)))
 
 
 def test_task_plucker_on_seeded_chunks_at_q64(engine):
     eng = engine(64)
     rng = np.random.default_rng(64)
-    for c0, c1, slots, offset, size in _pair_blocks(4, 64):
+    for c0, c1, slots, offset, size in _pair_blocks(64):
         start = int(rng.integers(0, size))
         stop = min(start + 5000, size)
         task = (slice(offset + start, offset + stop), c0, c1, slots, start, stop)
@@ -606,7 +625,7 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     group = scalar_checks.whole_group(eng)
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
     lines = [eng.line_from_rank(rank) for rank in seeds + rng.sample(range(pg3.line_count(q)), 3)]
     if q == 9:
         axis = pg3.line_from_plucker(eng.field, eng.axis_plucker)
@@ -741,7 +760,7 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
     images reach every block."""
     eng = engine(q)
     mats = scalar_checks.whole_group(eng)[1]
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
     seeds += random.Random(q).sample(range(pg3.line_count(q)), 4)
     reached = set()
     for rank in seeds:
@@ -767,7 +786,7 @@ def test_sweep_ranks_are_indexed_by_group_element(engine, q):
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     mats = scalar_checks.lifts(eng, eng.group_abcd())
     group = scalar_checks.whole_group(eng)
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(4, q)]
+    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
     for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
         line = eng.line_from_rank(rank)
         ranks = eng._sweep(eng._rep_images(line))

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from twistedcubic import bulk, cli, pg3
+from twistedcubic import bulk, cli, pg3, twisted
 from twistedcubic.gfq import make_field
 
 
@@ -128,11 +128,13 @@ def test_bad_modulus_exit_code():
 
 
 def test_unpopulated_class_exit_code():
-    res = run_cli("stabilizer", "--q", "5", "--class", "EA")
-    assert res.returncode == 2
-    assert "not populated" in res.stderr
-    res = run_cli("orbits", "--q", "5", "--class", "EA")
-    assert res.returncode == 2
+    for verb in ("stabilizer", "orbits"):
+        res = run_cli(verb, "--q", "5", "--class", "EA")
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "error: class 'EA' is not populated at q=5; one of "
+            + str(twisted.valid_line_classes(make_field(5)))]
+        assert res.stdout == ""
 
 
 def test_long_run_gate_covers_every_order_above_32():
