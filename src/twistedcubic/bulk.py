@@ -351,9 +351,11 @@ class Engine:
             raise ValueError(f"line rank {bad[0]} is outside [0, {n})")
         U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
         for c0, c1, slots, offset, size in _pair_blocks(self.q):
-            sel = (ranks >= offset) & (ranks < offset + size)
-            if sel.any():
-                U[sel], V[sel] = self._pair_rows(c0, c1, slots, ranks[sel] - offset)
+            sel = np.flatnonzero((ranks >= offset) & (ranks < offset + size))
+            if len(sel):
+                for M, row in zip((U, V), self._digit_rows(c0, c1, slots, ranks[sel] - offset)):
+                    for j, x in enumerate(row):  # a Python int fills its whole column
+                        M[sel, j] = x
         return U, V
 
     def _unrank(self, ranks):
@@ -394,6 +396,12 @@ class Engine:
                 term = self._times(c, col)
                 acc = term if acc is None else self._add(acc, term)
         return np.zeros_like(cols[0]) if acc is None else acc
+
+    def _span(self, basis, x):
+        """The rows sum x_i * b_i over the basis rows b_i of field elements,
+        one per column of x: with x = _proj_points(k).T, one per point of
+        PG(k-1,q), which the caller builds once for all its bases."""
+        return _columns([self._lincomb(col, x) for col in zip(*basis)])
 
     def _plucker(self, U, V):
         return _columns(pg3.plucker_forms(U.T, V.T, self._mul, self._sub))
@@ -483,15 +491,12 @@ class Engine:
             blocks.append(_columns(lead + list(self._digits(np.arange(size), k))[::-1]))
         return np.concatenate(blocks)
 
-    def _pair_rows(self, c0, c1, slots, idx):
-        """The row pairs (U, V) of the RREF 2 x 4 matrices with pivots c0, c1
-        whose free entries, read base q in slot order, are idx."""
-        U, V = (np.zeros((len(idx), 4), np.int16, order="F") for _ in range(2))
-        U[:, c0] = 1
-        V[:, c1] = 1
-        for (row, j), col in zip(reversed(slots), self._digits(idx, len(slots))):
-            (U if row == 0 else V)[:, j] = col
-        return U, V
+    def _digit_rows(self, c0, c1, slots, idx):
+        """The RREF rows (U, V) with pivots c0, c1 (pg3.rref_rows, column
+        lists) whose free entries, read base q in the order of `slots`, are
+        idx, where a Python int 0 or 1 is a fixed entry."""
+        cols = list(self._digits(idx, sum(isinstance(x, tuple) for x in slots)))
+        return pg3.rref_rows(4, c0, c1, [x if isinstance(x, int) else cols.pop() for x in slots])
 
     def _line_tasks(self):
         """Chunk descriptors (ranks, c0, c1, slots, start, stop) covering the
@@ -509,16 +514,13 @@ class Engine:
         return tasks
 
     def _task_plucker(self, task):
-        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1,
-        from the digits of their free RREF entries, read base q from start
-        to stop, in the order of `slots`, where a Python int 0 or 1 is a
-        fixed entry; the constant 0s and 1s fold away: for pivots (0, 1),
-        the rows (1, 0, a, b) and (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
+        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1, from
+        their RREF rows (_digit_rows of start to stop), whose constant 0s and 1s
+        fold away: the rows (1, 0, a, b), (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
         _ranks, c0, c1, slots, start, stop = task
         # int32 digits take half the time of int64 ones; stop <= q^4
         idx = np.arange(start, stop, dtype=np.int32)
-        cols = list(self._digits(idx, sum(isinstance(x, tuple) for x in slots)))
-        u, v = pg3.rref_rows(4, c0, c1, [x if isinstance(x, int) else cols.pop() for x in slots])
+        u, v = self._digit_rows(c0, c1, slots, idx)
         return _columns([np.full(len(idx), x, np.int16) if isinstance(x, int) else x
                          for x in pg3.plucker_forms(u, v, *self._digit_ops)])
 
@@ -545,8 +547,7 @@ class Engine:
             for plane in planes:
                 forms = [pg3.plucker_forms(u, v, f.mul, f.sub)
                          for u, v in combinations(pg3.plane_basis(f, plane), 2)]
-                P = _columns([self._lincomb(col, x) for col in zip(*forms)])
-                flags[self._rank(self._normalize_rows(image(P)))] |= bit
+                flags[self._rank(self._normalize_rows(image(self._span(forms, x))))] |= bit
         return flags
 
     # -- classification ----------------------------------------------------------
@@ -908,11 +909,12 @@ class Engine:
     # -- structural checks ---------------------------------------------------------
 
     def _line_points(self, ranks):
-        """Normalized points v, u + t*v (t in GF(q)) of the lines with the
-        given ranks, where (u, v) is the line's RREF row pair."""
-        U, V = self._pairs_of(ranks)
-        pts = [V] + [self._add(U, self._mul(t, V)) for t in range(self.q)]
-        return self._normalize_rows(np.concatenate(pts))
+        """Normalized points x0 u + x1 v of the lines with the given ranks,
+        (u, v) the line's RREF row pair, over the points x of PG(1,q): v,
+        then u + t v for t in GF(q)."""
+        UV = self._pairs_of(ranks)
+        return self._normalize_rows(np.concatenate(
+            [self._lincomb(x, UV) for x in self._proj_points(2)]))
 
     def covers_once(self, classes, excluded, dual=False) -> bool:
         """Whether the points of the lines of the given classes, or with
@@ -976,11 +978,14 @@ class Engine:
     # -- plane census ------------------------------------------------------------
 
     def plane_class_counts(self) -> dict[str, int]:
-        """Counts of osculating / d-point plane types over all planes."""
-        planes = self._proj_points(4)
-        m = np.zeros(len(planes), dtype=np.int16)
+        """Counts of osculating / d-point plane types over all planes.  The
+        planes through a cubic point y are the points of the plane whose
+        coordinates are y, the span of its basis (pg3.plane_basis)."""
+        m = np.zeros(pg3.point_count(self.q), dtype=np.int16)
+        x = self._proj_points(3).T
         for pt in self.cubic_points:
-            m += self._lincomb(pt, planes.T) == 0
+            span = self._span(pg3.plane_basis(self.field, pt), x)
+            m[self._point_rank(self._normalize_rows(span))] += 1
         if int(m.max()) > 3:
             raise RuntimeError("a plane contains four cubic points")
         if (m[self.gamma_plane_ranks] != 1).any():

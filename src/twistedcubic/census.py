@@ -140,12 +140,6 @@ class CensusRun:
         """The checked scalar cubic, built on first read (per-line queries)."""
         return twisted.build_cubic(self.field)
 
-    def class_counts(self) -> dict[str, int]:
-        return self.engine.class_counts()
-
-    def plane_counts(self) -> dict[str, int]:
-        return self.engine.plane_class_counts()
-
     def orbit_records(self, cls: str) -> list[tuple[int, int, int]]:
         return self.engine.orbit_partition_keys(cls)
 
@@ -283,7 +277,7 @@ def check_triple_transitivity(run):
 
 def _class_entries(run, classes):
     eng = run.engine
-    counts = run.class_counts()
+    counts = eng.class_counts()
     expected = twisted.expected_class_sizes(run.field)
     entries = []
     for cls in classes:
@@ -351,14 +345,14 @@ def verify(q: int, modulus=None, timing: bool = False) -> dict:
     n = q**3 - q
 
     checks = []
-    counts = run.class_counts()
+    counts = run.engine.class_counts()
     expected_sizes = twisted.expected_class_sizes(f)
     for cls in classes:
         checks.append(_check(f"class_size:{cls}", expected_sizes[cls], counts[cls]))
     checks.append(_check("line_count_total", pg3.line_count(q), sum(counts.values())))
     checks.append(_check("klein_relation_all_lines", 0, run.engine.klein_violations()))
 
-    plane_counts = run.plane_counts()
+    plane_counts = run.engine.plane_class_counts()
     expected_planes = expected_plane_class_sizes(q)
     for cls in ("gamma", "2C", "3C", "1C", "0C"):
         checks.append(_check(f"plane_count:{cls}", expected_planes[cls],

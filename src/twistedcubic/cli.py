@@ -109,8 +109,8 @@ def _emit(doc_json, doc_csv, args):
 
 def _counts_report(args):
     run = census.CensusRun(args.q, args.modulus)
-    line_counts = run.class_counts()
-    plane_counts = run.plane_counts()
+    line_counts = run.engine.class_counts()
+    plane_counts = run.engine.plane_class_counts()
     doc = {
         "schema_version": census.SCHEMA_VERSION,
         "q": args.q,

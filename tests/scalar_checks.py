@@ -12,9 +12,11 @@ pass, which fills most of pivot block (0, 1) by the torus digit map.
 `model_flags` builds the flags by joining each cubic point to the points of
 a coordinate plane and by mapping every RREF 2 x 3 matrix into each
 osculating plane, the reference for the Engine's one plane construction.
-`whole_group` is the group
-as one array of |G| lifts, with the one-pass forms of the group passes over
-it, the reference for the Engine's split into representatives and torus.
+`plane_class_counts` tests every plane against every cubic point, the
+reference for the Engine's census, which ranks the planes through each
+cubic point.  `whole_group` is the group as one array of |G| lifts, with
+the one-pass forms of the group passes over it, the reference for the
+Engine's split into representatives and torus.
 """
 
 from functools import reduce
@@ -194,6 +196,18 @@ def model_flags(eng):
         mark(*(bulk._columns([eng._lincomb(col, r) for col in basis]) for r in (r0, r1)),
              bulk.GAMMA)
     return flags
+
+
+def plane_class_counts(eng):
+    """Engine.plane_class_counts by the whole-space scan: every plane of
+    PG(3,q) tested against each cubic point, the osculating planes apart."""
+    planes = eng._proj_points(4)
+    m = np.zeros(len(planes), dtype=np.int16)
+    for pt in eng.cubic_points:
+        m += eng._lincomb(pt, planes.T) == 0
+    m[eng.gamma_plane_ranks] = -1
+    return {name: int(np.count_nonzero(m == d))
+            for name, d in (("gamma", -1), ("2C", 2), ("3C", 3), ("1C", 1), ("0C", 0))}
 
 
 def line_cells(eng):

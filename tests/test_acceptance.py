@@ -30,12 +30,12 @@ def test_criterion_1_class_sizes():
     for q in CORE_Q:
         started = time.monotonic()
         run = census.CensusRun(q)
-        counts = run.class_counts()
+        counts = run.engine.class_counts()
         elapsed = time.monotonic() - started
         assert counts == tw.expected_class_sizes(run.field), q
         assert elapsed < 5.0, f"the class counts at q={q} took {elapsed:.1f}s"
-    assert census.CensusRun(5).class_counts()["EnG"] == 480
-    assert census.CensusRun(9).class_counts()["EA"] == 800
+    assert census.CensusRun(5).engine.class_counts()["EnG"] == 480
+    assert census.CensusRun(9).engine.class_counts()["EA"] == 800
     print("PASS criterion-1 class sizes exact for q in", CORE_Q)
 
 

@@ -9,24 +9,24 @@ from twistedcubic.bulk import CODE, Engine
 
 
 def test_classify_all_examples():
-    assert census.CensusRun(5).class_counts() == {
+    assert census.CensusRun(5).engine.class_counts() == {
         "RC": 15, "T": 6, "IC": 10, "RA": 15, "IA": 10,
         "UG": 30, "UnG": 120, "EG": 120, "EnG": 480,
     }
-    assert census.CensusRun(9).class_counts() == {
+    assert census.CensusRun(9).engine.class_counts() == {
         "RC": 45, "T": 10, "IC": 36, "UG": 90, "UnG": 720,
         "EnG": 5760, "A": 1, "EA": 800,
     }
-    assert census.CensusRun(8).class_counts() == {
+    assert census.CensusRun(8).engine.class_counts() == {
         "RC": 36, "T": 9, "IC": 28, "RA": 36, "IA": 28,
         "UG": 72, "UnG": 504, "EG": 504, "EnG": 3528,
     }
 
 
 def test_classify_planes_examples():
-    assert census.CensusRun(5).plane_counts() == {
+    assert census.CensusRun(5).engine.plane_class_counts() == {
         "gamma": 6, "2C": 30, "3C": 20, "1C": 60, "0C": 40}
-    assert census.CensusRun(7).plane_counts() == {
+    assert census.CensusRun(7).engine.plane_class_counts() == {
         "gamma": 8, "2C": 56, "3C": 56, "1C": 168, "0C": 112}
 
 
@@ -253,8 +253,8 @@ def test_census_path_builds_no_scalar_model(monkeypatch, q):
     monkeypatch.setattr(twisted, "build_cubic", refuse)
     assert census.verify(q)["pass"]
     run = census.CensusRun(q)
-    assert run.class_counts() == twisted.expected_class_sizes(run.field)
-    assert run.plane_counts() == census.expected_plane_class_sizes(q)
+    assert run.engine.class_counts() == twisted.expected_class_sizes(run.field)
+    assert run.engine.plane_class_counts() == census.expected_plane_class_sizes(q)
     assert len(census.orbit_census(q)["classes"]) == len(
         twisted.valid_line_classes(run.field))
 
@@ -284,7 +284,7 @@ def test_census_reads_no_class_rank_arrays(monkeypatch):
     monkeypatch.setattr(Engine, "class_keys", refuse)
     assert census.verify(5)["pass"] and census.verify(9)["pass"]
     run = census.CensusRun(8)
-    assert run.class_counts() == twisted.expected_class_sizes(run.field)
+    assert run.engine.class_counts() == twisted.expected_class_sizes(run.field)
     orbits = [orb for e in census.orbit_census(7)["classes"] for orb in e["orbits"]]
     assert len(orbits) == census.expected_total_orbit_count(7, 1)
 
