@@ -1,15 +1,16 @@
 """Vectorized line engine over rank-indexed lines.
 
-A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
-(`_pair_blocks(q)`), read off its normalized Pluecker vector by `_rank`;
-a point's or plane's rank is its index in `_proj_points(4)`.  The whole-
-universe state is one int16 cell per rank: the line's orbit label once its
-class is partitioned, else ~code (-1 - its class code), so locating a line is
-an index, not a search, and the lines of a class are the ranks whose cells
-hold its ~code or the labels of its orbits.  A label indexes the engine's
-list of orbits, in the order the sweeps found them, each with its class, the
-size and stabilizer order its sweep measured, and its representative, the
-one place packed base-q int64 keys of Pluecker vectors remain.
+A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices,
+laid out by one block table, `_layout(q)`, that the encoders (`_rank`,
+`_sweep`), decoders (`_pairs_of`, `_task_plucker`) and digit view of pivot
+block (0, 1) (`_block_view`) read.  A point's or plane's rank is its index in
+`_proj_points(4)`.  The whole-universe state is one int16 cell per rank: the
+line's orbit label once its class is partitioned, else ~code (-1 - its class
+code), so locating a line is an index, not a search, and a class's lines are
+the ranks whose cells hold its ~code or the labels of its orbits.  A label
+indexes the engine's list of orbits, in the order the sweeps found them, each
+with its class, the size and stabilizer order its sweep measured, and its
+representative, the only packed base-q int64 Pluecker key it keeps.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -160,18 +161,27 @@ def sorted_unique(out):
     return out if keep.all() else np.compress(np.r_[True, keep], out)
 
 
-@cache
-def _pair_blocks(q):
-    """(c0, c1, slots, offset, size) per pivot pattern c0 < c1 of the rank-2
-    RREF 2 x 4 matrices, in enumeration order; slots are the free
-    (row, column) entries, most significant digit first."""
-    blocks = []
-    offset = 0
+@cache  # one table per q, shared by every caller, which only reads it
+def _layout(q):
+    """The line-rank layout (blocks, offsets, source, weights).  Block i holds
+    the lines whose first nonzero Pluecker coordinate is l_{c0 c1} = 1, the
+    ith of PAIR_IDX: blocks[i] is (c0, c1, slots, offset, size, exps), its
+    free (row, column) entries, the digits, most significant first, its first
+    rank, its number of lines and the digits' torus exponents e: (1, 0, 0, d)
+    scales a digit by d^e, its column's d^j over its row pivot's.  A rank is
+    its block's offset plus weights . its digits, padded at the front to four
+    with 0s; offsets are int32, and digit k of block i reads the coordinate
+    source[i, k] of the normalized Pluecker vector, + 6 if negated, 12 a pad."""
+    blocks, source, offset = [], [], 0
     for c0, c1 in pg3.PAIR_IDX:
         slots = pg3.rref_slots(c0, c1, 4)
-        blocks.append((c0, c1, slots, offset, q ** len(slots)))
-        offset += q ** len(slots)
-    return tuple(blocks)  # cached: shared by every caller
+        size = q ** len(slots)
+        blocks.append((c0, c1, slots, offset, size, [j - (c0, c1)[i] for i, j in slots]))
+        source.append([12] * (4 - len(slots))
+                      + list(pg3.rref_entries(range(6), c0, c1, lambda j: j + 6)))
+        offset += size
+    return (blocks, np.array([b[3] for b in blocks], np.int32), np.array(source),
+            q ** np.arange(3, -1, -1, dtype=np.int32))
 
 
 def _worker_count():
@@ -188,13 +198,6 @@ WORKERS = _worker_count()
 
 # diag(1, d, d^2, d^3) scales l_ij by d^(i + j): weights that never fall
 _WEIGHT = np.array([i + j for i, j in pg3.PAIR_IDX])
-
-# per pivot block, in PAIR_IDX order: the coordinate each of four RREF digits
-# (pg3.rref_entries) reads, most significant first, + 6 where it is negated;
-# 12 pads a block of fewer free entries at the front
-_DIGIT_SOURCE = np.array([
-    [12] * (4 - len(pg3.rref_slots(c0, c1, 4)))
-    + list(pg3.rref_entries(range(6), c0, c1, lambda j: j + 6)) for c0, c1 in pg3.PAIR_IDX])
 
 
 @cache
@@ -236,6 +239,8 @@ def _in_order(fn, tasks):
         for helper in helpers:
             if not helper.cancel():  # one that never started took no task
                 helper.result()
+        # a pool thread keeps drain past its result: empty its cells of fn, tasks
+        del fn, tasks
     return results
 
 
@@ -253,10 +258,10 @@ class Engine:
 
     Chunks of `chunk` lines, the slabs the class pass fills, the torus
     slices of large group passes and the halves of the line ranks in a
-    sweep's tail are shared out over threads under the module's contract.  The results depend only on the field and
-    the cubic's closed forms twisted.cubic_point and twisted.osculating_plane,
-    checked to give q + 1 distinct points and planes, each plane meeting the
-    cubic once."""
+    sweep's tail are shared out over threads under the module's contract.
+    The results depend only on the field and the cubic's closed forms
+    twisted.cubic_point and twisted.osculating_plane, checked to give q + 1
+    distinct points and planes, each plane meeting the cubic once."""
 
     def __init__(self, field, chunk=1 << 19):
         q = field.q  # the limits of the int16 table indices and int32 sweep ranks
@@ -274,6 +279,7 @@ class Engine:
         self.nine = field.mul(self.three, self.three)
         self.four = field.of_int(4)
         self.group_order = q**3 - q
+        self._blocks, self._offsets, self._digit_source, self._weights = _layout(q)
 
         params = list(field.elements()) + [twisted.INF]
         self.cubic_points, self.gamma_planes = (
@@ -323,14 +329,14 @@ class Engine:
 
     def _rank(self, P):
         """Index of each normalized Pluecker row in the enumeration of the
-        rank-2 RREF 2 x 4 matrices (_pair_blocks(q)): the offset of its
-        pivot pattern (c0, c1), the position of its first nonzero coordinate,
-        plus its free RREF entries (pg3.rref_entries) read base q.  Every row
-        is first ranked as if its pivot were (0, 1), as all but about 1/q of
-        them are, then the rest."""
+        rank-2 RREF 2 x 4 matrices (_layout): the offset of the block led by
+        its first nonzero coordinate plus its free RREF entries
+        (pg3.rref_entries) read base q.  Every row is first ranked as if it
+        were in block 0, pivots (0, 1), as all but about 1/q of them are,
+        then the rest."""
         out = np.empty(len(P), np.int64)
         rows, sub = slice(None), P
-        for c0, c1, _slots, offset, _size in _pair_blocks(self.q):
+        for lead, (c0, c1, _slots, offset, *_) in enumerate(self._blocks):
             if not len(sub):
                 break
             rank = np.zeros(len(sub), np.int64)
@@ -338,7 +344,7 @@ class Engine:
                 rank *= self.q
                 rank += entry
             out[rows] = rank + offset
-            later = np.flatnonzero(sub[:, pg3.PAIR_IDX.index((c0, c1))] == 0)
+            later = np.flatnonzero(sub[:, lead] == 0)
             rows, sub = later if sub is P else rows[later], sub[later]
         return out
 
@@ -350,10 +356,11 @@ class Engine:
         if len(bad):
             raise ValueError(f"line rank {bad[0]} is outside [0, {n})")
         U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
-        for c0, c1, slots, offset, size in _pair_blocks(self.q):
+        for block in self._blocks:
+            offset, size = block[3:5]
             sel = np.flatnonzero((ranks >= offset) & (ranks < offset + size))
             if len(sel):
-                for M, row in zip((U, V), self._digit_rows(c0, c1, slots, ranks[sel] - offset)):
+                for M, row in zip((U, V), self._digit_rows(block, ranks[sel] - offset)):
                     for j, x in enumerate(row):  # a Python int fills its whole column
                         M[sel, j] = x
         return U, V
@@ -491,38 +498,37 @@ class Engine:
             blocks.append(_columns(lead + list(self._digits(np.arange(size), k))[::-1]))
         return np.concatenate(blocks)
 
-    def _digit_rows(self, c0, c1, slots, idx):
-        """The RREF rows (U, V) with pivots c0, c1 (pg3.rref_rows, column
-        lists) whose free entries, read base q in the order of `slots`, are
-        idx, where a Python int 0 or 1 is a fixed entry."""
+    def _digit_rows(self, block, idx):
+        """The RREF rows (U, V) (pg3.rref_rows, column lists) of the lines of a
+        block (c0, c1, slots, ...) of _layout whose digits, read base q in slot
+        order, are idx, where a slot that is a Python int is a fixed entry."""
+        c0, c1, slots = block[:3]
         cols = list(self._digits(idx, sum(isinstance(x, tuple) for x in slots)))
         return pg3.rref_rows(4, c0, c1, [x if isinstance(x, int) else cols.pop() for x in slots])
 
     def _line_tasks(self):
-        """Chunk descriptors (ranks, c0, c1, slots, start, stop) covering the
-        line ranks outside pivot block (0, 1), [q^4, line_count(q)), in order:
-        the lines of the rank slice `ranks` are the RREF matrices with pivots
-        c0, c1 whose free entries, read base q, run from start to stop."""
-        tasks = []
-        for c0, c1, slots, offset, size in _pair_blocks(self.q)[1:]:
-            for start in range(0, size, self.chunk):
-                stop = min(start + self.chunk, size)
-                tasks.append((slice(offset + start, offset + stop), c0, c1, slots, start, stop))
-        if tasks[-1][0].stop != pg3.line_count(self.q):
-            raise RuntimeError(f"enumerated {tasks[-1][0].stop} lines, "
-                               f"expected {pg3.line_count(self.q)}")
-        return tasks
+        """The slices of at most chunk ranks, each in one block, that cover
+        the ranks outside pivot block (0, 1) in order."""
+        return [slice(lo, min(lo + self.chunk, offset + size))
+                for _c0, _c1, _slots, offset, size, _exps in self._blocks[1:]
+                for lo in range(offset, offset + size, self.chunk)]
 
-    def _task_plucker(self, task):
-        """Pluecker rows of a chunk's lines, normalized since l_{c0 c1} = 1, from
-        their RREF rows (_digit_rows of start to stop), whose constant 0s and 1s
-        fold away: the rows (1, 0, a, b), (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
-        _ranks, c0, c1, slots, start, stop = task
-        # int32 digits take half the time of int64 ones; stop <= q^4
-        idx = np.arange(start, stop, dtype=np.int32)
-        u, v = self._digit_rows(c0, c1, slots, idx)
-        return _columns([np.full(len(idx), x, np.int16) if isinstance(x, int) else x
+    def _task_plucker(self, ranks, block=None):
+        """Pluecker rows, normalized since l_{c0 c1} = 1, of a slice of ranks in
+        one block of _layout or the given block, from their RREF rows
+        (_digit_rows), whose constant 0s and 1s fold away: the rows (1, 0, a,
+        b), (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
+        block = block or self._blocks[np.searchsorted(self._offsets, ranks.start, "right") - 1]
+        # int32 digits take half the time of int64 ones; a block holds at most q^4
+        u, v = self._digit_rows(block, np.arange(ranks.start - block[3], ranks.stop - block[3],
+                                                 dtype=np.int32))
+        return _columns([np.full(ranks.stop - ranks.start, x, np.int16) if isinstance(x, int) else x
                          for x in pg3.plucker_forms(u, v, *self._digit_ops)])
+
+    def _block_view(self, cells):
+        """The cells of pivot block (0, 1), the ranks before offsets[1]
+        (_layout), as a view indexed by the four digits (a, b, c, d)."""
+        return cells[:self._offsets[1]].reshape((self.q,) * len(self._weights))
 
     def _dual(self, P):
         """The dual Pluecker rows (l23, -l13, l12, l03, -l02, l01): the points
@@ -598,21 +604,16 @@ class Engine:
         c = s is slab 1 gathered at (s^-2 a, s^-3 b, s^-2 d), and slab 1 counts
         q - 1 times in the class sizes and the Klein violations."""
         if self._cells is None:
-            q, slots = self.q, pg3.rref_slots(0, 1, 4)
+            q, (c0, c1, slots, *_rest, exps) = self.q, self._blocks[0]
             cells = self._model_flags()
-            # (1, 0, 0, s) scales the digit in column j of RREF row i by s^(j - i)
-            exps = [j - i for i, j in slots]
             ax = exps.index(1)  # c's: slab[c] holds the lines (a, b, c, d) by (a, b, d)
-            slab = np.moveaxis(cells[:q**4].reshape((q,) * 4), ax, 0)
+            slab = np.moveaxis(self._block_view(cells), ax, 0)
             step = max(1, self.chunk // q**2)
 
             def classify(task):
-                # a slab's chunk carries its view, the others their rank slice
-                view = cells[task[0]] if isinstance(task[0], slice) else task[0]
-                codes, bad = self._classify_chunk(self._task_plucker(task), view.ravel())
+                view, ranks, block, w = task
+                codes, bad = self._classify_chunk(self._task_plucker(ranks, block), view.ravel())
                 view.flat = ~codes
-                # a chunk of slab 1 (its fixed entry 1) stands for the q - 1 slabs c != 0
-                w = q - 1 if 1 in task[3] else 1
                 return w * bad, w * np.bincount(codes, minlength=len(CLASS_ORDER))
 
             def fill(s):
@@ -622,10 +623,12 @@ class Engine:
                     src = src.take(self.field.mul_table[reduce(self._mul, [self.INV[s]] * e)], k)
                 slab[s] = src
             run = map if pg3.line_count(q) <= self.chunk else _in_order
+            # block 0 with c fixed, ranked by (a, b, d); slab 1 stands for the slabs c != 0
             bad, sizes = zip(*run(classify, [
-                (slab[c, a:a + step], 0, 1, slots[:ax] + (c,) + slots[ax + 1:],
-                 a * q * q, min(a + step, q) * q * q) for c in (1, 0) for a in range(0, q, step)
-            ] + self._line_tasks()))
+                (slab[c, a:a + step], slice(slab[c, :a].size, slab[c, :a + step].size),
+                 (c0, c1, slots[:ax] + (c,) + slots[ax + 1:], 0), q - 1 if c else 1)
+                for c in (1, 0) for a in range(0, q, step)
+            ] + [(cells[ranks], ranks, None, 1) for ranks in self._line_tasks()]))
             list(run(fill, range(2, q)))
             self._cells, self._class_sizes, self._klein_violations = cells, sum(sizes), sum(bad)
         return self._cells
@@ -668,19 +671,19 @@ class Engine:
         """(F, G): the polarity (xi != 0) maps the line of pivot block (0, 1)
         with RREF digits (a, b, c, d) to that with (F[d], b, c, G[a]), as
         _polar is monomial and keeps l01 first.  Read off the lines with one
-        nonzero digit; RuntimeError unless F and G are permutations there."""
-        q = self.q
-        axes = q ** np.arange(3, -1, -1)[:, None] * np.arange(q)  # digit a, b, c, d
+        nonzero digit, whose ranks are multiples of the digit weights since
+        block (0, 1) starts at 0; RuntimeError unless F and G permute there."""
+        axes = self._weights[:, None] * np.arange(self.q)
         P = self._normalize_rows(self._polar(self._unrank(axes.ravel())))
-        a, b, c, d = self._rank(P).reshape(4, q)
+        a, b, c, d = self._rank(P).reshape(4, self.q)
         if not np.array_equal([np.sort(a), b, c, np.sort(d)], axes[[3, 1, 2, 0]]):
             raise RuntimeError("the polarity does not permute the digits of pivot block (0, 1)")
-        return d // q**3, a
+        return d // self._weights[0], a
 
     def polar_orbit_counts(self):
         """Send every line through the null polarity (xi != 0), once every
-        populated class is partitioned.  The labels of pivot block (0, 1),
-        ranks [0, q^4), as X[a, b q + c, d], pair with X[F[d], b q + c, G[a]]
+        populated class is partitioned.  The labels of pivot block (0, 1)
+        (_block_view), as X[a, b q + c, d], pair with X[F[d], b q + c, G[a]]
         (_block_polar_digits), a slice of b q + c per task; the other lines'
         normalized polar images are ranked chunk by chunk and marked in a
         mask over their own ranks.  A task returns only its nonzero pair
@@ -692,25 +695,25 @@ class Engine:
             raise ValueError("the polarity pass needs every class partitioned")
         labels, m, q = self.line_cells(), len(self._orbits), self.q  # every cell is a label
         F, G = self._block_polar_digits()
-        n0 = q**4
-        block = labels[:n0].reshape(q, q * q, q)
+        n0 = self._offsets[1]  # the first rank after block (0, 1)
+        block = self._block_view(labels).reshape(q, -1, q)  # by a, b q + c, d
         hit = np.zeros(len(labels) - n0, dtype=bool)
 
         def polarize(task):
-            if isinstance(task, slice):
-                src = block[:, task]
+            if isinstance(task, tuple):
+                src = block[task]
                 img = src.take(F, axis=0).take(G, axis=2).transpose(2, 1, 0)
             else:
                 ranks = self._rank(self._normalize_rows(self._polar(self._task_plucker(task))))
                 # an image in block (0, 1) leaves a rank of the rest unmarked
                 hit[ranks[ranks >= n0] - n0] = True
-                src, img = labels[task[0]], labels[ranks]
+                src, img = labels[task], labels[ranks]
             counts = np.bincount((src.astype(np.intp) * m + img).ravel(), minlength=m * m)
             nonzero = np.flatnonzero(counts)
             return nonzero, counts[nonzero]
         # the rest first, whose temporaries are the larger, while few results are held
         step = max(1, self.chunk // q**2)
-        tasks = self._line_tasks() + [slice(bc, bc + step) for bc in range(0, q * q, step)]
+        tasks = self._line_tasks() + [np.s_[:, bc:bc + step] for bc in range(0, q * q, step)]
         counts = np.zeros(m * m, np.int64)
         for nonzero, found in (_in_order if n0 > self.chunk else map)(polarize, tasks):
             counts[nonzero] += found
@@ -724,7 +727,7 @@ class Engine:
         the pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts,
         entry (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x], e <= 4;
         that table times q^(5 - k) for coordinate k of a key, as int64; and
-        its last four as int32, since ranks are below 2^31 (__init__)."""
+        times the rank's digit weights (_layout), int32 as ranks are < 2^31."""
         if self._split is None:
             q, line = self.q, self._proj_points(2)
             abcd = np.hstack([line[i] for i in np.nonzero(~np.eye(q + 1, dtype=bool))])
@@ -734,10 +737,8 @@ class Engine:
             for _ in range(4):  # w(l23) - w(l01)
                 powers.append(self._mul(powers[-1], units))
             scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
-            keyed = np.empty((6, *scale.shape), np.int64)
-            for k, table in enumerate(keyed):
-                np.multiply(scale, q ** (5 - k), out=table, dtype=np.int64)
-            self._split = (abcd, lifts, scale, keyed, keyed[2:].astype(np.int32))
+            keyed = q ** np.arange(5, -1, -1)[:, None, None] * scale
+            self._split = (abcd, lifts, scale, keyed, self._weights[:, None, None] * scale)
         return self._split
 
     def _elements(self, index):
@@ -817,9 +818,8 @@ class Engine:
         x = at % self.q
         # the indices, then those with x negated, then 0s, which read 0
         signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
-        digits = signed[_DIGIT_SOURCE[lead].T, np.arange(len(lead))]
-        offsets = np.array([b[3] for b in _pair_blocks(self.q)], np.int32)
-        return self._over_torus(self._split[4], digits, offsets[lead])
+        digits = signed[self._digit_source[lead].T, np.arange(len(lead))]
+        return self._over_torus(self._split[4], digits, self._offsets[lead])
 
     def _least_key(self, lead, at):
         """The least packed key of the line's images, read off its images

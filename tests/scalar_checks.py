@@ -163,18 +163,18 @@ def polar_orbit_counts(eng):
 
 
 def line_tasks(eng):
-    """Every chunk of the line enumeration, in rank order: pivot block
-    (0, 1) cut into chunks of eng.chunk lines, then Engine._line_tasks."""
-    _c0, _c1, slots, _offset, size = bulk._pair_blocks(eng.q)[0]
-    return [(slice(start, min(start + eng.chunk, size)), 0, 1, slots,
-             start, min(start + eng.chunk, size))
+    """Every chunk of the line enumeration, a slice of ranks, in rank order:
+    pivot block (0, 1), the first block of bulk._layout, cut into chunks of
+    eng.chunk lines, then Engine._line_tasks."""
+    size = bulk._layout(eng.q)[0][0][4]
+    return [slice(start, min(start + eng.chunk, size))
             for start in range(0, size, eng.chunk)] + eng._line_tasks()
 
 
 def over_lines(eng, fn):
     """fn(ranks, P) per chunk of all lines, in rank order, with P the
     normalized Pluecker rows of the rank slice `ranks`."""
-    return [fn(t[0], eng._task_plucker(t)) for t in line_tasks(eng)]
+    return [fn(t, eng._task_plucker(t)) for t in line_tasks(eng)]
 
 
 def model_flags(eng):

@@ -5,7 +5,9 @@ import threading
 import time
 import tokenize
 import tracemalloc
+import weakref
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, strategies as st
 import scalar_checks
 from twistedcubic import action as act
 from twistedcubic import bulk, census, cli, gfq, pg3, twisted as tw
-from twistedcubic.bulk import CODE, Engine, _columns, _pair_blocks, field_ops, sorted_unique
+from twistedcubic.bulk import CODE, Engine, _columns, _layout, field_ops, sorted_unique
 
 AGREE_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -374,7 +376,7 @@ def test_rank_is_the_enumeration_index(engine, q):
         assert eng._normalize_rows(P).tolist() == P.tolist()
         ranks = eng._rank(P)
         assert ranks.tolist() == list(range(lo, lo + len(P)))
-        assert task[0] == slice(lo, lo + len(P))
+        assert task == slice(lo, lo + len(P))
         assert eng._unrank(ranks).tolist() == P.tolist()
         lo += len(P)
     assert lo == pg3.line_count(q)
@@ -383,7 +385,7 @@ def test_rank_is_the_enumeration_index(engine, q):
 def test_rank_on_seeded_chunks_at_q64(engine):
     eng = engine(64)
     rng = np.random.default_rng(64)
-    for c0, c1, slots, offset, size in _pair_blocks(64):
+    for _c0, _c1, _slots, offset, size, _exps in _layout(64)[0]:
         start = int(rng.integers(0, size))
         idx = np.arange(start, min(start + 5000, size), dtype=np.int64)
         P = eng._unrank(offset + idx)
@@ -391,10 +393,50 @@ def test_rank_on_seeded_chunks_at_q64(engine):
         assert eng._rank(P[::-1]).tolist() == (offset + idx[::-1]).tolist()
 
 
+@pytest.mark.parametrize("q", census.SUPPORTED_Q)
+def test_layout_blocks_tile_the_ranks_in_pair_order(q):
+    """Block i of the rank layout holds the RREF matrices led by coordinate
+    i of PAIR_IDX, each block starting where the last ends, from 0 to
+    line_count(q); the offsets and the four digit weights agree with it."""
+    blocks, offsets, source, weights = _layout(q)
+    assert [(c0, c1) for c0, c1, *_rest in blocks] == list(pg3.PAIR_IDX)
+    ends = [0]
+    for c0, c1, slots, offset, size, exps in blocks:
+        assert slots == pg3.rref_slots(c0, c1, 4) and size == q ** len(slots)
+        assert offset == ends[-1]
+        ends.append(offset + size)
+    assert ends[-1] == pg3.line_count(q)
+    assert offsets.dtype == np.int32 and offsets.tolist() == ends[:-1]
+    assert source.shape == (len(blocks), 4) and weights.tolist() == [q**3, q**2, q, 1]
+    assert blocks[0][5] == [2, 3, 1, 2]  # (1, 0, 0, d) maps (a, b, c, d) to (d^2 a, d^3 b, d c, d^2 d)
+
+
+@pytest.mark.parametrize("q", (2, 3, 8, 9, 64))
+def test_block_view_entry_is_the_cell_at_the_rank_of_its_digits(engine, q):
+    """The view of pivot block (0, 1) holds, at (a, b, c, d), the cell at
+    the rank of the line spanned by the RREF rows (1, 0, a, b), (0, 1, c, d),
+    for seeded digits; a per-rank array whose cell at r is r shows it."""
+    eng = engine(q)
+    view = eng._block_view(np.arange(pg3.line_count(q), dtype=np.int32))
+    assert view.shape == (q,) * 4
+    digits = np.random.default_rng(q).integers(0, q, (50, 4)).tolist() + [[0] * 4, [q - 1] * 4]
+    for a, b, c, d in digits:
+        U, V = (np.array([row], np.int16) for row in ((1, 0, a, b), (0, 1, c, d)))
+        assert view[a, b, c, d] == eng._rank(eng._normalize_rows(eng._plucker(U, V)))[0]
+
+
+def test_sweep_digit_tables_are_the_scaled_rank_weights(engine):
+    """The split's digit tables, through which a sweep reads its ranks, are
+    the torus scale table times the layout's digit weights, as int32."""
+    for q in (8, 49):
+        eng = engine(q)
+        scale, digit = (eng._group_arrays()[k] for k in (2, 4))
+        assert digit.dtype == np.int32
+        assert np.array_equal(digit, _layout(q)[3][:, None, None] * scale.astype(np.int64))
+
+
 def _assert_task_plucker_matches_unrank(eng, task):
-    _ranks, c0, c1, _slots, start, stop = task
-    offset = {(b[0], b[1]): b[3] for b in _pair_blocks(eng.q)}[c0, c1]
-    want = eng._unrank(offset + np.arange(start, stop))
+    want = eng._unrank(np.arange(task.start, task.stop))
     got = eng._task_plucker(task)
     assert got.dtype == want.dtype == np.int16
     assert np.array_equal(got, want), task
@@ -409,27 +451,26 @@ def test_task_plucker_matches_pair_rows(field, q):
     Python int."""
     eng = Engine(field(q), chunk=64)
     tasks = scalar_checks.line_tasks(eng)
-    assert len(tasks) > len(_pair_blocks(q)) or q == 2  # at q = 2 no block has 64 lines
-    assert any(stop - start < 64 for *_rest, start, stop in tasks)
+    assert len(tasks) > len(pg3.PAIR_IDX) or q == 2  # at q = 2 no block has 64 lines
+    assert any(task.stop - task.start < 64 for task in tasks)
     for task in tasks:
         _assert_task_plucker_matches_unrank(eng, task)
-    # the slabs of the class pass: the digit c of pivot block (0, 1) fixed
-    slots = pg3.rref_slots(0, 1, 4)
-    idx = np.arange(q**3)  # a q^2 + b q + d
+    # the slabs of the class pass: block 0 with its digit c fixed, its lines
+    # ranked by their other digits (a, b, d), in the order of the block view
+    # with the axis of c first
+    c0, c1, slots = _layout(q)[0][0][:3]
+    ranks = np.moveaxis(eng._block_view(np.arange(pg3.line_count(q))), 2, 0)
     for c in (0, 1):
-        got = eng._task_plucker((None, 0, 1, slots[:2] + (c,) + slots[3:], 0, q**3))
-        ranks = idx // q * q * q + c * q + idx % q
-        assert np.array_equal(got, eng._unrank(ranks))
+        got = eng._task_plucker(slice(0, q**3), (c0, c1, slots[:2] + (c,) + slots[3:], 0))
+        assert np.array_equal(got, eng._unrank(ranks[c].ravel()))
 
 
 def test_task_plucker_on_seeded_chunks_at_q64(engine):
     eng = engine(64)
     rng = np.random.default_rng(64)
-    for c0, c1, slots, offset, size in _pair_blocks(64):
+    for _c0, _c1, _slots, offset, size, _exps in _layout(64)[0]:
         start = int(rng.integers(0, size))
-        stop = min(start + 5000, size)
-        task = (slice(offset + start, offset + stop), c0, c1, slots, start, stop)
-        _assert_task_plucker_matches_unrank(eng, task)
+        _assert_task_plucker_matches_unrank(eng, slice(offset + start, offset + min(start + 5000, size)))
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
@@ -611,6 +652,28 @@ def test_in_order_keeps_task_order_and_stops_after_a_failure():
     assert 3 in started and len(started) < 10
 
 
+def test_in_order_keeps_no_task_alive_once_it_returns(monkeypatch):
+    """A pool thread drops the callable it ran only after the caller has
+    its result, so _in_order empties the helpers' hold on fn and the tasks
+    before it returns: with a pool whose helper keeps the callable forever,
+    an array that only fn holds is freed once the results are back."""
+    kept = []
+
+    class KeepingPool:
+        def submit(self, drain):
+            kept.append(drain)
+            done = Future()
+            done.set_result(drain())
+            return done
+    monkeypatch.setattr(bulk, "WORKERS", 2)
+    monkeypatch.setattr(bulk, "_pool", KeepingPool)
+    out = np.zeros(1000)
+    freed = weakref.ref(out)
+    assert bulk._in_order(out.fill, [1.0, 2.0]) == [None, None]
+    del out
+    assert len(kept) == 1 and freed() is None
+
+
 def test_split_sweeps_match_one_pass_over_the_group(engine):
     """At q = 49 the sweep runs over several torus slices; the sweep, its
     image ranks (one per element, so its fixer count is the stabilizer order
@@ -648,7 +711,7 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     group = scalar_checks.whole_group(eng)
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
+    seeds = _layout(q)[1].tolist()  # the first line of each block
     lines = [eng.line_from_rank(rank) for rank in seeds + rng.sample(range(pg3.line_count(q)), 3)]
     if q == 9:
         axis = pg3.line_from_plucker(eng.field, eng.axis_plucker)
@@ -783,7 +846,7 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
     images reach every block."""
     eng = engine(q)
     mats = scalar_checks.whole_group(eng)[1]
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
+    seeds = _layout(q)[1].tolist()  # the first line of each block
     seeds += random.Random(q).sample(range(pg3.line_count(q)), 4)
     reached = set()
     for rank in seeds:
@@ -809,7 +872,7 @@ def test_sweep_ranks_are_indexed_by_group_element(engine, q):
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     mats = scalar_checks.lifts(eng, eng.group_abcd())
     group = scalar_checks.whole_group(eng)
-    seeds = [offset for *_pivots, offset, _size in _pair_blocks(q)]
+    seeds = _layout(q)[1].tolist()  # the first line of each block
     for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
         line = eng.line_from_rank(rank)
         ranks = eng._sweep(eng._rep_images(line))
@@ -871,15 +934,17 @@ def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
 @pytest.mark.parametrize("q", (5, 8))
 def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     """_lincomb hands back an input column itself when its only nonzero
-    scalar is 1: the sweeps, the stabilizers read off them, the partition,
-    the triple images, the polarity identity, group_abcd and the plane
-    census leave the group's split (the representatives' rows and lifts,
-    the torus tables) and the points of PG(3,q) as they were."""
+    scalar is 1: the model flags, the sweeps, the stabilizers read off them,
+    the partition, the triple images, the polarity identity, group_abcd and
+    the plane census leave the group's split (the representatives' rows and
+    lifts, the torus tables), the points of PG(1,q) and PG(2,q) they span,
+    held fixed here, and the ranks of the cubic points and osculating
+    planes as they were."""
     eng = Engine(field(q))
-    points = eng._proj_points(4)
-    real = eng._proj_points
-    monkeypatch.setattr(eng, "_proj_points", lambda n: points if n == 4 else real(n))
-    arrays = (points, *eng._group_arrays())
+    points = {n: eng._proj_points(n) for n in (2, 3)}
+    monkeypatch.setattr(eng, "_proj_points", points.__getitem__)
+    arrays = (*points.values(), eng.cubic_point_ranks, eng.gamma_plane_ranks,
+              *eng._group_arrays())
     before = [a.copy() for a in arrays]
     for rank in (0, pg3.line_count(q) // 2):  # rank 0 joins two unit points
         line = eng.line_from_rank(rank)
@@ -890,7 +955,8 @@ def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
     eng.polarity_violations()
     eng.group_abcd()
     eng.plane_class_counts()
-    assert all(x is y for x, y in zip(eng._group_arrays(), arrays[1:]))
+    assert eng._cells is not None  # the partition built the model flags
+    assert all(x is y for x, y in zip(eng._group_arrays(), arrays[4:]))
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
 
