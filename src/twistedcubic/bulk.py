@@ -1,16 +1,20 @@
-"""Vectorized line engine over rank-indexed lines.
+"""Vectorized line engine over the torus orbits of lines.
 
-A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices,
-laid out by one block table, `_layout(q)`, that the encoders (`_rank`,
-`_sweep`), decoders (`_pairs_of`, `_task_plucker`) and digit view of pivot
-block (0, 1) (`_block_view`) read.  A point's or plane's rank is its index in
-`_proj_points(4)`.  The whole-universe state is one int16 cell per rank: the
-line's orbit label once its class is partitioned, else ~code (-1 - its class
-code), so locating a line is an index, not a search, and a class's lines are
-the ranks whose cells hold its ~code or the labels of its orbits.  A label
-indexes the engine's list of orbits, in the order the sweeps found them, each
-with its class, the size and stabilizer order its sweep measured, and its
-representative, the only packed base-q int64 Pluecker key it keeps.
+A line's rank is its index in the enumeration of rank-2 RREF 2 x 4 matrices
+by pivot block and RREF digits, laid out by one table, `_layout(q)`; a
+point's or plane's rank is its index in `_proj_points(4)`.  The diagonal
+torus t = (1, 0, 0, d) of the group multiplies each RREF digit by a power of
+d, its torus exponent.  A line with a nonzero digit of exponent 1 is
+generic: its torus orbit has q - 1 lines and one cell, named by its
+canonical line, whose first such digit is 1; every other line is special, a
+cell of its own.  Classes and orbits are unions of torus orbits, so the
+whole-universe state is one int16 per cell, about 2q^3 of them, laid out by
+the same table in sub-blocks of fixed digits: the label of its lines' orbit
+once their class is partitioned, else ~code (-1 - their class code).  A
+label indexes the engine's list of orbits, in the order the sweeps found
+them, each with its class, the size and stabilizer order its sweep
+measured, and its representative, the only packed base-q int64 Pluecker key
+it keeps.
 
 All field arithmetic goes through four elementwise ops (`_mul`, `_add`,
 `_sub`, `_neg`), built once per field by `field_ops`: a 1-D `take` on the
@@ -26,44 +30,35 @@ methods.  The independent oracles stay separate: the monomial null polarity
 on Pluecker vectors (`_polar`) and the root count of the chord quadratic
 (`_root_count`).
 
-The universe passes build each chunk's Pluecker rows from the base-q digits
-of its RREF free entries: the RREF rows are column lists (pg3.rref_rows) in
-which the pivot 1s, the other 0s and a fixed digit 0 or 1 stay Python ints,
-and pg3.plucker_forms runs with ops that fold away a multiply by 0 or 1 and
-a subtraction of 0.  Every row of a chunk then has l_{c0 c1} = 1 with zeros
-before it.  Neither pass builds the rows of all of pivot block (0, 1), whose
-lines are named by their RREF digits (a, b, c, d).  The polarity maps the
-line (a, b, c, d) to (F[d], b, c, G[a]).  The torus element (1, 0, 0, s)
-maps it to (s^2 a, s^3 b, s c, s^2 d), which keeps its class, so the class
-pass classifies only the slabs c = 1 and c = 0 and gathers every other slab
-from slab 1 (`line_cells`).
+The universe passes build the Pluecker rows of a slice of cells from their
+base-q digits, sub-block by sub-block (`_task_plucker`): the RREF rows are
+column lists (pg3.rref_rows) in which the pivot 1s, the other 0s and a
+sub-block's fixed digits 0 and 1 stay Python ints, and pg3.plucker_forms
+runs with ops that fold away a multiply by 0 or 1 and a subtraction of 0.
+The class pass classifies the canonical line of each cell; the polarity
+pass finds the cell of its image (`_cell_of`).
 
 The group is stored only as its split: each element is r * t once, r one
-of the q(q + 1) coset representatives of the diagonal torus t = (1, 0, 0,
-d), whose lift diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group
-pass acts on points only with the representatives; their images under a
-torus slice are gathers from a table of scaled digits.  Every group pass
-with one entry per element, triple images included, fills its array with
-one kernel, `_over_torus`, summing gathers from split tables: six for the
-keys of `orbit_sweep`, four for the line ranks of `_sweep` and the point
-ranks of `triple_images`, as the torus keeps the lead of each normalized
-image and scales its other coordinates by powers of d (`_torus_columns`).
+of the q(q + 1) coset representatives of the torus, whose lift
+diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group pass acts on points
+only with the representatives; their images under a torus slice are gathers
+from a table of scaled digits (`_torus_columns`).  A partition sweep or a
+stabilizer reads the cells of the R images r(l) (`_image_cells`): the q - 1
+images t(r(l)) of a generic one share its cell, and a special one is
+expanded into its torus images.  The passes with one entry per element, the
+keys of `orbit_sweep` and the point ranks of `triple_images`, fill their
+array with one kernel, `_over_torus`, summing gathers from split tables.
 
 Independent work runs on min(2, cores) threads: the calling thread and the
 helpers of one shared pool, started on first use (numpy releases the GIL in
-`take`, the ufuncs and the sorts).  They share out, in the class pass, the
-chunks of the slabs c = 1 and c = 0 and of the lines outside pivot block
-(0, 1) (`_line_tasks`), then one task per slab it fills; in the polarity
-pass those outside the block and slices of it; the torus slices of
-about chunk // 8 images (`_torus_slices`) of each group pass, which only
-fill their parts of its array (the partition reads the least key off the
-representatives' images, `_least_key`, on the calling thread), then a
-partition sweep's tail, as two tasks that each compress one half of the line
-ranks out of its array (dedup, cell check, label writes).  The contract:
+`take`, the ufuncs and the sorts).  They share out the slices of chunk
+cells of the class pass and of the polarity pass (`_tasks`), and the torus
+slices of about chunk images (`_torus_slices`) of each |G|-entry pass, which
+only fill their parts of its array.  The contract:
 
-- a task writes only the cells of its own chunk, filled slab or half of
-  the line ranks, or its torus slice's part of a sweep's array
-  (the polarity pass writes only True into a mask outside pivot block (0, 1));
+- a task writes only the cells of its own slice, or its torus slice's part
+  of a pass's array (the polarity pass writes only True into a mask over
+  the cells);
 - results are merged in task order, so no output depends on scheduling;
 - a task calls only private Engine helpers, sorted_unique and the shared
   pg3 and twisted forms, never a public method or entry point: the traced
@@ -71,9 +66,8 @@ ranks out of its array (dedup, cell check, label writes).  The contract:
   not thread-safe; the group's split is built before any task is handed
   out, and no task hands out tasks of its own (a helper would wait forever
   for itself);
-- small work runs inline on the calling thread: a single task, a universe
-  (in the polarity pass, a pivot block (0, 1)) that fits in one chunk, a
-  group pass of one torus slice, with a sweep's tail.
+- small work runs inline on the calling thread: a single task, as for cells
+  that fit in one chunk or a group pass of one torus slice.
 """
 
 from __future__ import annotations
@@ -163,25 +157,36 @@ def sorted_unique(out):
 
 @cache  # one table per q, shared by every caller, which only reads it
 def _layout(q):
-    """The line-rank layout (blocks, offsets, source, weights).  Block i holds
-    the lines whose first nonzero Pluecker coordinate is l_{c0 c1} = 1, the
-    ith of PAIR_IDX: blocks[i] is (c0, c1, slots, offset, size, exps), its
-    free (row, column) entries, the digits, most significant first, its first
-    rank, its number of lines and the digits' torus exponents e: (1, 0, 0, d)
-    scales a digit by d^e, its column's d^j over its row pivot's.  A rank is
-    its block's offset plus weights . its digits, padded at the front to four
-    with 0s; offsets are int32, and digit k of block i reads the coordinate
-    source[i, k] of the normalized Pluecker vector, + 6 if negated, 12 a pad."""
-    blocks, source, offset = [], [], 0
-    for c0, c1 in pg3.PAIR_IDX:
+    """The line-rank and cell layouts (blocks, cells, starts, lines).
+    Block i holds the lines whose first nonzero Pluecker coordinate is
+    l_{c0 c1} = 1, the ith of PAIR_IDX: blocks[i] is (c0, c1, slots, offset,
+    size, exps), its free (row, column) entries, the digits, most
+    significant first, its first rank, its number of lines and the digits'
+    torus exponents e: (1, 0, 0, d) scales a digit by d^e, its column's d^j
+    over its row pivot's.  A rank is its block's offset plus its digits
+    read base q.
+
+    The cells lie in sub-blocks (c0, c1, slots, offset, size, lines), in
+    block order, whose slots fix the exponent-1 digits to 1s and 0s: per
+    exponent-1 digit k of block i, the canonical lines whose first nonzero
+    such digit is k, from cell starts[i, k] on, with q - 1 lines per cell;
+    then the special lines, from starts[i, 4] on, one per cell.  A cell is
+    its sub-block's offset plus its free digits read base q; lines holds
+    the number of lines of each cell."""
+    blocks, cells, starts, offset = [], [], np.zeros((6, 5), np.int64), 0
+    for i, (c0, c1) in enumerate(pg3.PAIR_IDX):
         slots = pg3.rref_slots(c0, c1, 4)
-        size = q ** len(slots)
-        blocks.append((c0, c1, slots, offset, size, [j - (c0, c1)[i] for i, j in slots]))
-        source.append([12] * (4 - len(slots))
-                      + list(pg3.rref_entries(range(6), c0, c1, lambda j: j + 6)))
-        offset += size
-    return (blocks, np.array([b[3] for b in blocks], np.int32), np.array(source),
-            q ** np.arange(3, -1, -1, dtype=np.int32))
+        exps = [j - (c0, c1)[row] for row, j in slots]
+        blocks.append((c0, c1, slots, sum(b[4] for b in blocks), q ** len(slots), exps))
+        ones = [k for k, e in enumerate(exps) if e == 1]
+        for n, k in enumerate(ones + [4]):
+            fixed = tuple(int(j == k) if j in ones[:n + 1] else x for j, x in enumerate(slots))
+            size = q ** sum(isinstance(x, tuple) for x in fixed)
+            starts[i, k] = offset
+            cells.append((c0, c1, fixed, offset, size, q - 1 if k < 4 else 1))
+            offset += size
+    return blocks, cells, starts, np.repeat(np.array([c[5] for c in cells], np.int16),
+                                            [c[4] for c in cells])
 
 
 def _worker_count():
@@ -244,27 +249,26 @@ def _in_order(fn, tasks):
     return results
 
 
-# bits of the per-rank model flags built by Engine._model_flags: the line
-# meets the cubic (it is the dual of a line in the plane whose coordinates
-# are a cubic point) or lies in an osculating plane
+# bits of the per-cell model flags built by Engine._model_flags: the lines
+# meet the cubic (each is the dual of a line in the plane whose coordinates
+# are a cubic point) or lie in an osculating plane
 MEETS, GAMMA = 1, 2
 
 
 class Engine:
     """Bulk classification and orbit machinery for one field's cubic.
-    Its only array with one entry per line, the line cells (class codes
-    written over the model flags, then orbit labels), is built on first use,
-    never for queries.
+    Its whole-universe state, the cells (class codes written over the model
+    flags, then orbit labels), one per torus orbit of generic lines and one
+    per special line, is built on first use, never for queries.
 
-    Chunks of `chunk` lines, the slabs the class pass fills, the torus
-    slices of large group passes and the halves of the line ranks in a
-    sweep's tail are shared out over threads under the module's contract.
+    Slices of `chunk` cells and the torus slices of large group passes are
+    shared out over threads under the module's contract.
     The results depend only on the field and the cubic's closed forms
     twisted.cubic_point and twisted.osculating_plane, checked to give q + 1
     distinct points and planes, each plane meeting the cubic once."""
 
-    def __init__(self, field, chunk=1 << 19):
-        q = field.q  # the limits of the int16 table indices and int32 sweep ranks
+    def __init__(self, field, chunk=1 << 16):
+        q = field.q  # the limits of the int16 table indices and int32 digits
         if q * q - 1 >= 2**15 or pg3.line_count(q) >= 2**31:
             raise ValueError(f"q = {q}: the engine needs q^2 - 1 < 2^15 and line_count(q) < 2^31")
         self.field = field
@@ -279,7 +283,7 @@ class Engine:
         self.nine = field.mul(self.three, self.three)
         self.four = field.of_int(4)
         self.group_order = q**3 - q
-        self._blocks, self._offsets, self._digit_source, self._weights = _layout(q)
+        self._blocks, self._subs, self._starts, self._lines = _layout(q)
 
         params = list(field.elements()) + [twisted.INF]
         self.cubic_points, self.gamma_planes = (
@@ -327,42 +331,74 @@ class Engine:
         """(n, 6) int16 Pluecker rows of packed line keys."""
         return _columns(list(self._digits(keys, 6))[::-1])
 
+    def _by_lead(self, P):
+        """(rows, lead, n, digits) per block of _layout, for the normalized
+        Pluecker rows P: the n rows led by the block's l_{c0 c1} = 1 and
+        their free RREF entries (pg3.rref_entries).  Every row is first read
+        as if it were in block 0, pivots (0, 1), as all but about 1/q of them
+        are, then the rest, so a caller writes each row's result over its
+        last."""
+        rows, sub = slice(None), P
+        for lead, (c0, c1, *_rest) in enumerate(self._blocks):
+            if not len(sub):
+                return
+            yield rows, lead, len(sub), list(pg3.rref_entries(sub.T, c0, c1, self._neg))
+            later = np.flatnonzero(sub[:, lead] == 0)
+            rows, sub = later if sub is P else rows[later], sub[later]
+
     def _rank(self, P):
         """Index of each normalized Pluecker row in the enumeration of the
         rank-2 RREF 2 x 4 matrices (_layout): the offset of the block led by
-        its first nonzero coordinate plus its free RREF entries
-        (pg3.rref_entries) read base q.  Every row is first ranked as if it
-        were in block 0, pivots (0, 1), as all but about 1/q of them are,
-        then the rest."""
+        its first nonzero coordinate plus its free RREF entries read base q."""
         out = np.empty(len(P), np.int64)
-        rows, sub = slice(None), P
-        for lead, (c0, c1, _slots, offset, *_) in enumerate(self._blocks):
-            if not len(sub):
-                break
-            rank = np.zeros(len(sub), np.int64)
-            for entry in pg3.rref_entries(sub.T, c0, c1, self._neg):
+        for rows, lead, n, digits in self._by_lead(P):
+            rank = np.zeros(n, np.int64)
+            for x in digits:
                 rank *= self.q
-                rank += entry
-            out[rows] = rank + offset
-            later = np.flatnonzero(sub[:, lead] == 0)
-            rows, sub = later if sub is P else rows[later], sub[later]
+                rank += x
+            out[rows] = rank + self._blocks[lead][3]
         return out
 
-    def _pairs_of(self, ranks):
-        """The RREF row pairs (U, V) of the lines with the given ranks;
-        ValueError for a rank outside [0, line_count(q))."""
-        n = pg3.line_count(self.q)
+    def _cell_of(self, P):
+        """(cells, units) of the lines with normalized Pluecker rows P: a
+        line's unit is its first nonzero digit of torus exponent 1, 0 for a
+        special line, and its cell (_layout) that of its canonical line,
+        whose digits of exponent e are its own times unit^-e, read off the
+        split's scale table, its free digits read base q."""
+        scale = self._group_arrays()[2]
+        cells, units = np.empty(len(P), np.int64), np.empty(len(P), np.int16)
+        for rows, lead, n, digits in self._by_lead(P):
+            exps = self._blocks[lead][5]
+            unit, first = 0, 4
+            for k in reversed([k for k, e in enumerate(exps) if e == 1]):  # the first last
+                hit = digits[k] != 0
+                unit, first = np.where(hit, digits[k], unit), np.where(hit, k, first)
+            # the torus unit d - 1 of d = unit^-1, and d = 1 for a special line (INV[0] = 0)
+            d = np.maximum(self.INV.take(unit), 1) - 1
+            cell = np.zeros(n, np.int64)
+            for k, (e, x) in enumerate(zip(exps, digits)):
+                x = scale[d, e * self.q + x]
+                # the digits of exponent 1 up to the first nonzero one are fixed
+                cell = cell * self.q + x if e != 1 else np.where(first < k, cell * self.q + x, cell)
+            cells[rows], units[rows] = cell + self._starts[lead, first], unit
+        return cells, units
+
+    def _pairs_of(self, ranks, blocks=None):
+        """The RREF row pairs (U, V) of the lines with the given ranks, or with
+        blocks the cells of _layout, of the canonical lines of the given cells;
+        ValueError for an index outside the table."""
+        blocks = blocks or self._blocks
+        n = sum(b[4] for b in blocks)
         bad = ranks[(ranks < 0) | (ranks >= n)]
         if len(bad):
             raise ValueError(f"line rank {bad[0]} is outside [0, {n})")
         U, V = (np.empty((len(ranks), 4), np.int16) for _ in range(2))
-        for block in self._blocks:
-            offset, size = block[3:5]
-            sel = np.flatnonzero((ranks >= offset) & (ranks < offset + size))
-            if len(sel):
-                for M, row in zip((U, V), self._digit_rows(block, ranks[sel] - offset)):
-                    for j, x in enumerate(row):  # a Python int fills its whole column
-                        M[sel, j] = x
+        which = np.searchsorted([b[3] for b in blocks], ranks, "right") - 1
+        for i in np.unique(which):
+            sel = np.flatnonzero(which == i)
+            for M, row in zip((U, V), self._digit_rows(blocks[i], ranks[sel] - blocks[i][3])):
+                for j, x in enumerate(row):  # a Python int fills its whole column
+                    M[sel, j] = x
         return U, V
 
     def _unrank(self, ranks):
@@ -506,29 +542,22 @@ class Engine:
         cols = list(self._digits(idx, sum(isinstance(x, tuple) for x in slots)))
         return pg3.rref_rows(4, c0, c1, [x if isinstance(x, int) else cols.pop() for x in slots])
 
-    def _line_tasks(self):
-        """The slices of at most chunk ranks, each in one block, that cover
-        the ranks outside pivot block (0, 1) in order."""
-        return [slice(lo, min(lo + self.chunk, offset + size))
-                for _c0, _c1, _slots, offset, size, _exps in self._blocks[1:]
-                for lo in range(offset, offset + size, self.chunk)]
-
-    def _task_plucker(self, ranks, block=None):
-        """Pluecker rows, normalized since l_{c0 c1} = 1, of a slice of ranks in
-        one block of _layout or the given block, from their RREF rows
-        (_digit_rows), whose constant 0s and 1s fold away: the rows (1, 0, a,
-        b), (0, 1, c, d) give (1, c, d, -a, -b, ad - bc)."""
-        block = block or self._blocks[np.searchsorted(self._offsets, ranks.start, "right") - 1]
-        # int32 digits take half the time of int64 ones; a block holds at most q^4
-        u, v = self._digit_rows(block, np.arange(ranks.start - block[3], ranks.stop - block[3],
-                                                 dtype=np.int32))
-        return _columns([np.full(ranks.stop - ranks.start, x, np.int16) if isinstance(x, int) else x
-                         for x in pg3.plucker_forms(u, v, *self._digit_ops)])
-
-    def _block_view(self, cells):
-        """The cells of pivot block (0, 1), the ranks before offsets[1]
-        (_layout), as a view indexed by the four digits (a, b, c, d)."""
-        return cells[:self._offsets[1]].reshape((self.q,) * len(self._weights))
+    def _task_plucker(self, idx, blocks):
+        """Pluecker rows, normalized since l_{c0 c1} = 1, of a slice of the
+        indices of a table of _layout (its line ranks or its cells), block by
+        block from their RREF rows (_digit_rows), whose constant 0s and 1s
+        fold away: the rows (1, 0, a, b), (0, 1, c, d) give (1, c, d, -a, -b,
+        ad - bc)."""
+        parts = []
+        for block in blocks:
+            lo, hi = max(idx.start, block[3]), min(idx.stop, block[3] + block[4])
+            if lo < hi:
+                # int32 digits take half the time of int64 ones; a block holds at most q^4
+                u, v = self._digit_rows(block, np.arange(lo - block[3], hi - block[3],
+                                                         dtype=np.int32))
+                parts.append([np.full(hi - lo, x, np.int16) if isinstance(x, int) else x
+                              for x in pg3.plucker_forms(u, v, *self._digit_ops)])
+        return _columns([np.concatenate(col) for col in zip(*parts)])
 
     def _dual(self, P):
         """The dual Pluecker rows (l23, -l13, l12, l03, -l02, l01): the points
@@ -538,30 +567,31 @@ class Engine:
         return _columns([P[:, 5], neg(P[:, 4]), P[:, 3], P[:, 2], neg(P[:, 1]), P[:, 0]])
 
     def _model_flags(self):
-        """Per line rank, as int16: MEETS if the line meets the cubic, GAMMA
-        if it lies in an osculating plane.  A plane with basis rows b0, b1, b2
-        (pg3.plane_basis) holds the lines sum x_ij P(b_i, b_j), P the
-        Pluecker vector (pg3.plucker_forms), one per point x = (x01, x02, x12)
-        of PG(2,q): x is the vector of 2 x 2 minors of the two rows that span
-        the line in the plane's coordinates (the second compound).  The lines
-        through a point y are the duals (_dual) of the lines of the plane
-        whose coordinates are y."""
-        flags = np.zeros(pg3.line_count(self.q), np.int16)
+        """Per cell, as int16: MEETS if its lines meet the cubic, GAMMA if
+        they lie in an osculating plane (the torus keeps both).  A plane with
+        basis rows b0, b1, b2 (pg3.plane_basis) holds the lines sum x_ij
+        P(b_i, b_j), P the Pluecker vector (pg3.plucker_forms), one per point
+        x = (x01, x02, x12) of PG(2,q): x is the vector of 2 x 2 minors of the
+        two rows that span the line in the plane's coordinates (the second
+        compound).  The lines through a point y are the duals (_dual) of the
+        lines of the plane whose coordinates are y."""
+        flags = np.zeros(len(self._lines), np.int16)
         f, x = self.field, self._proj_points(3).T
+        step = self.chunk // x.shape[1] + 1  # planes per call
         for bit, planes, image in ((MEETS, self.cubic_points, self._dual),
                                    (GAMMA, self.gamma_planes, _identity)):
-            for plane in planes:
-                forms = [pg3.plucker_forms(u, v, f.mul, f.sub)
-                         for u, v in combinations(pg3.plane_basis(f, plane), 2)]
-                flags[self._rank(self._normalize_rows(image(self._span(forms, x))))] |= bit
+            for i in range(0, len(planes), step):
+                spans = [self._span([pg3.plucker_forms(u, v, f.mul, f.sub) for u, v in
+                                     combinations(pg3.plane_basis(f, plane), 2)], x)
+                         for plane in planes[i:i + step]]
+                flags[self._cell_of(self._normalize_rows(image(np.concatenate(spans))))[0]] |= bit
         return flags
 
     # -- classification ----------------------------------------------------------
 
     def _classify_chunk(self, P, flags):
-        """Class codes and Klein violations of the lines with normalized
+        """Class codes and Klein form values of the lines with normalized
         Pluecker rows P and model flags `flags`."""
-        klein_bad = int(np.count_nonzero(self._klein(P)))
 
         cc = self._chord_code(P)
         cls = np.full(len(P), CODE[twisted.ENG], np.int8)
@@ -590,59 +620,41 @@ class Engine:
             cls[is_axis] = CODE[twisted.A]
             hits_axis = m0 & ~is_axis & (self._pairing_with(P, self.axis_plucker) == 0)
             cls[hits_axis] = CODE[twisted.EA]
-        return cls, klein_bad
+        return cls, self._klein(P)
 
     def line_cells(self) -> np.ndarray:
-        """The int16 cell of every line, by rank: the label of its orbit once
-        its class is partitioned, else ~code, for its class code (an index
-        into CLASS_ORDER).  The first call classifies about 3q^3 lines in
-        chunks, each reading its model flags, then writing its ~codes over
-        them: the slabs c = 1 and c = 0 of the lines (a, b, c, d) of pivot
-        block (0, 1), named by their RREF digits, then the other blocks.  The
-        torus element (1, 0, 0, s) maps (a, b, 1, d) to (s^2 a, s^3 b, s, s^2 d),
-        keeping its class and its Klein form up to a unit, so each other slab
-        c = s is slab 1 gathered at (s^-2 a, s^-3 b, s^-2 d), and slab 1 counts
-        q - 1 times in the class sizes and the Klein violations."""
+        """The int16 cell of every torus orbit of lines, as laid out by
+        _layout: the label of its lines' orbit once their class is
+        partitioned, else ~code, for their class code (an index into
+        CLASS_ORDER).  The first call classifies the canonical line of each
+        cell, in slices of chunk cells (_tasks), each reading its model flags,
+        then writing its ~codes over them; a cell counts for its lines in the
+        class sizes and the Klein violations."""
         if self._cells is None:
-            q, (c0, c1, slots, *_rest, exps) = self.q, self._blocks[0]
             cells = self._model_flags()
-            ax = exps.index(1)  # c's: slab[c] holds the lines (a, b, c, d) by (a, b, d)
-            slab = np.moveaxis(self._block_view(cells), ax, 0)
-            step = max(1, self.chunk // q**2)
 
             def classify(task):
-                view, ranks, block, w = task
-                codes, bad = self._classify_chunk(self._task_plucker(ranks, block), view.ravel())
-                view.flat = ~codes
-                return w * bad, w * np.bincount(codes, minlength=len(CLASS_ORDER))
-
-            def fill(s):
-                src = slab[1]
-                # one take per axis, of the map x -> s^-e x for its exponent e
-                for k, e in enumerate(np.delete(exps, ax)):
-                    src = src.take(self.field.mul_table[reduce(self._mul, [self.INV[s]] * e)], k)
-                slab[s] = src
-            run = map if pg3.line_count(q) <= self.chunk else _in_order
-            # block 0 with c fixed, ranked by (a, b, d); slab 1 stands for the slabs c != 0
-            bad, sizes = zip(*run(classify, [
-                (slab[c, a:a + step], slice(slab[c, :a].size, slab[c, :a + step].size),
-                 (c0, c1, slots[:ax] + (c,) + slots[ax + 1:], 0), q - 1 if c else 1)
-                for c in (1, 0) for a in range(0, q, step)
-            ] + [(cells[ranks], ranks, None, 1) for ranks in self._line_tasks()]))
-            list(run(fill, range(2, q)))
+                codes, klein = self._classify_chunk(self._task_plucker(task, self._subs),
+                                                    cells[task])
+                cells[task], lines = ~codes, self._lines[task]
+                return int(lines[klein != 0].sum()), np.bincount(codes, lines, len(CLASS_ORDER))
+            bad, sizes = zip(*_in_order(classify, self._tasks()))
             self._cells, self._class_sizes, self._klein_violations = cells, sum(sizes), sum(bad)
         return self._cells
 
-    def _ranks_of(self, classes):
-        """The ascending ranks of the lines of the given classes: the cells
-        that hold their ~codes or the labels of their orbits, found window by
-        window, since a mask of every rank at once would set the peak memory
-        of the census."""
-        cells = self.line_cells()
+    def _tasks(self):
+        """The slices of at most chunk cells that cover the cells in order."""
+        return [slice(lo, lo + self.chunk) for lo in range(0, len(self._lines), self.chunk)]
+
+    def _class_ranks(self, classes):
+        """The ascending ranks of the lines of the given classes: the torus
+        images of the canonical lines of the cells that hold their ~codes or
+        the labels of their orbits."""
         wanted = [~CODE[c] for c in classes] + [
             label for label, (c, *_rest) in enumerate(self._orbits) if c in classes]
-        return np.concatenate([lo + np.flatnonzero(np.isin(cells[lo:lo + self.chunk], wanted))
-                               for lo in range(0, len(cells), self.chunk)])
+        P = self._plucker(*self._pairs_of(np.flatnonzero(np.isin(self.line_cells(), wanted)),
+                                          self._subs))
+        return np.unique(self._rank(self._torus_rows(self._torus_columns(P, _WEIGHT)[1])))
 
     def class_counts(self) -> dict[str, int]:
         """The number of lines of each populated class."""
@@ -652,8 +664,8 @@ class Engine:
 
     def class_keys(self) -> dict[str, np.ndarray]:
         """The ascending ranks of the lines of each populated class, read off
-        the line cells on each call; the census never calls it."""
-        return {cls: self._ranks_of([cls]) for cls in twisted.valid_line_classes(self.field)}
+        the cells on each call; the census never calls it."""
+        return {cls: self._class_ranks([cls]) for cls in twisted.valid_line_classes(self.field)}
 
     def klein_violations(self) -> int:
         self.line_cells()
@@ -667,57 +679,35 @@ class Engine:
         """(class, size) of every orbit partitioned so far, by label."""
         return [(cls, size) for cls, size, _stab, _rep in self._orbits]
 
-    def _block_polar_digits(self):
-        """(F, G): the polarity (xi != 0) maps the line of pivot block (0, 1)
-        with RREF digits (a, b, c, d) to that with (F[d], b, c, G[a]), as
-        _polar is monomial and keeps l01 first.  Read off the lines with one
-        nonzero digit, whose ranks are multiples of the digit weights since
-        block (0, 1) starts at 0; RuntimeError unless F and G permute there."""
-        axes = self._weights[:, None] * np.arange(self.q)
-        P = self._normalize_rows(self._polar(self._unrank(axes.ravel())))
-        a, b, c, d = self._rank(P).reshape(4, self.q)
-        if not np.array_equal([np.sort(a), b, c, np.sort(d)], axes[[3, 1, 2, 0]]):
-            raise RuntimeError("the polarity does not permute the digits of pivot block (0, 1)")
-        return d // self._weights[0], a
-
     def polar_orbit_counts(self):
         """Send every line through the null polarity (xi != 0), once every
-        populated class is partitioned.  The labels of pivot block (0, 1)
-        (_block_view), as X[a, b q + c, d], pair with X[F[d], b q + c, G[a]]
-        (_block_polar_digits), a slice of b q + c per task; the other lines'
-        normalized polar images are ranked chunk by chunk and marked in a
-        mask over their own ranks.  A task returns only its nonzero pair
-        counts, since every task's result is held until all are done.
+        populated class is partitioned, and with it the group's split.  The
+        polarity commutes with the group, so it maps the torus orbit of each
+        cell's canonical line onto that of its image: a task maps the
+        canonical lines of a slice of cells (_tasks), marks the cells of their
+        normalized images in a mask over the cells and counts each pair of
+        labels for the lines of its cells.  A task returns only its nonzero
+        pair counts, since every task's result is held until all are done.
 
-        Returns (onto, counts): onto is True iff every line is an image;
+        Returns (onto, counts): onto is True iff every cell holds an image;
         counts[i, j] counts the lines of orbit i with image in orbit j."""
         if {cls for cls, _size in self.orbits()} != set(twisted.valid_line_classes(self.field)):
             raise ValueError("the polarity pass needs every class partitioned")
-        labels, m, q = self.line_cells(), len(self._orbits), self.q  # every cell is a label
-        F, G = self._block_polar_digits()
-        n0 = self._offsets[1]  # the first rank after block (0, 1)
-        block = self._block_view(labels).reshape(q, -1, q)  # by a, b q + c, d
-        hit = np.zeros(len(labels) - n0, dtype=bool)
+        labels, m = self.line_cells(), len(self._orbits)  # every cell is a label
+        hit = np.zeros(len(labels), dtype=bool)
 
         def polarize(task):
-            if isinstance(task, tuple):
-                src = block[task]
-                img = src.take(F, axis=0).take(G, axis=2).transpose(2, 1, 0)
-            else:
-                ranks = self._rank(self._normalize_rows(self._polar(self._task_plucker(task))))
-                # an image in block (0, 1) leaves a rank of the rest unmarked
-                hit[ranks[ranks >= n0] - n0] = True
-                src, img = labels[task], labels[ranks]
-            counts = np.bincount((src.astype(np.intp) * m + img).ravel(), minlength=m * m)
+            img = self._cell_of(self._normalize_rows(self._polar(
+                self._task_plucker(task, self._subs))))[0]
+            hit[img] = True
+            counts = np.bincount(labels[task].astype(np.intp) * m + labels[img],
+                                 self._lines[task], m * m)
             nonzero = np.flatnonzero(counts)
             return nonzero, counts[nonzero]
-        # the rest first, whose temporaries are the larger, while few results are held
-        step = max(1, self.chunk // q**2)
-        tasks = self._line_tasks() + [np.s_[:, bc:bc + step] for bc in range(0, q * q, step)]
-        counts = np.zeros(m * m, np.int64)
-        for nonzero, found in (_in_order if n0 > self.chunk else map)(polarize, tasks):
+        counts = np.zeros(m * m)
+        for nonzero, found in _in_order(polarize, self._tasks()):
             counts[nonzero] += found
-        return bool(hit.all()), counts.reshape(m, m)
+        return bool(hit.all()), counts.reshape(m, m).astype(np.int64)
 
     # -- group sweeps ------------------------------------------------------------
 
@@ -727,7 +717,8 @@ class Engine:
         the pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts,
         entry (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x], e <= 4;
         that table times q^(5 - k) for coordinate k of a key, as int64; and
-        times the rank's digit weights (_layout), int32 as ranks are < 2^31."""
+        its last four, times q^3, ..., 1, as int32, for the point ranks of
+        triple_images."""
         if self._split is None:
             q, line = self.q, self._proj_points(2)
             abcd = np.hstack([line[i] for i in np.nonzero(~np.eye(q + 1, dtype=bool))])
@@ -738,7 +729,7 @@ class Engine:
                 powers.append(self._mul(powers[-1], units))
             scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
             keyed = q ** np.arange(5, -1, -1)[:, None, None] * scale
-            self._split = (abcd, lifts, scale, keyed, self._weights[:, None, None] * scale)
+            self._split = (abcd, lifts, scale, keyed, keyed[2:].astype(np.int32))
         return self._split
 
     def _elements(self, index):
@@ -764,10 +755,10 @@ class Engine:
 
     def _torus_slices(self):
         """The slices of the torus units d - 1 that a group pass shares out,
-        of about chunk // 8 elements each, and two per thread at least when
+        of about chunk elements each, and two per thread at least when
         there are more, so a busy core leaves part of its share to the others."""
         q = self.q
-        parts = -(-self.group_order // max(1, self.chunk // 8))
+        parts = -(-self.group_order // self.chunk)
         parts = min(q - 1, max(parts, 2 * WORKERS) if parts > 1 else 1)
         return [slice((q - 1) * i // parts, (q - 1) * (i + 1) // parts) for i in range(parts)]
 
@@ -781,10 +772,16 @@ class Engine:
         lead = (X != 0).argmax(axis=1)
         return lead, np.maximum(weight[:, None] - weight[lead], 0) * self.q + X.T
 
-    def _rep_images(self, line):
-        """(lead, at) of the line's images under the representatives
-        (_torus_columns): t scales l_ij by d^(i + j)."""
-        return self._torus_columns(self._plucker(*map(self._point_at, line.pair)), _WEIGHT)
+    def _rep_images(self, pair):
+        """(lead, at) of the images under the representatives (_torus_columns)
+        of the line through the pair of points: t scales l_ij by d^(i + j)."""
+        return self._torus_columns(self._plucker(*map(self._point_at, pair)), _WEIGHT)
+
+    def _torus_rows(self, at):
+        """The normalized rows of the images under the torus of the rows
+        given as (_torus_columns) at: the image of row i under (1, 0, 0, d)
+        is row (d - 1) n + i."""
+        return self._group_arrays()[2][:, at].transpose(0, 2, 1).reshape(-1, 6)
 
     def _over_torus(self, tables, cols, base=0):
         """One entry per group element, in the order of group_abcd, of the
@@ -804,22 +801,34 @@ class Engine:
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line, summed from
         gathers of the split's keyed tables."""
-        _lead, at = self._rep_images(line)  # builds the split
+        at = self._rep_images(line.pair)[1]  # builds the split
         return sorted_unique(self._over_torus(self._split[3], at))
 
-    def _sweep(self, images):
-        """The int32 ranks of a line's images under the group elements, in the
-        order of group_abcd, from its images (lead, at) under the
-        representatives (_rep_images): the torus multiplies each RREF digit
-        (pg3.rref_entries) of a representative's image by a power of d, so a
-        rank is its block offset plus four gathers from the split's digit
-        tables, at e * q + x with x negated where the digit is."""
-        lead, at = images
-        x = at % self.q
-        # the indices, then those with x negated, then 0s, which read 0
-        signed = np.concatenate([at, at - x + self._neg(x), np.zeros_like(at[:1])])
-        digits = signed[self._digit_source[lead].T, np.arange(len(lead))]
-        return self._over_torus(self._split[4], digits, self._offsets[lead])
+    def _image_cells(self, images):
+        """(cells, index) of the line's images under the group, read off
+        its images (lead, at) under the representatives r (_rep_images): an
+        entry per r, then one per torus image t(r(l)), d >= 2, of a special
+        r(l), one with no nonzero coordinate of torus weight 1 over its lead.
+        A generic r(l) stands for its q - 1 images, one cell: its entry holds
+        that cell and the index into group_abcd of the element r * t that
+        maps l to the image with l's own unit (_cell_of), read off the
+        identity, representative q.  A special r(l) is its own cell, and its
+        torus images (_torus_rows) each theirs, with their elements' index.
+        Only the distinct special images are expanded: every image of a
+        tangent is special."""
+        at, q = images[1], self.q
+        R, x = at.shape[1], (at % q).astype(np.int16)
+        special = np.flatnonzero(~((at > q) & (at < 2 * q)).any(axis=0))
+        _keys, first, inv = np.unique(self._pack(x[:, special].T), return_index=True,
+                                      return_inverse=True)
+        cells, units = self._cell_of(np.concatenate([x.T, self._torus_rows(at[:, special[first]])]))
+        # the line's own unit is that of its image under the identity (1, 0, 0, 1),
+        # representative q (the points of PG(1,q) run (0, 1), (1, 0), (1, 1), ...);
+        # d - 1 is 0 for a special r(l)
+        d = np.maximum(self._mul(units[q], self.INV.take(units[:R])), 1) - 1
+        return (np.concatenate([cells[:R], cells[R:].reshape(q - 1, -1)[1:, inv].ravel()]),
+                np.concatenate([d.astype(np.int64) * R + np.arange(R),
+                                (np.arange(1, q - 1)[:, None] * R + special).ravel()]))
 
     def _least_key(self, lead, at):
         """The least packed key of the line's images, read off its images
@@ -838,57 +847,38 @@ class Engine:
     def orbit_partition_keys(self, cls) -> list[tuple[int, int, int]]:
         """The (size, stabilizer_order, representative_key) records of one
         class's orbits, sorted by (size, representative).  The first call
-        partitions the class: each sweep writes the index its orbit takes in
-        the orbit list into the cells of the orbit's ranks, in one tail task
-        per half of the line ranks when the sweep had several torus slices,
-        and the class's orbits join the list once all are found, so a failed
-        call adds none and leaves the cells as they were.  The size counts
-        the distinct ranks of the sweep, the stabilizer order the elements
-        that fix its seed line, the representative is the minimal key; an
-        image whose cell does not hold the class's ~code, a line of another
-        class or of an orbit already found, is a fault of the census:
-        RuntimeError naming it."""
+        partitions the class: a sweep (_image_cells) seeded at the canonical
+        line of each unlabelled cell of the class writes the index its orbit
+        takes in the orbit list into the orbit's cells, and the class's
+        orbits join the list once all are found, so a failed call adds none
+        and leaves the cells as they were.  The size counts the lines of the
+        sweep's distinct cells, the stabilizer order its entries that hold
+        the seed's cell, the representative is the minimal key; an image
+        whose cell does not hold the class's ~code, of another class or of
+        an orbit already found, is a fault of the census: RuntimeError
+        naming it."""
         if cls not in {c for c, _size in self.orbits()}:
             # the cell of a line of the class not yet labelled
             cells, unset = self.line_cells(), ~CODE[cls]
-            found, left = [], int(self._class_sizes[CODE[cls]])
-            half = len(cells) // 2
-            halves = (True, False) if len(self._torus_slices()) > 1 else (None,)
-
-            def tail(low):
-                """The number of distinct ranks of the sweep (`ranks`) below half
-                the line count (low True), from it on (False) or in all (None),
-                whose lines it labels `label` once they are checked."""
-                part = ranks if low is None else np.compress(
-                    ranks < half if low else ranks >= half, ranks)
-                # int32 ranks sort in half the int64 time; then intp, which numpy
-                # would otherwise convert to on each gather and scatter
-                orbit = sorted_unique(part).astype(np.intp)
-                stray = cells[orbit] != unset
-                if stray.any():
-                    rank = orbit[stray.argmax()]
-                    cell = int(cells[rank])
-                    held = f"class {CLASS_ORDER[~cell]}" if cell < 0 else f"orbit {cell}"
-                    raise RuntimeError(f"a {cls} sweep met line {rank} of {held}")
-                cells[orbit] = label
-                return len(orbit)
+            found, left, seed = [], int(self._class_sizes[CODE[cls]]), 0
             try:
-                for lo in range(0, len(cells), self.chunk):
-                    hi = min(lo + self.chunk, len(cells))
-                    # seed a sweep at each unlabelled line of the class in the
-                    # window until the orbits found hold the whole class; the
-                    # lines before a seed are labelled, so the scan resumes after it
-                    while left and (todo := cells[lo:hi] == unset).any():
-                        seed = lo + int(todo.argmax())
-                        lo = seed + 1
-                        images = self._rep_images(self.line_from_rank(seed))
-                        ranks = self._sweep(images)
-                        # counted first: a tail of the whole sweep sorts it in place
-                        stab = int(np.count_nonzero(ranks == seed))
-                        label = len(self._orbits) + len(found)
-                        size = sum(_in_order(tail, halves))
-                        left -= size
-                        found.append((cls, size, stab, self._least_key(*images)))
+                while left > 0:
+                    # the cells before the last seed are labelled
+                    seed += int((cells[seed:] == unset).argmax())
+                    images = self._rep_images(
+                        next(zip(*self._pairs_of(np.array([seed]), self._subs))))
+                    met = self._image_cells(images)[0]
+                    stab = int(np.count_nonzero(met == seed))
+                    orbit = sorted_unique(met)
+                    if (stray := cells[orbit] != unset).any():
+                        cell = int(orbit[stray.argmax()])
+                        held = int(cells[cell])
+                        held = f"class {CLASS_ORDER[~held]}" if held < 0 else f"orbit {held}"
+                        raise RuntimeError(f"a {cls} sweep met cell {cell} of {held}")
+                    cells[orbit] = len(self._orbits) + len(found)
+                    size = int(self._lines[orbit].sum())
+                    left -= size
+                    found.append((cls, size, stab, self._least_key(*images)))
             except BaseException:
                 cells[cells >= len(self._orbits)] = unset  # unlabel the orbits found
                 raise
@@ -897,14 +887,11 @@ class Engine:
                       key=lambda r: (r[0], r[2]))
 
     def stabilizer_abcd(self, line) -> list[tuple[int, int, int, int]]:
-        """The sorted (a, b, c, d) of the elements that fix the line: those
-        whose entries of its sweep hold its own rank, as the partition counts
-        them."""
-        ranks = self._sweep(self._rep_images(line))
-        # the identity (1, 0, 0, 1) is representative q (the points of PG(1,q)
-        # run (0, 1), (1, 0), (1, 1), ...) at d = 1: element q of group_abcd()
-        own = ranks[self.q]
-        return sorted(map(tuple, self._elements(np.flatnonzero(ranks == own)).tolist()))
+        """The sorted (a, b, c, d) of the elements that fix the line: those of
+        the entries of its sweep (_image_cells) that hold its own cell, the
+        identity's, as the partition counts them."""
+        met, index = self._image_cells(self._rep_images(line.pair))
+        return sorted(map(tuple, self._elements(index[met == met[self.q]]).tolist()))
 
     # -- structural checks ---------------------------------------------------------
 
@@ -920,7 +907,7 @@ class Engine:
         """Whether the points of the lines of the given classes, or with
         dual=True the planes through them, cover every point (plane) of
         PG(3,q) outside the point ranks `excluded` exactly once."""
-        ranks = self._ranks_of(classes)
+        ranks = self._class_ranks(classes)
         if dual:
             ranks = self._rank(self._normalize_rows(self._dual(self._unrank(ranks))))
         hits = np.bincount(self._point_rank(self._line_points(ranks)),

@@ -6,12 +6,15 @@ they only serve as an independent oracle in the differential tests.
 `chord_code` is the full-evaluation form of `Engine._chord_code`, kept as
 the reference for its filtered form, and `polar_orbit_counts` the pass that
 ranks every line's polar image, kept as the reference for the Engine's pass,
-which pairs most lines' labels by a digit map.  `line_cells` classifies every
-line, chunk by chunk (`line_tasks`), the reference for the Engine's class
-pass, which fills most of pivot block (0, 1) by the torus digit map.
-`model_flags` builds the flags by joining each cubic point to the points of
-a coordinate plane and by mapping every RREF 2 x 3 matrix into each
-osculating plane, the reference for the Engine's one plane construction.
+which maps one line per cell.  `line_cells` classifies every line, chunk by
+chunk (`line_tasks`), the reference for the Engine's class pass, which
+classifies one line per cell.  `model_flags` builds the flags of every line
+by joining each cubic point to the points of a coordinate plane and by
+mapping every RREF 2 x 3 matrix into each osculating plane, the reference
+for the Engine's one plane construction.  `cell_of_rank` names the cell of
+a line by its rank, for the tests that rewrite one line's cell, and
+`torus_images`, which scales Pluecker rows by the lifts of the torus, gives
+the lines of cells (`cell_lines`) independently of the Engine's tables.
 `plane_class_counts` tests every plane against every cubic point, the
 reference for the Engine's census, which ranks the planes through each
 cubic point.  `whole_group` is the group as one array of |G| lifts, with
@@ -149,32 +152,57 @@ def polar_orbit_counts(eng):
     """Engine.polar_orbit_counts row by row: every line's Pluecker row goes
     through Engine._polar, Engine._normalize_rows and Engine._rank, chunk by
     chunk, and its image is marked in a mask over every rank (xi != 0, every
-    class partitioned).  Returns (onto, counts) as the Engine does."""
+    class partitioned); each line reads its label in the cell of its row.
+    Returns (onto, counts) as the Engine does."""
     labels, m = eng.line_cells(), len(eng.orbits())  # every cell is a label
-    hit = np.zeros(len(labels), dtype=bool)
+    hit = np.zeros(pg3.line_count(eng.q), dtype=bool)
 
-    def polarize(ranks, P):
-        img = eng._rank(eng._normalize_rows(eng._polar(P)))
-        hit[img] = True  # chunks only ever store True, so none is lost
-        return np.bincount(labels[ranks].astype(np.intp) * m + labels[img],
-                           minlength=m * m)
+    def polarize(_ranks, P):
+        img = eng._normalize_rows(eng._polar(P))
+        hit[eng._rank(img)] = True
+        return np.bincount(labels[eng._cell_of(P)[0]].astype(np.intp) * m
+                           + labels[eng._cell_of(img)[0]], minlength=m * m)
     counts = sum(over_lines(eng, polarize))
     return bool(hit.all()), counts.reshape(m, m)
 
 
 def line_tasks(eng):
-    """Every chunk of the line enumeration, a slice of ranks, in rank order:
-    pivot block (0, 1), the first block of bulk._layout, cut into chunks of
-    eng.chunk lines, then Engine._line_tasks."""
-    size = bulk._layout(eng.q)[0][0][4]
-    return [slice(start, min(start + eng.chunk, size))
-            for start in range(0, size, eng.chunk)] + eng._line_tasks()
+    """Every chunk of the line enumeration, a slice of at most eng.chunk
+    ranks, in rank order."""
+    n = pg3.line_count(eng.q)
+    return [slice(lo, min(lo + eng.chunk, n)) for lo in range(0, n, eng.chunk)]
 
 
 def over_lines(eng, fn):
     """fn(ranks, P) per chunk of all lines, in rank order, with P the
     normalized Pluecker rows of the rank slice `ranks`."""
-    return [fn(t, eng._task_plucker(t)) for t in line_tasks(eng)]
+    return [fn(t, eng._task_plucker(t, eng._blocks)) for t in line_tasks(eng)]
+
+
+def canonical_lines(eng, cells):
+    """The normalized Pluecker rows of the canonical lines of the cells."""
+    return eng._plucker(*eng._pairs_of(np.atleast_1d(np.asarray(cells, np.int64)), eng._subs))
+
+
+def cell_of_rank(eng, ranks):
+    """The cells of the lines with the given ranks."""
+    return eng._cell_of(eng._unrank(np.atleast_1d(np.asarray(ranks, np.int64))))[0]
+
+
+def torus_images(eng, P):
+    """The (q - 1, n, 6) normalized images of the Pluecker rows P under the
+    torus elements (1, 0, 0, d), d ascending, whose lift diag(1, d, d^2,
+    d^3) scales l_ij by d^(i + j)."""
+    f = eng.field
+    return np.stack([eng._normalize_rows(bulk._columns(
+        [eng._mul(f.power(d, i + j), P[:, k]) for k, (i, j) in enumerate(pg3.PAIR_IDX)]))
+        for d in f.units()])
+
+
+def cell_lines(eng, cells):
+    """The ascending ranks of the lines of the given cells: the torus images
+    of their canonical lines."""
+    return np.unique(eng._rank(torus_images(eng, canonical_lines(eng, cells)).reshape(-1, 6)))
 
 
 def model_flags(eng):
@@ -212,13 +240,14 @@ def plane_class_counts(eng):
 
 def line_cells(eng):
     """Engine.line_cells line by line: every chunk of all lines classified
-    over the model flags.  Returns (cells, class sizes, Klein violations)."""
-    cells = eng._model_flags()
+    over the flags of model_flags.  Returns (the ~code of every line, by
+    rank, class sizes, Klein violations)."""
+    cells = model_flags(eng)
 
     def classify(ranks, P):
-        codes, bad = eng._classify_chunk(P, cells[ranks])
+        codes, klein = eng._classify_chunk(P, cells[ranks])
         cells[ranks] = ~codes
-        return bad, np.bincount(codes, minlength=len(bulk.CLASS_ORDER))
+        return np.count_nonzero(klein), np.bincount(codes, minlength=len(bulk.CLASS_ORDER))
     bad, sizes = zip(*over_lines(eng, classify))
     return cells, sum(sizes), sum(bad)
 

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import random
 import sys
 import threading
@@ -82,7 +83,7 @@ def test_orbit_partition_matches_scalar(field, model, engine):
 
 def test_orbit_partition_rejects_unclosed_keys(field):
     eng = Engine(field(5))
-    eng.line_cells()[eng.class_keys()[tw.UNG][10]] = ~CODE[tw.ENG]
+    eng.line_cells()[scalar_checks.cell_of_rank(eng, eng.class_keys()[tw.UNG][10])] = ~CODE[tw.ENG]
     with pytest.raises(RuntimeError):
         eng.orbit_partition_keys(tw.UNG)
 
@@ -193,7 +194,9 @@ def test_tiny_chunks_split_enumeration_consistently(field, engine):
 
 def _assert_cells_match_the_per_line_pass(eng):
     cells, sizes, bad = scalar_checks.line_cells(Engine(eng.field))
-    assert np.array_equal(eng.line_cells(), cells)
+    got = eng.line_cells()
+    assert all(scalar_checks.over_lines(
+        eng, lambda ranks, P: np.array_equal(got[eng._cell_of(P)[0]], cells[ranks])))
     assert eng._class_sizes.tolist() == sizes.tolist()
     assert eng.class_counts() == {cls: int(sizes[CODE[cls]])
                                   for cls in tw.valid_line_classes(eng.field)}
@@ -202,18 +205,18 @@ def _assert_cells_match_the_per_line_pass(eng):
 
 @pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32] + [49, 64])
 def test_line_cells_match_the_per_line_pass(field, q):
-    """The class pass, which classifies the slabs c = 1 and c = 0 of pivot
-    block (0, 1) and the lines outside it and fills the other slabs by the
-    torus digit map, gives the cells, class sizes and Klein count of the
-    pass that classifies every line."""
+    """The class pass, which classifies one line per cell, gives each line
+    the ~code, in its cell, and the class sizes and Klein count of the pass
+    that classifies every line over the flags of the star and pair
+    reference."""
     _assert_cells_match_the_per_line_pass(Engine(field(q)))
 
 
 @pytest.mark.parametrize("q", (7, 8, 9, 13))
 def test_class_pass_shares_out_only_small_chunks(field, monkeypatch, q):
-    """A universe that fits in one chunk is classified inline, with no pool;
-    with 64-line chunks, one task per value of a in each slab and one per
-    filled slab run on the pool, and the cells still match."""
+    """Cells that fit in one chunk are classified in one task, inline, with
+    no pool; with 64-cell chunks, the slices of 64 cells run on the pool,
+    and the cells still match."""
     calls = []
     in_order = bulk._in_order
 
@@ -222,47 +225,54 @@ def test_class_pass_shares_out_only_small_chunks(field, monkeypatch, q):
         return in_order(fn, tasks)
     monkeypatch.setattr(bulk, "_in_order", counting)
     Engine(field(q)).line_cells()
-    assert calls == []
+    assert calls == [1]
     small = Engine(field(q), chunk=64)
     _assert_cells_match_the_per_line_pass(small)
-    assert calls == [2 * q + len(small._line_tasks()), q - 2]
+    assert calls == [1, len(small._tasks())] and calls[1] > 12
 
 
 @pytest.mark.parametrize("q", (7, 8, 9))
 def test_klein_count_covers_every_line(field, monkeypatch, q):
     """With a Klein form that no line satisfies, every line counts as a
-    violation, the lines of the filled slabs through slab 1's weight."""
+    violation, a generic cell's q - 1 lines through its one row."""
     monkeypatch.setattr(Engine, "_klein", lambda self, P: np.ones(len(P), np.int16))
     assert Engine(field(q)).klein_violations() == pg3.line_count(q)
 
 
 @pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32] + [49, 64])
 def test_model_flags_match_the_star_and_pair_reference(field, q):
-    """The flags from one plane construction and its dual equal those from
-    the joins of each cubic point and the RREF 2 x 3 matrices mapped into
-    each osculating plane, bit for bit."""
+    """The flags from one plane construction and its dual, one per cell,
+    equal those from the joins of each cubic point and the RREF 2 x 3
+    matrices mapped into each osculating plane, bit for bit, in the cell of
+    every line."""
     eng = Engine(field(q))
-    assert np.array_equal(eng._model_flags(), scalar_checks.model_flags(eng))
+    flags, want = eng._model_flags(), scalar_checks.model_flags(eng)
+    assert all(scalar_checks.over_lines(
+        eng, lambda ranks, P: np.array_equal(flags[eng._cell_of(P)[0]], want[ranks])))
 
 
 @pytest.mark.parametrize("q", (3, 9, 27))
 def test_the_a_cell_is_the_axis(field, q):
     """With no AXIS flag, the class pass finds class A by comparing each
-    normalized row with the axis: its one cell is the axis's rank."""
+    normalized row with the axis: its one cell is the axis's, a special
+    cell of one line."""
     eng = Engine(field(q))
-    axis = eng._rank(np.array([eng.axis_plucker], np.int16))
+    axis = eng._cell_of(np.array([eng.axis_plucker], np.int16))[0]
     assert np.flatnonzero(eng.line_cells() == ~CODE[tw.A]).tolist() == axis.tolist()
     assert eng.class_counts()[tw.A] == 1
 
 
-def test_bulk_source_stays_below_the_parser_token_step():
+def test_every_module_stays_below_the_parser_token_step():
     """CPython's parser doubles its token array past 8,192 tokens, raising
-    the peak of compiling bulk.py, which every process that compiles the
+    the peak of compiling a module, which every process that compiles the
     package from source pays at import."""
-    with open(bulk.__file__, "rb") as src:
-        tokens = [tok for tok in tokenize.tokenize(src.readline)
-                  if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
-    assert len(tokens) < 8192
+    modules = sorted(pathlib.Path(bulk.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        with open(path, "rb") as src:
+            tokens = [tok for tok in tokenize.tokenize(src.readline)
+                      if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
+        assert len(tokens) < 8192, path.name
 
 
 @pytest.mark.parametrize("q", (3, 4, 5))
@@ -372,7 +382,7 @@ def test_rank_is_the_enumeration_index(engine, q):
     eng = engine(q)
     lo = 0
     for task in scalar_checks.line_tasks(eng):
-        P = eng._task_plucker(task)
+        P = eng._task_plucker(task, eng._blocks)
         assert eng._normalize_rows(P).tolist() == P.tolist()
         ranks = eng._rank(P)
         assert ranks.tolist() == list(range(lo, lo + len(P)))
@@ -397,47 +407,133 @@ def test_rank_on_seeded_chunks_at_q64(engine):
 def test_layout_blocks_tile_the_ranks_in_pair_order(q):
     """Block i of the rank layout holds the RREF matrices led by coordinate
     i of PAIR_IDX, each block starting where the last ends, from 0 to
-    line_count(q); the offsets and the four digit weights agree with it."""
-    blocks, offsets, source, weights = _layout(q)
+    line_count(q)."""
+    blocks = _layout(q)[0]
     assert [(c0, c1) for c0, c1, *_rest in blocks] == list(pg3.PAIR_IDX)
     ends = [0]
     for c0, c1, slots, offset, size, exps in blocks:
         assert slots == pg3.rref_slots(c0, c1, 4) and size == q ** len(slots)
-        assert offset == ends[-1]
+        assert offset == ends[-1] and len(exps) == len(slots)
         ends.append(offset + size)
     assert ends[-1] == pg3.line_count(q)
-    assert offsets.dtype == np.int32 and offsets.tolist() == ends[:-1]
-    assert source.shape == (len(blocks), 4) and weights.tolist() == [q**3, q**2, q, 1]
     assert blocks[0][5] == [2, 3, 1, 2]  # (1, 0, 0, d) maps (a, b, c, d) to (d^2 a, d^3 b, d c, d^2 d)
+
+
+@pytest.mark.parametrize("q", census.SUPPORTED_Q)
+def test_cell_sub_blocks_tile_the_cells_in_block_order(q):
+    """The cells' sub-blocks follow the blocks in order, each starting where
+    the last ends, from 0 to 2q^3 + q^2 + 6q + 3 cells; a generic sub-block
+    fixes a block's exponent-1 digits to 0s, then a 1, and holds q - 1 lines
+    per cell, a special one fixes them all to 0 and holds one; the lines sum
+    to line_count(q), as the lines of each cell do; the starts table names
+    each sub-block's offset by its block and the digit it fixes to 1 (4 for
+    the special one)."""
+    blocks, cells, starts, lines = _layout(q)
+    assert [(c0, c1) for c0, c1, *_rest in cells] == [
+        pair for pair, n in zip(pg3.PAIR_IDX, (2, 3, 2, 2, 2, 1)) for _ in range(n)]
+    end = 0
+    for c0, c1, slots, offset, size, n in cells:
+        assert offset == end
+        end += size
+        lead = pg3.PAIR_IDX.index((c0, c1))
+        ones = [k for k, e in enumerate(blocks[lead][5]) if e == 1]
+        fixed = [slots[k] for k in ones]
+        if 1 in fixed:
+            k = fixed.index(1)
+            assert fixed[:k] == [0] * k and n == q - 1 and starts[lead, ones[k]] == offset
+        else:
+            assert fixed == [0] * len(ones) and n == 1 and starts[lead, 4] == offset
+        assert size == q ** sum(isinstance(x, tuple) for x in slots)
+    assert end == 2 * q**3 + q**2 + 6 * q + 3
+    assert sum(size * n for *_rest, size, n in cells) == lines.sum() == pg3.line_count(q)
+    assert lines.tolist() == [n for *_rest, size, n in cells for _ in range(size)]
 
 
 @pytest.mark.parametrize("q", (2, 3, 8, 9, 64))
 def test_block_view_entry_is_the_cell_at_the_rank_of_its_digits(engine, q):
-    """The view of pivot block (0, 1) holds, at (a, b, c, d), the cell at
-    the rank of the line spanned by the RREF rows (1, 0, a, b), (0, 1, c, d),
-    for seeded digits; a per-rank array whose cell at r is r shows it."""
+    """In pivot block (0, 1), viewed by its digits (a, b, c, d), the line
+    spanned by the RREF rows (1, 0, a, b), (0, 1, c, d) has its cell at the
+    index of its canonical digits, read base q in its sub-block: (a s^2,
+    b s^3, d s^2), s = 1 / c, in the cells of c = 1 when c != 0, (a, b, d) in
+    those of c = 0, which follow them; the cell's canonical line is the one
+    with those digits, for seeded digits."""
     eng = engine(q)
-    view = eng._block_view(np.arange(pg3.line_count(q), dtype=np.int32))
-    assert view.shape == (q,) * 4
+    f = eng.field
     digits = np.random.default_rng(q).integers(0, q, (50, 4)).tolist() + [[0] * 4, [q - 1] * 4]
     for a, b, c, d in digits:
         U, V = (np.array([row], np.int16) for row in ((1, 0, a, b), (0, 1, c, d)))
-        assert view[a, b, c, d] == eng._rank(eng._normalize_rows(eng._plucker(U, V)))[0]
+        cell = eng._cell_of(eng._normalize_rows(eng._plucker(U, V)))[0]
+        if c:
+            s = f.inv(c)
+            a, b, d = (f.mul(x, f.power(s, e)) for x, e in ((a, 2), (b, 3), (d, 2)))
+        assert cell.tolist() == [(0 if c else q**3) + (a * q + b) * q + d]
+        U, V = (np.array([row], np.int16) for row in ((1, 0, a, b), (0, 1, int(c != 0), d)))
+        assert scalar_checks.canonical_lines(eng, cell).tolist() == eng._plucker(U, V).tolist()
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9, 64))
+def test_every_line_has_the_cell_of_its_canonical_torus_image(engine, q):
+    """Each line's cell is that of its canonical torus image (the images
+    are scalar_checks.torus_images): a generic line, with a nonzero unit,
+    has its cell in a generic sub-block, shared by its q - 1 distinct torus
+    images, one of which, with unit 1, is the cell's canonical line; a
+    special line, with unit 0, is its own cell's line, one line per cell.
+    At q = 2 the torus is trivial and every line its own image.  Every
+    line, or at q = 64 seeded lines."""
+    eng = engine(q)
+    n = pg3.line_count(q)
+    ranks = np.arange(n) if q < 64 else np.random.default_rng(q).integers(0, n, 4000)
+    P = eng._unrank(ranks)
+    cells, units = eng._cell_of(P)
+    sub = np.searchsorted([s[3] for s in eng._subs], cells, "right") - 1
+    generic = np.array([1 in s[2] for s in eng._subs])[sub]
+    lines = np.array([s[5] for s in eng._subs])[sub]
+    assert np.array_equal(units != 0, generic) and generic.any() and (~generic).any()
+    assert (lines[generic] == q - 1).all() and (lines[~generic] == 1).all()
+    images = scalar_checks.torus_images(eng, P)
+    for image in images:
+        assert np.array_equal(eng._cell_of(image)[0][generic], cells[generic])
+    image_ranks = eng._rank(images.reshape(-1, 6)).reshape(q - 1, len(P))
+    assert [len(set(col)) for col in image_ranks[:, generic].T.tolist()] == [q - 1] * generic.sum()
+    canon = scalar_checks.canonical_lines(eng, cells)
+    assert (image_ranks == eng._rank(canon)).any(axis=0).all()
+    assert np.array_equal(canon[~generic], P[~generic])
+    assert np.array_equal(eng._cell_of(canon)[1], generic.astype(np.int16))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9, 64))
+def test_partition_matches_the_per_line_reference(engine, q):
+    """Each orbit record's size is the number of distinct lines among its
+    representative's images under every group element, and its stabilizer
+    order the number of elements that keep both of its points on it
+    (scalar_checks, one lift per element); at q = 64 for the classes other
+    than EnG."""
+    eng = engine(q)
+    group = scalar_checks.whole_group(eng)
+    classes = [c for c in tw.valid_line_classes(eng.field) if q < 64 or c != tw.ENG]
+    for cls in classes:
+        for size, stab, rep in eng.orbit_partition_keys(cls):
+            line = eng.line_from_key(rep)
+            images = scalar_checks.line_images(eng, group[1], line)
+            assert size == len(np.unique(eng._rank(images))), (cls, rep)
+            assert stab == len(scalar_checks.stabilizer_abcd(eng, group, line)), (cls, rep)
 
 
 def test_sweep_digit_tables_are_the_scaled_rank_weights(engine):
-    """The split's digit tables, through which a sweep reads its ranks, are
-    the torus scale table times the layout's digit weights, as int32."""
+    """The split's digit tables, through which triple_images reads its point
+    ranks, are the torus scale table times the digit weights q^3, ..., 1,
+    as int32."""
     for q in (8, 49):
         eng = engine(q)
         scale, digit = (eng._group_arrays()[k] for k in (2, 4))
         assert digit.dtype == np.int32
-        assert np.array_equal(digit, _layout(q)[3][:, None, None] * scale.astype(np.int64))
+        weights = q ** np.arange(3, -1, -1)
+        assert np.array_equal(digit, weights[:, None, None] * scale.astype(np.int64))
 
 
-def _assert_task_plucker_matches_unrank(eng, task):
-    want = eng._unrank(np.arange(task.start, task.stop))
-    got = eng._task_plucker(task)
+def _assert_task_plucker_matches_unrank(eng, task, blocks):
+    want = eng._plucker(*eng._pairs_of(np.arange(task.start, task.stop), blocks))
+    got = eng._task_plucker(task, blocks)
     assert got.dtype == want.dtype == np.int16
     assert np.array_equal(got, want), task
 
@@ -446,31 +542,33 @@ def _assert_task_plucker_matches_unrank(eng, task):
 def test_task_plucker_matches_pair_rows(field, q):
     """The chunk rows built from the RREF digits, with the constant 0s and
     1s folded away, equal the full 2 x 2 minors (_unrank) of their ranks on
-    every chunk, whole or partial, of an engine with 64-line chunks, and on
-    the slabs c = 0 and c = 1 of pivot block (0, 1), whose c is a fixed
-    Python int."""
+    every chunk of 64 ranks, across blocks and in the last partial one, and
+    of their cells on every chunk of 64 cells, across the sub-blocks, whose
+    fixed digits are Python ints; there the canonical lines of pivot block
+    (0, 1) with c fixed to 1 or 0 are its lines of that c, ranked by (a, b,
+    d)."""
     eng = Engine(field(q), chunk=64)
     tasks = scalar_checks.line_tasks(eng)
-    assert len(tasks) > len(pg3.PAIR_IDX) or q == 2  # at q = 2 no block has 64 lines
-    assert any(task.stop - task.start < 64 for task in tasks)
+    assert len(tasks) == -(-pg3.line_count(q) // 64) and tasks[-1].stop - tasks[-1].start < 64
     for task in tasks:
-        _assert_task_plucker_matches_unrank(eng, task)
-    # the slabs of the class pass: block 0 with its digit c fixed, its lines
-    # ranked by their other digits (a, b, d), in the order of the block view
-    # with the axis of c first
-    c0, c1, slots = _layout(q)[0][0][:3]
-    ranks = np.moveaxis(eng._block_view(np.arange(pg3.line_count(q))), 2, 0)
-    for c in (0, 1):
-        got = eng._task_plucker(slice(0, q**3), (c0, c1, slots[:2] + (c,) + slots[3:], 0))
-        assert np.array_equal(got, eng._unrank(ranks[c].ravel()))
+        _assert_task_plucker_matches_unrank(eng, task, eng._blocks)
+    for task in eng._tasks():
+        _assert_task_plucker_matches_unrank(eng, slice(task.start, min(task.stop, len(eng._lines))),
+                                            eng._subs)
+    ranks = np.arange(q**4).reshape((q,) * 4)  # block (0, 1) by its digits (a, b, c, d)
+    for c, sub in zip((1, 0), eng._subs):
+        got = eng._task_plucker(slice(sub[3], sub[3] + q**3), eng._subs)
+        assert np.array_equal(got, eng._unrank(ranks[:, :, c].ravel()))
 
 
 def test_task_plucker_on_seeded_chunks_at_q64(engine):
     eng = engine(64)
     rng = np.random.default_rng(64)
-    for _c0, _c1, _slots, offset, size, _exps in _layout(64)[0]:
+    for block in _layout(64)[0]:
+        offset, size = block[3:5]
         start = int(rng.integers(0, size))
-        _assert_task_plucker_matches_unrank(eng, slice(offset + start, offset + min(start + 5000, size)))
+        _assert_task_plucker_matches_unrank(
+            eng, slice(offset + start, offset + min(start + 5000, size)), eng._blocks)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
@@ -511,19 +609,20 @@ def test_rank_outside_the_universe_is_rejected(engine, rank):
 
 @pytest.mark.parametrize("q", (5, 9))
 def test_class_keys_partition_the_ranks_by_code(field, q):
-    """The codes the class pass writes, as ~code, into the cell of every rank
-    take only populated classes, as many of each as its per-chunk bincounts
-    counted; the class keys are the ranks of each code, read off the ~codes
-    before the partition and off the orbit labels after it."""
+    """The codes the class pass writes, as ~code, into the cell of every
+    torus orbit take only populated classes, with as many lines of each,
+    q - 1 per generic cell, as its per-chunk bincounts counted; the class
+    keys are the ranks of the lines whose cells hold each code, read off the
+    ~codes before the partition and off the orbit labels after it."""
     eng = Engine(field(q))
     codes = ~eng.line_cells()
-    assert codes.dtype == np.int16 and len(codes) == pg3.line_count(q)
-    got = np.bincount(codes, minlength=len(CODE))
+    assert codes.dtype == np.int16 and len(codes) == 2 * q**3 + q**2 + 6 * q + 3
+    got = np.bincount(codes, weights=eng._lines, minlength=len(CODE)).astype(int)
     assert {cls: int(got[CODE[cls]]) for cls in CODE if got[CODE[cls]]} == eng.class_counts()
     keys = eng.class_keys()
     for cls, ranks in keys.items():
         assert (np.diff(ranks) > 0).all() and len(ranks) == eng.class_counts()[cls]
-        assert (codes[ranks] == CODE[cls]).all()
+        assert (codes[scalar_checks.cell_of_rank(eng, ranks)] == CODE[cls]).all()
     _partitions(eng)
     assert (eng.line_cells() >= 0).all()
     assert {cls: r.tolist() for cls, r in eng.class_keys().items()} == {
@@ -544,11 +643,10 @@ def _polar_counts(eng, polarize=Engine.polar_orbit_counts):
 
 @pytest.mark.parametrize("q", [q for q in census.SUPPORTED_Q if q <= 32 and q % 3])
 def test_polar_pass_matches_the_row_by_row_pass(field, engine, q):
-    """The pass that pairs the labels of pivot block (0, 1) by their digits
-    gives the (onto, counts) of the pass that ranks every line's polar
-    image, on the default engine and on one with 64-line chunks, which
-    reads the same partition in many more tasks on the pool (one value of
-    b q + c each from q = 7 on)."""
+    """The pass that maps one canonical line per cell gives the (onto,
+    counts) of the pass that ranks every line's polar image, on the default
+    engine and on one with 64-cell chunks, which reads the same partition in
+    many more tasks on the pool."""
     whole = engine(q)
     _partitions(whole)
     want = _polar_counts(whole, scalar_checks.polar_orbit_counts)
@@ -561,10 +659,11 @@ def test_polar_pass_matches_the_row_by_row_pass(field, engine, q):
 
 def test_polar_pass_rejects_a_polarity_that_does_not_permute_the_digits(field, monkeypatch):
     """With a unit other than 3 on l02 in the polar map, the image of a
-    pivot-(0, 1) line no longer keeps its c digit, so the digit map cannot
-    be read off the probes and the pass refuses to pair the block."""
-    eng = Engine(field(5))
-    _partitions(eng)
+    pivot-(0, 1) line no longer keeps its c digit: the pass still counts
+    what the row-by-row pass counts, and the census's class exchange and
+    orbit image verdicts read false."""
+    run = census.CensusRun(5)
+    run.all_orbit_records()
     polar = Engine._polar
 
     def skewed(self, P):
@@ -572,8 +671,8 @@ def test_polar_pass_rejects_a_polarity_that_does_not_permute_the_digits(field, m
         img[:, 1] = self._mul(2, img[:, 1])  # 3 * 2 = 1 in GF(5)
         return img
     monkeypatch.setattr(Engine, "_polar", skewed)
-    with pytest.raises(RuntimeError, match="digits of pivot block"):
-        eng.polar_orbit_counts()
+    assert _polar_counts(run.engine) == _polar_counts(run.engine, scalar_checks.polar_orbit_counts)
+    assert run.polarity_images() == (False, False)
 
 
 def test_polar_pass_holds_no_per_line_array(field):
@@ -599,7 +698,7 @@ def test_results_do_not_depend_on_scheduling(field, engine, q):
     the pool at once and the threads switch often, agrees with the default
     engine, which classifies these orders inline."""
     small, whole = Engine(field(q), chunk=64), engine(q)
-    assert len(small._line_tasks()) > 2 * len(whole._line_tasks())
+    assert len(small._tasks()) > 2 * len(whole._tasks())
     # each sweep, too, runs as one task per torus element
     assert len(small._torus_slices()) == q - 1
     interval = sys.getswitchinterval()
@@ -674,11 +773,22 @@ def test_in_order_keeps_no_task_alive_once_it_returns(monkeypatch):
     assert len(kept) == 1 and freed() is None
 
 
+def _assert_sweep_cells_are_the_images_cells(eng, images, P):
+    """The cells a sweep reads off the representatives' images, each generic
+    one counted for its q - 1 elements, are those of the images P under
+    every element, with their multiplicities."""
+    met = eng._image_cells(images)[0]
+    n = len(eng._lines)
+    got = np.bincount(met, eng._lines[met], minlength=n)
+    assert np.array_equal(got, np.bincount(eng._cell_of(P)[0], minlength=n))
+    return met
+
+
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the sweep runs over several torus slices; the sweep, its
-    image ranks (one per element, so its fixer count is the stabilizer order
-    the partition records), the least key over all torus slices and the
-    stabilizer equal their one-pass forms over the whole group."""
+    """At q = 49 the keys of orbit_sweep run over several torus slices; they,
+    the cells of a partition sweep (whose entries that hold the line's cell
+    count its fixers), the least key and the stabilizer equal their one-pass
+    forms over the whole group."""
     eng = engine(49)
     assert len(eng._torus_slices()) > 1
     abcd, mats = scalar_checks.whole_group(eng)
@@ -687,14 +797,13 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         line = eng.line_from_rank(rank)
         P = scalar_checks.line_images(eng, mats, line)
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
-        images = eng._rep_images(line)
-        ranks = eng._sweep(images)
-        assert np.sort(ranks).tolist() == np.sort(eng._rank(P)).tolist()
+        images = eng._rep_images(line.pair)
+        met = _assert_sweep_cells_are_the_images_cells(eng, images, P)
         assert eng._least_key(*images) == eng._pack(P).min()
         fixed = np.flatnonzero(eng._rank(P) == rank)
         stab = eng.stabilizer_abcd(line)
         assert stab == sorted(map(tuple, abcd[fixed].tolist()))
-        assert np.count_nonzero(ranks == rank) == len(stab)
+        assert np.count_nonzero(met == scalar_checks.cell_of_rank(eng, rank)) == len(stab)
 
 
 @pytest.mark.parametrize("q", AGREE_Q + (49,))
@@ -711,7 +820,7 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     group = scalar_checks.whole_group(eng)
     assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
-    seeds = _layout(q)[1].tolist()  # the first line of each block
+    seeds = [block[3] for block in _layout(q)[0]]  # the first line of each block
     lines = [eng.line_from_rank(rank) for rank in seeds + rng.sample(range(pg3.line_count(q)), 3)]
     if q == 9:
         axis = pg3.line_from_plucker(eng.field, eng.axis_plucker)
@@ -838,97 +947,84 @@ def test_torus_split_meets_every_group_element_once(field, q):
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 27))
 def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
-    """The ranks a sweep reads off the split tables are, as a multiset, the
-    ranks of the line's images under every group element, and the key
-    _least_key reads off the representatives' images is the least packed
-    image.  The seeds are the first line of each pivot block, which the
-    identity representative keeps, and random lines, so the representative
-    images reach every block."""
+    """The cells a sweep reads off the representatives' images and, for a
+    special one, off the scale table's torus images are, as a multiset with
+    q - 1 for each generic entry, the cells of the line's images under every
+    group element, and the key _least_key reads off the representatives'
+    images is the least packed image.  The seeds are the first line of each
+    pivot block, which the identity representative keeps, and random lines,
+    so the representative images reach every block."""
     eng = engine(q)
     mats = scalar_checks.whole_group(eng)[1]
-    seeds = _layout(q)[1].tolist()  # the first line of each block
+    seeds = [block[3] for block in _layout(q)[0]]  # the first line of each block
     seeds += random.Random(q).sample(range(pg3.line_count(q)), 4)
     reached = set()
     for rank in seeds:
         line = eng.line_from_rank(rank)
-        images = eng._rep_images(line)
+        images = eng._rep_images(line.pair)
         reached |= set(images[0].tolist())
         P = scalar_checks.line_images(eng, mats, line)
-        assert np.sort(eng._sweep(images)).tolist() == np.sort(eng._rank(P)).tolist()
+        _assert_sweep_cells_are_the_images_cells(eng, images, P)
         assert eng._least_key(*images) == eng._pack(P).min()
     assert reached == set(range(len(pg3.PAIR_IDX)))
 
 
 @pytest.mark.parametrize("q", (5, 8, 9, 49))
 def test_sweep_ranks_are_indexed_by_group_element(engine, q):
-    """A sweep's ranks are one int32 array of |G| entries, the ranks of the
-    line's images under the lifts of group_abcd(), in that order, so the
-    elements at the positions that hold the seed's rank are its stabilizer,
-    as the incidence filter over the whole group finds it.  The seeds are
-    the first line of each pivot block (line 0 has a stabilizer of order
-    q(q - 1)) and seeded lines; at q = 49 the sweep runs over more than one
-    torus slice."""
+    """Each entry of a sweep names a group element by its index into
+    group_abcd() that maps the line into the entry's cell: for a generic
+    entry, onto the line of the cell with the line's own unit, that of its
+    image under the identity (element q), when the line is generic, so the
+    entries that hold the line's own cell are its stabilizer, as the
+    incidence filter over the whole group finds it.  The seeds are the first line of each pivot block
+    (line 0 has a stabilizer of order q(q - 1)) and seeded lines."""
     eng = engine(q)
-    assert (len(eng._torus_slices()) > 1) == (q == 49)
     mats = scalar_checks.lifts(eng, eng.group_abcd())
     group = scalar_checks.whole_group(eng)
-    seeds = _layout(q)[1].tolist()  # the first line of each block
+    seeds, seen = [block[3] for block in _layout(q)[0]], set()  # the first line of each block
     for rank in seeds + random.Random(q).sample(range(pg3.line_count(q)), 3):
         line = eng.line_from_rank(rank)
-        ranks = eng._sweep(eng._rep_images(line))
-        assert ranks.dtype == np.int32 and ranks.shape == (eng.group_order,)
-        assert ranks.tolist() == eng._rank(scalar_checks.line_images(eng, mats, line)).tolist()
-        fixers = sorted(map(tuple, eng._elements(np.flatnonzero(ranks == rank)).tolist()))
-        assert fixers == scalar_checks.stabilizer_abcd(eng, group, line)
+        met, index = eng._image_cells(eng._rep_images(line.pair))
+        cells, units = eng._cell_of(scalar_checks.line_images(eng, mats, line))
+        generic = eng._lines[met] == q - 1
+        assert np.array_equal(cells[index], met)
+        seen |= {bool(generic.any()), bool(units[q])}
+        assert not units[q] or (units[index][generic] == units[q]).all()
+        assert not units[index][~generic].any()
+        assert eng.stabilizer_abcd(line) == scalar_checks.stabilizer_abcd(eng, group, line)
+    assert seen == {True, False}  # generic and special seeds and images
 
 
-def test_tail_tasks_write_disjoint_rank_ranges(field, monkeypatch):
-    """At q = 49 a sweep runs as several torus slices, and its tail as two
-    tasks, each compressing one half of the line ranks out of the sweep's
-    array: the halves are disjoint and hold every rank of the sweep.  A
-    sweep patched to meet a line of another class, or a line of an orbit
-    already found, in either half, raises a RuntimeError that names the
-    line and its class or orbit, adds no orbit and leaves every cell as it
-    was, so the unpatched partition then succeeds."""
-    eng = Engine(field(49))
-    half = pg3.line_count(49) // 2
-    assert len(eng._torus_slices()) > 1
+def test_a_stray_sweep_names_its_cell_and_changes_no_cell(field, monkeypatch):
+    """A sweep patched to meet a cell of another class, or a cell of an
+    orbit already found, raises a RuntimeError that names the cell and its
+    class or orbit, adds no orbit and leaves every cell as it was, so the
+    unpatched partition then succeeds."""
+    eng = Engine(field(13))
     cells = eng.line_cells()
     members = np.flatnonzero(cells == ~CODE[tw.UNG])
-    first = eng._sweep(eng._rep_images(eng.line_from_rank(members[0])))
     others = np.flatnonzero(cells == ~CODE[tw.RC])
+    image_cells = Engine._image_cells
+    seed = [row[0] for row in eng._pairs_of(members[:1], eng._subs)]
+    first = image_cells(eng, eng._rep_images(seed))[0]
     strays = ((others[0], "class RC"), (others[-1], "class RC"),
               (members[0], "orbit 0"), (first.max(), "orbit 0"))
-    assert [rank < half for rank, _held in strays] == [True, False, True, False]
-    sweep, unique = Engine._sweep, bulk.sorted_unique
 
-    def meeting(rank):
-        def patched(eng, images):
-            ranks = sweep(eng, images)
-            ranks[-1] = rank  # every UnG image is met twice, so no line is lost
-            return ranks
+    def meeting(cell):
+        def patched(eng, *args):
+            met, index = image_cells(eng, *args)
+            return np.append(met, cell), np.append(index, 0)
         return patched
     before = cells.copy()
-    for rank, held in strays:
-        monkeypatch.setattr(Engine, "_sweep", meeting(rank))
-        with pytest.raises(RuntimeError, match=f"^a UnG sweep met line {rank} of {held}$"):
+    for cell, held in strays:
+        monkeypatch.setattr(Engine, "_image_cells", meeting(cell))
+        with pytest.raises(RuntimeError, match=f"^a UnG sweep met cell {cell} of {held}$"):
             eng.orbit_partition_keys(tw.UNG)
         assert eng.orbits() == []
         assert eng.line_cells().tolist() == before.tolist()
-    swept, tails = [], []
-
-    def recording(eng, images):
-        ranks = sweep(eng, images)
-        swept.append(ranks.copy())
-        return ranks
-    monkeypatch.setattr(Engine, "_sweep", recording)
-    monkeypatch.setattr(bulk, "sorted_unique", lambda out: tails.append(out.copy()) or unique(out))
-    assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [58800, 58800]
-    assert len(swept) == 2 and len(tails) == 4
-    for ranks, pair in zip(swept, (tails[:2], tails[2:])):
-        low, high = sorted(pair, key=lambda t: bool((t >= half).any()))
-        assert (low < half).all() and (high >= half).all()
-        assert np.sort(np.concatenate(pair)).tolist() == np.sort(ranks).tolist()
+    monkeypatch.setattr(Engine, "_image_cells", image_cells)
+    n = 13**3 - 13
+    assert [size for size, _stab, _rep in eng.orbit_partition_keys(tw.UNG)] == [n // 2, n // 2]
 
 
 @pytest.mark.parametrize("q", (5, 8))
@@ -993,7 +1089,7 @@ def test_integer_headroom(q):
     assert census.expected_total_orbit_count(q, xi) < 2**15  # int16 orbit labels
     assert (q + 1) ** 3 < 2**31  # int32 code of a triple of cubic points
     assert q**4 < 2**31  # int32 free entries of a chunk's lines
-    assert pg3.line_count(q) < 2**31  # int32 line ranks sorted in a sweep
+    assert pg3.line_count(q) < 2**31  # the Engine's bound on line ranks
 
 
 def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):

@@ -1,10 +1,12 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from twistedcubic import census, pg3, twisted
+from twistedcubic import census, gfq, pg3, twisted
 from twistedcubic.bulk import CODE, Engine
 
 
@@ -108,9 +110,31 @@ def _shape(report):
     }
 
 
-@pytest.mark.parametrize("q,alt", [(8, (1, 0, 1, 1)), (9, (1, 0, 1))])
+def _moduli(q):
+    """Every monic irreducible modulus of GF(q), little-endian."""
+    p, e = gfq.factor_prime_power(q)
+    return [m + (1,) for m in itertools.product(range(p), repeat=e)
+            if gfq._poly_is_irreducible(m + (1,), p)]
+
+
+# the first two keep their test ids
+MODULI = [(8, (1, 0, 1, 1)), (9, (1, 0, 1))]
+MODULI += [(q, m) for q in (8, 9, 16, 25, 27) for m in _moduli(q) if (q, m) not in MODULI]
+
+
+@functools.cache
+def _default_report(q):
+    return census.verify(q)
+
+
+def test_every_monic_irreducible_modulus_is_tested():
+    assert len(MODULI) == 26 and all(m in MODULI for m in [
+        (q, tuple(gfq.DEFAULT_MODULI[q])) for q in (8, 9, 16, 25, 27)])
+
+
+@pytest.mark.parametrize("q,alt", MODULI)
 def test_reports_are_modulus_independent(q, alt):
-    default = census.verify(q)
+    default = _default_report(q)
     other = census.verify(q, modulus=alt)
     assert other["meta"]["modulus"] == list(alt)
     assert _shape(default) == _shape(other)
@@ -291,15 +315,18 @@ def test_census_reads_no_class_rank_arrays(monkeypatch):
 
 @pytest.mark.parametrize("q", (8, 9))
 def test_per_line_state_is_one_int16_cell(monkeypatch, q):
-    """After a verify, the only Engine array with one entry per line is the
-    int16 line cells, and each holds the global index of an orbit of the
-    line's own class, as a fresh engine's class pass codes it."""
+    """After a verify, no Engine array has one entry per line: the state is
+    one int16 cell per torus orbit of lines, each holding the global index
+    of an orbit of its lines' own class, as a fresh engine's class pass
+    codes it."""
     made = _engines(monkeypatch)
     assert census.verify(q)["pass"]
     eng, = made
-    per_line = {name: value.dtype for name, value in vars(eng).items()
-                if isinstance(value, np.ndarray) and len(value) == pg3.line_count(q)}
-    assert per_line == {"_cells": np.int16}
+    arrays = [value for value in vars(eng).values() if isinstance(value, np.ndarray)]
+    arrays += [value for value in eng._split if isinstance(value, np.ndarray)]
+    assert len(arrays) > 5 and all(len(a) != pg3.line_count(q) for a in arrays)
+    assert eng.line_cells().dtype == np.int16
+    assert len(eng.line_cells()) == 2 * q**3 + q**2 + 6 * q + 3
     orbit_codes = np.array([CODE[c] for c, _size in eng.orbits()], np.int8)
     assert (orbit_codes[eng.line_cells()] == ~Engine(eng.field).line_cells()).all()
 

@@ -251,18 +251,18 @@ def test_malformed_line_exit_two(tokens):
 def test_a_fault_of_the_census_exits_one_with_one_line(monkeypatch, capsys):
     """A sweep that meets a line of another class is a fault of the census,
     not bad input: verify prints one error line, no traceback, and exits 1."""
-    sweep = bulk.Engine._sweep
+    image_cells = bulk.Engine._image_cells
 
-    def meeting(eng, images):
-        ranks = sweep(eng, images)
+    def meeting(eng, *args):
+        met, index = image_cells(eng, *args)
         cells = eng.line_cells()
-        ranks[-1] = np.flatnonzero(cells != cells[ranks[0]])[0]
-        return ranks
-    monkeypatch.setattr(bulk.Engine, "_sweep", meeting)
+        stray = np.flatnonzero(cells != cells[met[0]])[0]
+        return np.append(met, stray), np.append(index, 0)
+    monkeypatch.setattr(bulk.Engine, "_image_cells", meeting)
     assert exit_code(["verify", "--q", "5"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"error: a \w+ sweep met line \d+ of (class|orbit) \w+\n", err)
+    assert re.fullmatch(r"error: a \w+ sweep met cell \d+ of (class|orbit) \w+\n", err)
 
 
 def test_classify_has_the_long_run_gate():

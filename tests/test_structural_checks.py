@@ -12,16 +12,17 @@ DIFF_Q = (4, 5, 7, 8)
 
 
 def _corrupt(run, cls, mode):
-    """Move one line out of or into a class by rewriting its cell.
+    """Move one line, with the other lines of its cell, out of or into a
+    class by rewriting its cell.
 
     drop: move the first line of the class to EnG, which no chord or axis
     check reads; dup: move the first EnG line into the class, so some
     points (planes) are covered by two of the class's lines.  The moved
-    line's cell takes the ~code of its new class, or, once that class is
+    cell takes the ~code of its new class, or, once that class is
     partitioned, the label of its first orbit."""
     eng = run.engine
     src, dst = (cls, tw.ENG) if mode == "drop" else (tw.ENG, cls)
-    moved = eng._ranks_of([src])[0]
+    moved = scalar_checks.cell_of_rank(eng, eng.class_keys()[src][0])
     orbits = [c for c, _size in eng.orbits()]
     eng.line_cells()[moved] = orbits.index(dst) if dst in orbits else ~CODE[dst]
     return run
@@ -178,12 +179,11 @@ def test_polarity_stabilizer_equality_fails_on_a_wrong_polar_line(monkeypatch):
 def test_stabilizer_orders_are_counted_in_the_sweep(monkeypatch):
     """A sweep that meets every image twice finds the same orbits and twice
     the fixers: a record's order is that count, not (q^3 - q) // size."""
-    sweep = Engine._sweep
+    image_cells = Engine._image_cells
 
-    def twice(eng, images):
-        ranks = sweep(eng, images)
-        return np.concatenate([ranks, ranks])
-    monkeypatch.setattr(Engine, "_sweep", twice)
+    def twice(eng, *args):
+        return tuple(np.concatenate([x, x]) for x in image_cells(eng, *args))
+    monkeypatch.setattr(Engine, "_image_cells", twice)
     run = census.CensusRun(5)
     n = run.engine.group_order
     assert all(stab == 2 * (n // size) for recs in run.all_orbit_records().values()
@@ -226,7 +226,7 @@ def _move_to_the_next_eng_orbit(pick):
     eng = run.engine
     eng_orbits = [i for i, (c, _size) in enumerate(eng.orbits()) if c == tw.ENG]
     assert len(eng_orbits) > 1
-    moved = pick(eng._ranks_of([tw.ENG]))
+    moved = scalar_checks.cell_of_rank(eng, pick(eng.class_keys()[tw.ENG]))
     labels = eng.line_cells()
     at = eng_orbits.index(labels[moved])
     labels[moved] = eng_orbits[(at + 1) % len(eng_orbits)]
@@ -242,9 +242,9 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label():
 
 @pytest.mark.parametrize("inside", (True, False))
 def test_polarity_orbit_image_fails_on_a_corrupted_label_on_either_path(inside):
-    """The last EnG line of pivot block (0, 1), ranks [0, q^4), whose labels
-    the polarity pass pairs by their digits, or the first EnG line after
-    it, whose polar image the pass ranks, moves to the next EnG orbit."""
+    """The last EnG line of pivot block (0, 1), ranks [0, q^4), or the first
+    EnG line after it, in the cells of another block, moves with its cell
+    to the next EnG orbit."""
     run = _move_to_the_next_eng_orbit(
         lambda ranks: ranks[ranks < 5**4][-1] if inside else ranks[ranks >= 5**4][0])
     assert census.check_polarity_class_exchange(run)["pass"]
@@ -253,10 +253,10 @@ def test_polarity_orbit_image_fails_on_a_corrupted_label_on_either_path(inside):
 
 def test_partition_labels_index_the_records():
     """Labels index orbits(): the orbits of the classes in partition order,
-    each class's in the order its sweeps found them, by the first rank of
-    the orbit; the class of a line's orbit is the class pass's code, and
-    each label's lines are one orbit with a record of its size and minimal
-    key."""
+    each class's in the order its sweeps found them, by the first cell of
+    the orbit; the class of a cell's orbit is the class pass's code, and
+    each label's lines, those of its cells, are one orbit with a record of
+    its size and minimal key."""
     r = census.CensusRun(7)
     r.all_orbit_records()  # partitions the classes in report order
     eng = r.engine
@@ -269,13 +269,13 @@ def test_partition_labels_index_the_records():
     assert classes == sorted(classes, key=order.index) and set(classes) == set(order)
     prev = None
     for label, (cls, size) in enumerate(eng.orbits()):
-        ranks = np.flatnonzero(labels == label)
-        members = np.sort(eng.pack(eng._unrank(ranks)))
+        cells = np.flatnonzero(labels == label)
+        members = np.sort(eng.pack(eng._unrank(scalar_checks.cell_lines(eng, cells))))
         assert members.tolist() == eng.orbit_sweep(eng.line_from_key(members[0])).tolist()
         assert len(members) == size
         assert (size, members[0]) in [(s, rep) for s, _stab, rep in r.orbit_records(cls)]
-        assert prev is None or prev[0] != cls or prev[1] < ranks[0]
-        prev = cls, ranks[0]
+        assert prev is None or prev[0] != cls or prev[1] < cells[0]
+        prev = cls, cells[0]
 
 
 def test_axis_pencil_fails_off_the_axis():
