@@ -41,7 +41,7 @@ pass finds the cell of its image (`_cell_of`).
 The group is stored only as its split: each element is r * t once, r one
 of the q(q + 1) coset representatives of the torus, whose lift
 diag(1, d, d^2, d^3) scales coordinate j by d^j.  A group pass acts on points
-only with the representatives; their images under a torus slice are gathers
+only with the representatives; their images under the torus are gathers
 from a table of scaled digits (`_torus_columns`).  A partition sweep or a
 stabilizer reads the cells of the R images r(l) (`_image_cells`): the q - 1
 images t(r(l)) of a generic one share its cell, and a special one is
@@ -49,31 +49,13 @@ expanded into its torus images.  The passes with one entry per element, the
 keys of `orbit_sweep` and the point ranks of `triple_images`, fill their
 array with one kernel, `_over_torus`, summing gathers from split tables.
 
-Independent work runs on min(2, cores) threads: the calling thread and the
-helpers of one shared pool, started on first use (numpy releases the GIL in
-`take`, the ufuncs and the sorts).  They share out the slices of chunk
-cells of the class pass and of the polarity pass (`_tasks`), and the torus
-slices of about chunk images (`_torus_slices`) of each |G|-entry pass, which
-only fill their parts of its array.  The contract:
-
-- a task writes only the cells of its own slice, or its torus slice's part
-  of a pass's array (the polarity pass writes only True into a mask over
-  the cells);
-- results are merged in task order, so no output depends on scheduling;
-- a task calls only private Engine helpers, sorted_unique and the shared
-  pg3 and twisted forms, never a public method or entry point: the traced
-  benchmark (perfbench/spans.py) wraps those with a span recorder that is
-  not thread-safe; the group's split is built before any task is handed
-  out, and no task hands out tasks of its own (a helper would wait forever
-  for itself);
-- small work runs inline on the calling thread: a single task, as for cells
-  that fit in one chunk or a group pass of one torus slice.
+Every pass runs on the calling thread.  The class pass and the polarity
+pass work in slices of at most chunk cells (`_tasks`), which bound their
+temporaries; each |G|-entry pass fills its one array in one call.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from functools import cache, reduce
 from itertools import combinations
 
@@ -189,64 +171,8 @@ def _layout(q):
                                             [c[4] for c in cells])
 
 
-def _worker_count():
-    """Threads that work at once, the calling thread included: numpy releases
-    the GIL in take, the ufuncs and the sorts, so each keeps one core busy.
-    min(2, cores), counting the process's affinity set where the platform
-    reports one (Linux), else the machine's cores."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0)))
-    return min(2, os.cpu_count() or 1)
-
-
-WORKERS = _worker_count()
-
 # diag(1, d, d^2, d^3) scales l_ij by d^(i + j): weights that never fall
 _WEIGHT = np.array([i + j for i, j in pg3.PAIR_IDX])
-
-
-@cache
-def _pool():
-    """The helper threads of the process, started on first use.  Their
-    module is imported here too: it takes about 7 ms, a few percent of a
-    census small enough to run all inline."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="twistedcubic")
-
-
-def _in_order(fn, tasks):
-    """[fn(task) for task in tasks], in task order.  The calling thread and
-    the pool's helpers each take the next task until none is left, so a
-    helper whose core is busy leaves its share to the calling thread."""
-    results = [None] * len(tasks)
-    todo = iter(range(len(tasks)))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(tasks[i])
-            except BaseException:
-                with lock:
-                    for _ in todo:  # start no further task
-                        pass
-                raise
-
-    helpers = ([_pool().submit(drain) for _ in range(WORKERS - 1)]
-               if len(tasks) > 1 else [])
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            if not helper.cancel():  # one that never started took no task
-                helper.result()
-        # a pool thread keeps drain past its result: empty its cells of fn, tasks
-        del fn, tasks
-    return results
 
 
 # bits of the per-cell model flags built by Engine._model_flags: the lines
@@ -260,9 +186,6 @@ class Engine:
     Its whole-universe state, the cells (class codes written over the model
     flags, then orbit labels), one per torus orbit of generic lines and one
     per special line, is built on first use, never for queries.
-
-    Slices of `chunk` cells and the torus slices of large group passes are
-    shared out over threads under the module's contract.
     The results depend only on the field and the cubic's closed forms
     twisted.cubic_point and twisted.osculating_plane, checked to give q + 1
     distinct points and planes, each plane meeting the cubic once."""
@@ -304,14 +227,12 @@ class Engine:
 
     # -- packing and ranks ---------------------------------------------------
 
-    def _pack(self, P):
+    def pack(self, P):
         """Packed base-q int64 keys of the rows of P."""
         out = P[:, 0].astype(np.int64)
         for j in range(1, P.shape[1]):
             out = out * self.q + P[:, j]
         return out
-
-    pack = _pack  # the public name; tasks on other threads call _pack
 
     def pack_tuple(self, tup):
         return int(self.pack(np.array([tup], np.int64))[0])
@@ -632,14 +553,14 @@ class Engine:
         class sizes and the Klein violations."""
         if self._cells is None:
             cells = self._model_flags()
-
-            def classify(task):
+            sizes, bad = np.zeros(len(CLASS_ORDER)), 0
+            for task in self._tasks():
                 codes, klein = self._classify_chunk(self._task_plucker(task, self._subs),
                                                     cells[task])
                 cells[task], lines = ~codes, self._lines[task]
-                return int(lines[klein != 0].sum()), np.bincount(codes, lines, len(CLASS_ORDER))
-            bad, sizes = zip(*_in_order(classify, self._tasks()))
-            self._cells, self._class_sizes, self._klein_violations = cells, sum(sizes), sum(bad)
+                sizes += np.bincount(codes, lines, len(CLASS_ORDER))
+                bad += int(lines[klein != 0].sum())
+            self._cells, self._class_sizes, self._klein_violations = cells, sizes, bad
         return self._cells
 
     def _tasks(self):
@@ -683,30 +604,23 @@ class Engine:
         """Send every line through the null polarity (xi != 0), once every
         populated class is partitioned, and with it the group's split.  The
         polarity commutes with the group, so it maps the torus orbit of each
-        cell's canonical line onto that of its image: a task maps the
-        canonical lines of a slice of cells (_tasks), marks the cells of their
-        normalized images in a mask over the cells and counts each pair of
-        labels for the lines of its cells.  A task returns only its nonzero
-        pair counts, since every task's result is held until all are done.
+        cell's canonical line onto that of its image: each slice of cells
+        (_tasks) maps its canonical lines, marks the cells of their normalized
+        images in a mask over the cells and counts each pair of labels for
+        the lines of its cells.
 
         Returns (onto, counts): onto is True iff every cell holds an image;
         counts[i, j] counts the lines of orbit i with image in orbit j."""
         if {cls for cls, _size in self.orbits()} != set(twisted.valid_line_classes(self.field)):
             raise ValueError("the polarity pass needs every class partitioned")
         labels, m = self.line_cells(), len(self._orbits)  # every cell is a label
-        hit = np.zeros(len(labels), dtype=bool)
-
-        def polarize(task):
+        hit, counts = np.zeros(len(labels), dtype=bool), np.zeros(m * m)
+        for task in self._tasks():
             img = self._cell_of(self._normalize_rows(self._polar(
                 self._task_plucker(task, self._subs))))[0]
             hit[img] = True
-            counts = np.bincount(labels[task].astype(np.intp) * m + labels[img],
-                                 self._lines[task], m * m)
-            nonzero = np.flatnonzero(counts)
-            return nonzero, counts[nonzero]
-        counts = np.zeros(m * m)
-        for nonzero, found in _in_order(polarize, self._tasks()):
-            counts[nonzero] += found
+            counts += np.bincount(labels[task].astype(np.intp) * m + labels[img],
+                                  self._lines[task], m * m)
         return bool(hit.all()), counts.reshape(m, m).astype(np.int64)
 
     # -- group sweeps ------------------------------------------------------------
@@ -743,24 +657,15 @@ class Engine:
 
     def group_abcd(self):
         """The (a, b, c, d) of every element r * (1, 0, 0, d): d ascending,
-        then r ascending, as the images of a torus slice are ordered."""
+        then r ascending, as _over_torus orders its entries."""
         return self._elements(np.arange(self.group_order))
 
     def _point_at(self, pt):
         """The (R, 4) images x M_r of the point under the representatives r;
         points act as row vectors, so its image under r * t is x M_r D, with
         D = diag(1, d, d^2, d^3) scaling coordinate j by d^j."""
-        lifts = self._group_arrays()[1]  # built here, never in a task
+        lifts = self._group_arrays()[1]
         return _columns([self._lincomb(pt, lifts[:, j]) for j in range(4)])
-
-    def _torus_slices(self):
-        """The slices of the torus units d - 1 that a group pass shares out,
-        of about chunk elements each, and two per thread at least when
-        there are more, so a busy core leaves part of its share to the others."""
-        q = self.q
-        parts = -(-self.group_order // self.chunk)
-        parts = min(q - 1, max(parts, 2 * WORKERS) if parts > 1 else 1)
-        return [slice((q - 1) * i // parts, (q - 1) * (i + 1) // parts) for i in range(parts)]
 
     def _torus_columns(self, X, weight):
         """(lead, at) of the rows X, images under the representatives r: the
@@ -786,17 +691,11 @@ class Engine:
     def _over_torus(self, tables, cols, base=0):
         """One entry per group element, in the order of group_abcd, of the
         tables' dtype: entry (d - 1) * R + i is base (or base[i]) plus the sum
-        over k of tables[k][d - 1, cols[k][i]]; a torus slice fills its part."""
-        n = cols.shape[1]
-        out = np.empty(self.group_order, tables.dtype)
-
-        def fill(ts):
-            part = out[ts.start * n:ts.stop * n].reshape(-1, n)
-            part[:] = base
-            for table, col in zip(tables, cols):
-                part += table[ts].take(col, axis=1)
-        _in_order(fill, self._torus_slices())
-        return out
+        over k of tables[k][d - 1, cols[k][i]]."""
+        out = np.full((self.q - 1, cols.shape[1]), base, tables.dtype)
+        for table, col in zip(tables, cols):
+            out += table.take(col, axis=1)
+        return out.ravel()
 
     def orbit_sweep(self, line) -> np.ndarray:
         """Sorted unique keys of the full-group orbit of the line, summed from
@@ -819,7 +718,7 @@ class Engine:
         at, q = images[1], self.q
         R, x = at.shape[1], (at % q).astype(np.int16)
         special = np.flatnonzero(~((at > q) & (at < 2 * q)).any(axis=0))
-        _keys, first, inv = np.unique(self._pack(x[:, special].T), return_index=True,
+        _keys, first, inv = np.unique(self.pack(x[:, special].T), return_index=True,
                                       return_inverse=True)
         cells, units = self._cell_of(np.concatenate([x.T, self._torus_rows(at[:, special[first]])]))
         # the line's own unit is that of its image under the identity (1, 0, 0, 1),
@@ -838,7 +737,7 @@ class Engine:
         top = at[:, lead == last]
         after = scale.take(top[min(last + 1, 5)], axis=1).ravel()
         d, r = np.divmod(np.flatnonzero(after == after.min()), top.shape[1])
-        return int(self._pack(_columns([scale[d, col[r]] for col in top])).min())
+        return int(self.pack(_columns([scale[d, col[r]] for col in top])).min())
 
     def line_from_key(self, key) -> pg3.ProjLine:
         row = self.unpack(np.array([key], np.int64))[0]

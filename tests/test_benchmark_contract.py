@@ -4,8 +4,7 @@ perfbench's own tests run outside this suite, and a traced benchmark run
 fails when an entry point its span recorder wraps is missing.  These tests
 load perfbench/spans.py and perfbench/worker.py as they are and run them on
 the program at q = 5, the census also at the q = 7 and 8 of verify_small,
-and the query loop also at q = 49, whose group passes run over several
-torus slices.
+and the query loop also at q = 49, the field of line_queries_q49.
 """
 
 import importlib.util

@@ -1,14 +1,9 @@
-import os
 import pathlib
 import random
-import sys
 import threading
-import time
 import tokenize
 import tracemalloc
-import weakref
 from collections import Counter
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -213,22 +208,14 @@ def test_line_cells_match_the_per_line_pass(field, q):
 
 
 @pytest.mark.parametrize("q", (7, 8, 9, 13))
-def test_class_pass_shares_out_only_small_chunks(field, monkeypatch, q):
-    """Cells that fit in one chunk are classified in one task, inline, with
-    no pool; with 64-cell chunks, the slices of 64 cells run on the pool,
-    and the cells still match."""
-    calls = []
-    in_order = bulk._in_order
-
-    def counting(fn, tasks):
-        calls.append(len(tasks))
-        return in_order(fn, tasks)
-    monkeypatch.setattr(bulk, "_in_order", counting)
-    Engine(field(q)).line_cells()
-    assert calls == [1]
+def test_class_pass_shares_out_only_small_chunks(field, q):
+    """Cells that fit in one chunk are classified in one slice; with 64-cell
+    chunks the pass runs over many slices of 64 cells, and the cells still
+    match."""
+    assert len(Engine(field(q))._tasks()) == 1
     small = Engine(field(q), chunk=64)
     _assert_cells_match_the_per_line_pass(small)
-    assert calls == [1, len(small._tasks())] and calls[1] > 12
+    assert len(small._tasks()) > 12
 
 
 @pytest.mark.parametrize("q", (7, 8, 9))
@@ -646,7 +633,7 @@ def test_polar_pass_matches_the_row_by_row_pass(field, engine, q):
     """The pass that maps one canonical line per cell gives the (onto,
     counts) of the pass that ranks every line's polar image, on the default
     engine and on one with 64-cell chunks, which reads the same partition in
-    many more tasks on the pool."""
+    many more slices."""
     whole = engine(q)
     _partitions(whole)
     want = _polar_counts(whole, scalar_checks.polar_orbit_counts)
@@ -678,8 +665,7 @@ def test_polar_pass_rejects_a_polarity_that_does_not_permute_the_digits(field, m
 def test_polar_pass_holds_no_per_line_array(field):
     """At q = 32 the pass allocates less than one byte per line at its
     peak: it keeps no mask or index over all lines.  The chunks are small
-    (4096 lines), so that their temporaries, on both threads at once, and
-    the results of all tasks stay well below that."""
+    (4096 lines), so that their temporaries stay well below that."""
     eng = Engine(field(32), chunk=1 << 12)
     _partitions(eng)
     tracemalloc.start()
@@ -693,21 +679,14 @@ def test_polar_pass_holds_no_per_line_array(field):
 
 
 @pytest.mark.parametrize("q", (8, 9, 13))
-def test_results_do_not_depend_on_scheduling(field, engine, q):
-    """An engine with 64-line chunks, so that many chunks are in flight on
-    the pool at once and the threads switch often, agrees with the default
-    engine, which classifies these orders inline."""
+def test_results_do_not_depend_on_the_chunk_size(field, engine, q):
+    """An engine with 64-line chunks, which classifies and polarizes in many
+    slices, agrees with the default engine, which takes these orders in
+    one slice."""
     small, whole = Engine(field(q), chunk=64), engine(q)
     assert len(small._tasks()) > 2 * len(whole._tasks())
-    # each sweep, too, runs as one task per torus element
-    assert len(small._torus_slices()) == q - 1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _partitions(small)
-        polar = _polar_counts(small) if field(q).xi != 0 else None
-    finally:
-        sys.setswitchinterval(interval)
+    got = _partitions(small)
+    polar = _polar_counts(small) if field(q).xi != 0 else None
     want = _partitions(whole)
     assert ({cls: ranks.tolist() for cls, ranks in small.class_keys().items()}
             == {cls: ranks.tolist() for cls, ranks in whole.class_keys().items()})
@@ -735,44 +714,6 @@ def test_records_do_not_depend_on_the_class_order(field):
     assert [moved.orbits()[i] for i in pairs[0]] == [whole.orbits()[j] for j in pairs[1]]
 
 
-def test_in_order_keeps_task_order_and_stops_after_a_failure():
-    """Results come back in task order however the threads took the tasks;
-    a failing task raises in the caller, and no task starts after it."""
-    assert bulk._in_order(lambda t: t * t, list(range(200))) == [t * t for t in range(200)]
-    started = []
-
-    def fail_at_3(t):
-        started.append(t)
-        if t == 3:
-            raise ValueError("task 3")
-        time.sleep(0.01)
-    with pytest.raises(ValueError, match="task 3"):
-        bulk._in_order(fail_at_3, list(range(100)))
-    assert 3 in started and len(started) < 10
-
-
-def test_in_order_keeps_no_task_alive_once_it_returns(monkeypatch):
-    """A pool thread drops the callable it ran only after the caller has
-    its result, so _in_order empties the helpers' hold on fn and the tasks
-    before it returns: with a pool whose helper keeps the callable forever,
-    an array that only fn holds is freed once the results are back."""
-    kept = []
-
-    class KeepingPool:
-        def submit(self, drain):
-            kept.append(drain)
-            done = Future()
-            done.set_result(drain())
-            return done
-    monkeypatch.setattr(bulk, "WORKERS", 2)
-    monkeypatch.setattr(bulk, "_pool", KeepingPool)
-    out = np.zeros(1000)
-    freed = weakref.ref(out)
-    assert bulk._in_order(out.fill, [1.0, 2.0]) == [None, None]
-    del out
-    assert len(kept) == 1 and freed() is None
-
-
 def _assert_sweep_cells_are_the_images_cells(eng, images, P):
     """The cells a sweep reads off the representatives' images, each generic
     one counted for its q - 1 elements, are those of the images P under
@@ -785,12 +726,10 @@ def _assert_sweep_cells_are_the_images_cells(eng, images, P):
 
 
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the keys of orbit_sweep run over several torus slices; they,
-    the cells of a partition sweep (whose entries that hold the line's cell
+    """At q = 49 the keys of orbit_sweep, the cells of a partition sweep (whose entries that hold the line's cell
     count its fixers), the least key and the stabilizer equal their one-pass
     forms over the whole group."""
     eng = engine(49)
-    assert len(eng._torus_slices()) > 1
     abcd, mats = scalar_checks.whole_group(eng)
     rng = random.Random(49)
     for rank in rng.sample(range(pg3.line_count(49)), 3):
@@ -799,7 +738,7 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         assert eng.orbit_sweep(line).tolist() == sorted_unique(eng.pack(P)).tolist()
         images = eng._rep_images(line.pair)
         met = _assert_sweep_cells_are_the_images_cells(eng, images, P)
-        assert eng._least_key(*images) == eng._pack(P).min()
+        assert eng._least_key(*images) == eng.pack(P).min()
         fixed = np.flatnonzero(eng._rank(P) == rank)
         stab = eng.stabilizer_abcd(line)
         assert stab == sorted(map(tuple, abcd[fixed].tolist()))
@@ -809,16 +748,15 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
 @pytest.mark.parametrize("q", AGREE_Q + (49,))
 def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q):
     """stabilizer_abcd, read off the sweep, and triple_images and
-    polarity_violations, which gather the images under each torus slice
+    polarity_violations, which gather the images under the torus
     from those under the representatives, equal their one-pass forms over
     all |G| lifts: on the first line of each pivot block and seeded lines
     (with, at q = 9, the axis, fixed by all of G, and at q = 8 a
     representative of each orbit), on triples of cubic points and seeded
     points, and for the true polarity and one with 3 replaced by another
-    unit.  At q = 49 the group passes run over more than one torus slice."""
+    unit."""
     eng = engine(q)
     group = scalar_checks.whole_group(eng)
-    assert (len(eng._torus_slices()) > 1) == (q == 49)
     rng = random.Random(q)
     seeds = [block[3] for block in _layout(q)[0]]  # the first line of each block
     lines = [eng.line_from_rank(rank) for rank in seeds + rng.sample(range(pg3.line_count(q)), 3)]
@@ -846,28 +784,15 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
     assert eng.polarity_violations() == scalar_checks.polarity_violations(eng, group)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_torus_slices_give_each_thread_two(field, monkeypatch, workers):
-    """A group pass cuts the torus only past chunk // 8 elements, then into
-    two slices per thread at least, so that a thread whose core is busy
-    leaves part of its share to the others; the slices cover the units d - 1
-    once, in order."""
-    monkeypatch.setattr(bulk, "WORKERS", workers)
-    for q in (8, 49, 64):
-        slices = Engine(field(q))._torus_slices()
-        assert len(slices) == 1 if q == 8 else len(slices) >= 2 * workers
-        assert [0] + [s.stop for s in slices] == [s.start for s in slices] + [q - 1]
-
-
 def test_orbit_sweep_holds_one_group_sized_array(engine):
-    """An orbit sweep packs each torus slice's keys into its own part of one
-    |G|-word array and sorts it in place: at q = 49 its tracemalloc peak stays
+    """An orbit sweep sums the keys of every element into one |G|-word
+    array and sorts it in place: at q = 49 its tracemalloc peak stays
     under 3 |G| words (5.2 when the images were stacked, then packed), on
     seeded lines and on line 0, whose orbit has q + 1 lines."""
     eng = engine(49)
     lines = [eng.line_from_rank(r) for r in random.Random(49).sample(range(pg3.line_count(49)), 4)]
     for line in lines + [eng.line_from_rank(0)]:
-        eng.orbit_sweep(line)  # the split and the pool are built before tracing
+        eng.orbit_sweep(line)  # the split is built before tracing
         tracemalloc.start()
         try:
             eng.orbit_sweep(line)
@@ -880,14 +805,14 @@ def test_orbit_sweep_holds_one_group_sized_array(engine):
 def test_triple_images_holds_few_group_sized_arrays(engine):
     """triple_images fills one int32 |G| array of point ranks per point
     through the torus kernel and gathers its cubic indices: at q = 49 its
-    tracemalloc peak stays under 3.25 |G| words (3.9 when each torus slice's
-    images were gathered, then normalized and ranked), on the cubic triple
+    tracemalloc peak stays under 3.25 |G| words (3.9 when the images were
+    gathered as rows, then normalized and ranked), on the cubic triple
     and on seeded points."""
     eng = engine(49)
     points = [tuple(pt) for pt in eng._proj_points(4)[
         random.Random(49).sample(range(pg3.point_count(49)), 3)].tolist()]
     for triple in (eng.cubic_points[:3], points):
-        eng.triple_images(triple)  # the split and the pool are built before tracing
+        eng.triple_images(triple)  # the split is built before tracing
         tracemalloc.start()
         try:
             eng.triple_images(triple)
@@ -965,7 +890,7 @@ def test_sweep_ranks_read_off_the_tables_match_the_images(engine, q):
         reached |= set(images[0].tolist())
         P = scalar_checks.line_images(eng, mats, line)
         _assert_sweep_cells_are_the_images_cells(eng, images, P)
-        assert eng._least_key(*images) == eng._pack(P).min()
+        assert eng._least_key(*images) == eng.pack(P).min()
     assert reached == set(range(len(pg3.PAIR_IDX)))
 
 
@@ -1057,14 +982,13 @@ def test_sweeps_leave_the_arrays_they_read_unchanged(field, monkeypatch, q):
         assert np.array_equal(a, b)
 
 
-def test_pool_is_shared_and_has_no_setting(engine, capsys):
-    """Repeated verifies and a large sweep reuse one pool of at most two
-    threads, and the CLI offers no thread or worker option."""
+def test_engine_starts_no_thread_and_has_no_setting(field, engine, capsys):
+    """A census, a class pass in many slices and a sweep at q = 49 run on
+    the calling thread, and the CLI offers no thread or worker option."""
     census.verify(8)
-    census.verify(8)
-    for eng in (engine(49), Engine(engine(49).field)):
-        eng.orbit_sweep(eng.line_from_rank(0))
-    assert threading.active_count() <= 1 + bulk._worker_count()
+    Engine(field(13), chunk=64).line_cells()
+    engine(49).orbit_sweep(engine(49).line_from_rank(0))
+    assert threading.enumerate() == [threading.main_thread()]
     with pytest.raises(SystemExit):
         cli.main(["census", "--help"])
     text = capsys.readouterr().out.lower()
@@ -1091,12 +1015,3 @@ def test_integer_headroom(q):
     assert q**4 < 2**31  # int32 free entries of a chunk's lines
     assert pg3.line_count(q) < 2**31  # the Engine's bound on line ranks
 
-
-def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
-    """Where os.sched_getaffinity is missing (macOS, Windows) the cores are
-    os.cpu_count(), still capped at two, and one when it is unknown."""
-    assert bulk.WORKERS == bulk._worker_count()
-    monkeypatch.delattr(os, "sched_getaffinity")
-    for cores, workers in ((7, 2), (2, 2), (1, 1), (None, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert bulk._worker_count() == workers
