@@ -726,9 +726,9 @@ def _assert_sweep_cells_are_the_images_cells(eng, images, P):
 
 
 def test_split_sweeps_match_one_pass_over_the_group(engine):
-    """At q = 49 the keys of orbit_sweep, the cells of a partition sweep (whose entries that hold the line's cell
-    count its fixers), the least key and the stabilizer equal their one-pass
-    forms over the whole group."""
+    """At q = 49 the keys of orbit_sweep, the cells of a partition sweep
+    (whose entries that hold the line's cell count its fixers), the least
+    key and the stabilizer equal their one-pass forms over the whole group."""
     eng = engine(49)
     abcd, mats = scalar_checks.whole_group(eng)
     rng = random.Random(49)
