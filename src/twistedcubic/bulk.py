@@ -47,7 +47,8 @@ stabilizer reads the cells of the R images r(l) (`_image_cells`): the q - 1
 images t(r(l)) of a generic one share its cell, and a special one is
 expanded into its torus images.  The passes with one entry per element, the
 keys of `orbit_sweep` and the point ranks of `triple_images`, fill their
-array with one kernel, `_over_torus`, summing gathers from split tables.
+array with one kernel, `_over_torus`, summing gathered rows of q - 1 torus
+entries: int32, or int64 keys past q = 64, where a key (< 2q^5) passes 2^31.
 
 Every pass runs on the calling thread.  The class pass and the polarity
 pass work in slices of at most chunk cells (`_tasks`), which bound their
@@ -129,7 +130,7 @@ def _columns(cols):
 def sorted_unique(out):
     """The array, which the caller gives up, sorted in place, then without
     adjacent duplicates (an order of magnitude faster than np.unique on large
-    int64 arrays), dropped by np.compress, which takes the kept positions: a
+    integer arrays), dropped by np.compress, which takes the kept positions: a
     boolean index is several times slower when the duplicates interleave, as
     in the orbit of a line with a nontrivial stabilizer."""
     out.sort()
@@ -630,9 +631,9 @@ class Engine:
         use: the ascending (a, b, c, d) of the R = q(q + 1) representatives,
         the pairs of distinct points (a, b), (c, d) of PG(1,q); their lifts,
         entry (i, j) of each at [i, j]; d^e * x at [d - 1, e * q + x], e <= 4;
-        that table times q^(5 - k) for coordinate k of a key, as int64; and
-        its last four, times q^3, ..., 1, as int32, for the point ranks of
-        triple_images."""
+        that table transposed times q^(5 - k), coordinate k >= 1 of a key,
+        int32 if every key, below 2q^5, fits (q <= 64), else int64; and its
+        last four, times q^3, ..., 1, as int32, for triple_images."""
         if self._split is None:
             q, line = self.q, self._proj_points(2)
             abcd = np.hstack([line[i] for i in np.nonzero(~np.eye(q + 1, dtype=bool))])
@@ -642,8 +643,9 @@ class Engine:
             for _ in range(4):  # w(l23) - w(l01)
                 powers.append(self._mul(powers[-1], units))
             scale = self.field.mul_table[np.stack(powers, axis=1)].reshape(q - 1, 5 * q)
-            keyed = q ** np.arange(5, -1, -1)[:, None, None] * scale
-            self._split = (abcd, lifts, scale, keyed, keyed[2:].astype(np.int32))
+            keyed = (q ** np.arange(4, -1, -1)[:, None, None] * scale.T).astype(
+                np.int32 if 2 * q**5 <= 2**31 else np.int64, order="C")
+            self._split = (abcd, lifts, scale, keyed, keyed[1:].astype(np.int32, copy=False))
         return self._split
 
     def _elements(self, index):
@@ -657,7 +659,7 @@ class Engine:
 
     def group_abcd(self):
         """The (a, b, c, d) of every element r * (1, 0, 0, d): d ascending,
-        then r ascending, as _over_torus orders its entries."""
+        then r ascending, as _elements indexes them."""
         return self._elements(np.arange(self.group_order))
 
     def _point_at(self, pt):
@@ -688,20 +690,21 @@ class Engine:
         is row (d - 1) n + i."""
         return self._group_arrays()[2][:, at].transpose(0, 2, 1).reshape(-1, 6)
 
-    def _over_torus(self, tables, cols, base=0):
-        """One entry per group element, in the order of group_abcd, of the
-        tables' dtype: entry (d - 1) * R + i is base (or base[i]) plus the sum
-        over k of tables[k][d - 1, cols[k][i]]."""
-        out = np.full((self.q - 1, cols.shape[1]), base, tables.dtype)
+    def _over_torus(self, tables, cols, base):
+        """One entry per group element r_i * (1, 0, 0, d), of the tables'
+        dtype: entry i * (q - 1) + d - 1 is base[i] plus the sum over k of
+        tables[k][cols[k][i], d - 1], each gather a contiguous row."""
+        out = np.full((cols.shape[1], self.q - 1), base[:, None], tables.dtype)
         for table, col in zip(tables, cols):
-            out += table.take(col, axis=1)
+            out += table.take(col, axis=0)
         return out.ravel()
 
     def orbit_sweep(self, line) -> np.ndarray:
-        """Sorted unique keys of the full-group orbit of the line, summed from
-        gathers of the split's keyed tables."""
-        at = self._rep_images(line.pair)[1]  # builds the split
-        return sorted_unique(self._over_torus(self._split[3], at))
+        """Sorted unique keys of the full-group orbit of the line, int32 up
+        to q = 64 and int64 above: q^5 per image led by l01 (the torus keeps
+        the lead), plus gathers of the split's keyed tables for l02, ..., l23."""
+        lead, at = self._rep_images(line.pair)  # builds the split
+        return sorted_unique(self._over_torus(self._split[3], at[1:], self.q**5 * (lead == 0)))
 
     def _image_cells(self, images):
         """(cells, index) of the line's images under the group, read off

@@ -507,15 +507,17 @@ def test_partition_matches_the_per_line_reference(engine, q):
 
 
 def test_sweep_digit_tables_are_the_scaled_rank_weights(engine):
-    """The split's digit tables, through which triple_images reads its point
-    ranks, are the torus scale table times the digit weights q^3, ..., 1,
-    as int32."""
-    for q in (8, 49):
+    """The split's keyed tables, through which orbit_sweep reads its keys,
+    and its digit tables, through which triple_images reads its point
+    ranks, are the transposed torus scale table times the weights q^4, ...,
+    1 and q^3, ..., 1, as int32 and without a wrapped entry up to q = 64."""
+    for q in (8, 49, 64):
         eng = engine(q)
-        scale, digit = (eng._group_arrays()[k] for k in (2, 4))
-        assert digit.dtype == np.int32
-        weights = q ** np.arange(3, -1, -1)
-        assert np.array_equal(digit, weights[:, None, None] * scale.astype(np.int64))
+        scale, keyed, digit = (eng._group_arrays()[k] for k in (2, 3, 4))
+        assert keyed.dtype == digit.dtype == np.int32
+        for table, top in ((keyed, 4), (digit, 3)):
+            weights = q ** np.arange(top, -1, -1)
+            assert np.array_equal(table, weights[:, None, None] * scale.T.astype(np.int64))
 
 
 def _assert_task_plucker_matches_unrank(eng, task, blocks):
@@ -745,6 +747,24 @@ def test_split_sweeps_match_one_pass_over_the_group(engine):
         assert np.count_nonzero(met == scalar_checks.cell_of_rank(eng, rank)) == len(stab)
 
 
+@pytest.mark.parametrize("q", (64, 67, 81))
+def test_orbit_sweep_keys_are_int32_up_to_q_64(engine, q):
+    """A key is below 2q^5, so orbit_sweep returns int32 keys up to q = 64,
+    where they come within 2^16 of 2^31, and int64 ones at q = 67 and 81,
+    where they pass it: on seeded lines, the keys equal the sorted unique
+    int64 keys of the line's images (_torus_rows of _rep_images, packed)."""
+    eng = engine(q) if q in census.SUPPORTED_Q else Engine(gfq.make_field(q))
+    top = 0
+    for rank in random.Random(q).sample(range(pg3.line_count(q)), 2):
+        line = eng.line_from_rank(rank)
+        keys = eng.orbit_sweep(line)
+        want = sorted_unique(eng.pack(eng._torus_rows(eng._rep_images(line.pair)[1])))
+        assert keys.dtype == (np.int32 if q <= 64 else np.int64) and want.dtype == np.int64
+        assert np.array_equal(keys, want)
+        top = max(top, int(keys[-1]))
+    assert top > 2**31 - 2**16 if q <= 64 else top >= 2**31
+
+
 @pytest.mark.parametrize("q", AGREE_Q + (49,))
 def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q):
     """stabilizer_abcd, read off the sweep, and triple_images and
@@ -785,9 +805,10 @@ def test_group_passes_match_one_pass_over_the_whole_group(engine, monkeypatch, q
 
 
 def test_orbit_sweep_holds_one_group_sized_array(engine):
-    """An orbit sweep sums the keys of every element into one |G|-word
+    """An orbit sweep sums the keys of every element into one int32 |G|
     array and sorts it in place: at q = 49 its tracemalloc peak stays
-    under 3 |G| words (5.2 when the images were stacked, then packed), on
+    under 3.5 |G| int32 words (3.3 when the stabilizer has order 2, 4.75
+    with int64 keys, 10.4 when the images were stacked, then packed), on
     seeded lines and on line 0, whose orbit has q + 1 lines."""
     eng = engine(49)
     lines = [eng.line_from_rank(r) for r in random.Random(49).sample(range(pg3.line_count(49)), 4)]
@@ -799,7 +820,7 @@ def test_orbit_sweep_holds_one_group_sized_array(engine):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * eng.group_order
+        assert peak < 3.5 * 4 * eng.group_order
 
 
 def test_triple_images_holds_few_group_sized_arrays(engine):
@@ -1006,7 +1027,13 @@ def test_engine_refuses_a_field_past_its_integer_limits():
 @pytest.mark.parametrize("q", (81, max(census.SUPPORTED_Q)))
 def test_integer_headroom(q):
     """The fixed-width integers of the engine hold their largest values at
-    q = 81 (the next order to support) and at every supported order."""
+    q = 81 (the next order to support) and at every supported order, but
+    for the int32 keys of orbit_sweep, below 2q^5, which are int64 at
+    q = 81."""
+    supported = q <= max(census.SUPPORTED_Q)
+    assert (2 * q**5 <= 2**31) == supported  # int32 packed key of a normalized line
+    keyed = Engine(gfq.make_field(q))._group_arrays()[3]
+    assert keyed.dtype == (np.int32 if supported else np.int64)
     xi = {0: 0, 1: 1, 2: -1}[q % 3]
     assert (q - 1) * q + (q - 1) < 2**15  # int16 index into a flat field table
     assert q**6 < 2**63  # int64 packed key of a Pluecker vector
