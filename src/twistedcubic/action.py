@@ -5,6 +5,9 @@ as the normalized tuples, whose first nonzero entry is 1; there are q^3 - q
 of them.  Each lifts to a 4x4 matrix acting on points by row-vector times
 matrix, realizing the parameter map t -> (a*t + b)/(c*t + d) on the cubic.
 Composition is written left to right: compose(g, h) applies g first.
+
+The runtime reads `lift_rows` and the parametric stabilizer families; the
+group operations, actions, orbits and stabilizers are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -80,24 +83,6 @@ def mat_vec(field, vec, mat):
     return tuple(pg3.dot(field, vec, col) for col in zip(*mat))
 
 
-def mat_inverse(field, mat):
-    """Inverse of a 4x4 matrix by Gauss-Jordan elimination."""
-    n = 4
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        s = field.inv(aug[c][c])
-        aug[c] = [field.mul(s, x) for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def act_point(field, g, point):
     return pg3.normalize(field, mat_vec(field, point, lift(field, g)))
 
@@ -144,38 +129,33 @@ def all_elements(field) -> list[tuple]:
     return out
 
 
-def closure(field, gens) -> set[tuple]:
-    """Multiplicative closure of a generating set (BFS)."""
-    seen = set(gens) | {identity(field)}
+def _reach(seeds, step, gens) -> set:
+    """Every value reached from the seeds by repeated x -> step(x, g), g in
+    gens, breadth first."""
+    seen = set(seeds)
     frontier = list(seen)
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(field, g, h)
-                if gh not in seen:
-                    seen.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return seen
-
-
-def orbit_of(field, line, gens=None) -> set[pg3.ProjLine]:
-    """Closure of the line under repeated generator action (BFS)."""
-    if gens is None:
-        gens = generators(field)
-    seen = {line}
-    frontier = [line]
-    while frontier:
-        nxt = []
-        for ln in frontier:
+        for x in frontier:
             for g in gens:
-                img = act_line(field, g, ln)
+                img = step(x, g)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def closure(field, gens) -> set[tuple]:
+    """Multiplicative closure of a generating set."""
+    return _reach(set(gens) | {identity(field)}, lambda g, h: compose(field, g, h), gens)
+
+
+def orbit_of(field, line, gens=None) -> set[pg3.ProjLine]:
+    """Closure of the line under repeated generator action."""
+    if gens is None:
+        gens = generators(field)
+    return _reach({line}, lambda ln, g: act_line(field, g, ln), gens)
 
 
 @dataclass(frozen=True)
@@ -325,9 +305,7 @@ def family_representatives(field, form) -> list[pg3.ProjLine]:
         if field.xi != 0:
             reps.append(twisted.null_polarity_line(field, reps[0]))
         return reps
-    if form == UG_ODD:
-        return [lt(p0, (0, 1, 0, 0))]
-    if form == UG_EVEN_L1:
+    if form in (UG_ODD, UG_EVEN_L1):
         return [lt(p0, (0, 1, 0, 0))]
     if form == UG_EVEN_L2:
         return [lt(p0, (0, 1, 1, 0))]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -173,11 +174,9 @@ def _check(name, expected, actual, basis="theorem"):
             "pass": expected == actual, "basis": basis}
 
 
-def _spectrum_pairs(records):
-    spectrum: dict[int, int] = {}
-    for size, _stab, _rep in records:
-        spectrum[size] = spectrum.get(size, 0) + 1
-    return sorted(spectrum.items())
+def _multiplicities(keys):
+    """The (key, multiplicity) pairs of the keys, ascending by key."""
+    return sorted(Counter(keys).items())
 
 
 def _spectrum_basis(q):
@@ -376,7 +375,7 @@ def verify(q: int, modulus=None, timing: bool = False) -> dict:
     checks.append(_check(
         "external_spectrum",
         [list(p) for p in sorted(expected_external_spectrum(q, f.xi).items())],
-        [list(p) for p in _spectrum_pairs(records[twisted.ENG])],
+        [list(p) for p in _multiplicities(size for size, _stab, _rep in records[twisted.ENG])],
         basis=_spectrum_basis(q)))
     checks.append(_check(
         "external_spectrum_sum_rule", (q * q - q) * (q * q - 1),
@@ -430,10 +429,7 @@ def report_to_csv(report: dict) -> str:
     q = report["meta"]["q"]
     rows = ["q,class,orbit_length,multiplicity,stabilizer_order"]
     for entry in report["classes"]:
-        mult: dict[tuple[int, int], int] = {}
-        for orb in entry["orbits"]:
-            key = (orb["size"], orb["stabilizer_order"])
-            mult[key] = mult.get(key, 0) + 1
-        for (size, stab), m in sorted(mult.items()):
+        for (size, stab), m in _multiplicities(
+                (orb["size"], orb["stabilizer_order"]) for orb in entry["orbits"]):
             rows.append(f"{q},{entry['class']},{size},{m},{stab}")
     return "\n".join(rows) + "\n"

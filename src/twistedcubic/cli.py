@@ -5,16 +5,17 @@ checks pass, 1 check failure or a fault of the census (RuntimeError), 2 usage
 error / unsupported q / unwritable --out; an error is one stderr line.  Every
 check is exhaustive, so a report depends only on (q, modulus); pass --timing
 to include wall-clock runtime in the meta block (off by default so default
-output is byte-stable).  --out is written
-atomically: a temporary file in the target directory, then a rename over the
-target.
+output is byte-stable).  --out is written as `write_atomic` says; an empty
+--out, or a target that is no regular file, FIFO or character device, exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import secrets
+import stat
 import sys
 
 from . import census, pg3, twisted
@@ -84,9 +85,18 @@ def _gate_long_run(args):
 
 
 def write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory,
-    renamed over the target, so a failed write leaves no partial file."""
-    path = os.path.abspath(path)
+    """Write text to path, or to a symlink's resolved target.  A regular file
+    or a missing path is replaced through a temporary file in its directory,
+    so a failed write leaves no partial file; a FIFO or a character device is
+    written directly; any other target raises OSError."""
+    path = os.path.realpath(path)
+    mode = os.stat(path).st_mode if os.path.lexists(path) else stat.S_IFREG
+    if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+        with open(os.open(path, os.O_WRONLY), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EINVAL, "not a regular file, FIFO or character device")
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -101,7 +111,7 @@ def write_atomic(path, text):
 
 def _emit(doc_json, doc_csv, args):
     text = doc_csv if args.format == "csv" else doc_json
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -174,9 +184,7 @@ def _verify_report(args, print_checks):
             print(f"{status} {chk['name']}{basis}")
         verdict = "all checks passed" if report["pass"] else "CHECK FAILURES"
         print(f"q={args.q}: {verdict} ({len(report['checks'])} checks)")
-        if args.out:
-            _emit(census.report_to_json(report), census.report_to_csv(report), args)
-    else:
+    if not print_checks or args.out is not None:
         _emit(census.report_to_json(report), census.report_to_csv(report), args)
     return 0 if report["pass"] else 1
 
@@ -184,6 +192,9 @@ def _verify_report(args, print_checks):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not _gate_long_run(args):
+        return USAGE_EXIT
+    if args.out == "":
+        print("error: --out needs a path", file=sys.stderr)
         return USAGE_EXIT
     try:
         if args.verb == "classify":

@@ -13,6 +13,10 @@ The line formulas (Pluecker vector, incidence forms, Klein relation, its
 polarized form, RREF entries) are each written once over injected
 field operations: the scalar functions here pass Field methods on one
 element, bulk.Engine passes elementwise table lookups on coordinate arrays.
+
+The enumerations (`all_*`, `line_points`, `lines_in_plane`, and the helpers
+only they call) and `klein_value` are the tests' oracle; the runtime reads
+the rest.
 """
 
 from __future__ import annotations
@@ -307,22 +311,8 @@ def lines_in_plane(field, plane):
     """The q^2+q+1 lines lying in the plane."""
     b = plane_basis(field, plane)
     out = []
-    for r0, r1 in _rref_pairs(field.q, 3):
-        u = (0, 0, 0, 0)
-        v = (0, 0, 0, 0)
-        for c, bv in zip(r0, b):
-            u = vec_add(field, u, vec_scale(field, c, bv))
-        for c, bv in zip(r1, b):
-            v = vec_add(field, v, vec_scale(field, c, bv))
+    for rows in _rref_pairs(field.q, 3):
+        u, v = (tuple(dot(field, r, col) for col in zip(*b)) for r in rows)
         out.append(line_through(field, u, v))
     return sorted(out)
 
-
-def planes_through_line(field, line):
-    """The q+1 planes of the pencil through the line."""
-    u, v = line.pair
-    basis = _nullspace(field, [u, v], 4)
-    planes = [normalize(field, basis[1])]
-    for t in field.elements():
-        planes.append(normalize(field, vec_add(field, basis[0], vec_scale(field, t, basis[1]))))
-    return sorted(planes)

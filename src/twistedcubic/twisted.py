@@ -14,6 +14,9 @@ xi = q mod 3 (as -1/0/+1) and on the parity of q:
   EnG  external non-chord line in no osculating plane
   A    the common axis of the osculating-plane pencil (xi = 0)
   EA   external line meeting that axis (xi = 0)
+
+`build_cubic` and `classify_line` run only for `stabilizer --line` and as
+the tests' classifier; `chord_vector` is a test oracle only.
 """
 
 from __future__ import annotations
@@ -149,20 +152,6 @@ def null_polarity_point(field, point):
     if field.xi == 0:
         raise ValueError("the null polarity degenerates when q = 0 mod 3")
     return pg3.normalize(field, polar_form(point, field.of_int(3), field.mul, field.neg))
-
-
-def null_polarity_plane(field, plane):
-    """Pole of a plane (inverse direction of the polarity)."""
-    if field.xi == 0:
-        raise ValueError("the null polarity degenerates when q = 0 mod 3")
-    c0, c1, c2, c3 = plane
-    inv3 = field.inv(field.of_int(3))
-    return pg3.normalize(field, (
-        field.neg(c3),
-        field.mul(inv3, c2),
-        field.neg(field.mul(inv3, c1)),
-        c0,
-    ))
 
 
 def null_polarity_line(field, line) -> pg3.ProjLine:

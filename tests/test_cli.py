@@ -6,8 +6,10 @@ import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import hypothesis
 import hypothesis.strategies as st
@@ -289,6 +291,50 @@ def test_out_onto_a_directory_leaves_no_temp_file(tmp_path):
     target.mkdir()
     assert exit_code(["classify", "--q", "5", "--out", str(target)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("stale")
+    link = tmp_path / "link"
+    link.symlink_to(target.name)
+    assert exit_code(["classify", "--q", "5", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["lines"]["EnG"] == 480
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target.json"]
+
+
+def test_out_through_a_dangling_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "link"
+    link.symlink_to("made.json")
+    assert exit_code(["classify", "--q", "5", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "made.json").read_text())["lines"]["EnG"] == 480
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "made.json"]
+
+
+def test_out_writes_a_fifo_directly(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    # the write blocks until a reader opens the FIFO
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert exit_code(["classify", "--q", "5", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert got and json.loads(got[0])["lines"]["EnG"] == 480
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("verb", ["classify", "verify"])
+def test_empty_out_is_a_usage_error_and_writes_nothing(tmp_path, verb):
+    res = subprocess.run([sys.executable, "-m", "twistedcubic", verb, "--q", "5", "--out", ""],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: --out needs a path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _monic_irreducible(coeffs, p, e):

@@ -104,13 +104,27 @@ def test_meet_planes(field):
         assert pg3.line_in_plane(f, met, p1) and pg3.line_in_plane(f, met, p2)
 
 
+def test_nullspace_is_empty_exactly_at_full_rank(field):
+    # the rank check of the lift and cubic-point tests: [] iff nonsingular
+    f = field(5)
+    identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert pg3._nullspace(f, identity, 4) == []
+    in_plane_x0 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 2, 3))
+    equal_rows = ((1, 2, 3, 4), (0, 1, 0, 0), (1, 2, 3, 4), (0, 0, 1, 0))
+    for rows in (in_plane_x0, equal_rows):
+        basis = pg3._nullspace(f, rows, 4)
+        assert basis
+        assert all(pg3.dot(f, row, vec) == 0 for row in rows for vec in basis)
+    assert pg3._nullspace(f, in_plane_x0, 4) == [(1, 0, 0, 0)]
+
+
 def test_duality_meet_and_span_agree(field):
-    # the pencil of planes through a spanned line meets back in the same line
+    # two planes through a spanned line meet back in the same line
     f = field(3)
     for line in pg3.all_lines(f):
-        planes = pg3.planes_through_line(f, line)
-        assert len(planes) == f.q + 1
-        assert pg3.meet_planes(f, planes[0], planes[1]) == line
+        planes = pg3._nullspace(f, line.pair, 4)
+        assert len(planes) == 2
+        assert pg3.meet_planes(f, *planes) == line
 
 
 def test_incidence_examples(field):

@@ -1,6 +1,10 @@
+import hashlib
 import pathlib
 import subprocess
 import sys
+
+from test_census import GOLDEN_REPORT_SHA256
+from twistedcubic import census
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_census_suite.py"
 
@@ -23,3 +27,15 @@ def test_unwritable_report_exits_two_and_leaves_no_temp_file(tmp_path):
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: cannot write")
     assert [p.name for p in tmp_path.iterdir()] == ["census_q2.json"]
+
+
+def test_default_range_writes_the_golden_reports(tmp_path):
+    res = run_suite("--out-dir", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    orders = [q for q in census.SUPPORTED_Q if q <= 32]
+    assert len(orders) == 18
+    # every report, and no temporary file left beside them
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"census_q{q}.json" for q in orders)
+    for q in orders:
+        digest = hashlib.sha256((tmp_path / f"census_q{q}.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_REPORT_SHA256[q], q
